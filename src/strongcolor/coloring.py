@@ -191,19 +191,55 @@ def greedy_color(
 
 
 def verify(col: PartialColoring) -> list[tuple[int, int, int]]:
-    """All conflicting same-colored pairs as (e, f, color) with e < f.
+    """All conflicting same-colored pairs as (e, f, color) with e < f,
+    ordered by e, then f.
 
-    Empty result means the partial coloring is valid. Linear in the edge
-    count for bounded-degree graphs.
+    Empty result means the partial coloring is valid. Edges e and f
+    conflict iff both lie in inc(a) | inc(b) for some edge h = (a, b), so
+    a coloring is valid iff every vertex is rainbow (no color on two
+    distinct edges there; a loop counts once) and, for every non-loop
+    edge (a, b), the colors seen at both a and b are exactly the colors
+    on the edges joining a and b.
+
+    Both conditions are checked with per-vertex color masks in two O(n + m)
+    passes over the edges, whatever the color values: the distinct colors
+    are numbered and number i takes mask bit i mod 63. A shared bit or a
+    parallel edge can only flag extra vertices, never hide a conflict.
+    The exact conflict-set listing then runs only for colored edges at a
+    flagged vertex, in ascending edge order, so a valid coloring of a
+    graph without parallel edges makes no conflict-set query at all.
     """
     g = col.graph
     colors = col._colors
+    edges = g.edges
+    n = g.vertex_count
+    bit_of = {c: 1 << (i % 63) for i, c in enumerate(set(colors) - {0})}
+    bit_of[0] = 0
+
+    # at[x]: colors on the edges at x; dup[x]: colors met twice there
+    at = array("q", bytes(8 * n))
+    dup = array("q", bytes(8 * n))
+    for (u, v), c in zip(edges, colors):
+        if c:
+            bit = bit_of[c]
+            dup[u] |= at[u] & bit
+            at[u] |= bit
+            if v != u:
+                dup[v] |= at[v] & bit
+                at[v] |= bit
+
+    flagged = bytearray(map(bool, dup))
+    for (a, b), c in zip(edges, colors):
+        if a != b and at[a] & at[b] != bit_of[c]:
+            flagged[a] = flagged[b] = 1
+    if 1 not in flagged:
+        return []
+
     out = []
-    for e in range(g.edge_count):
+    for e, (u, v) in enumerate(edges):
         c = colors[e]
-        if not c:
-            continue
-        hits = [f for f in g.conflict_set(e) if f > e and colors[f] == c]
-        for f in sorted(hits):
-            out.append((e, f, c))
+        if c and (flagged[u] or flagged[v]):
+            hits = [f for f in g.conflict_set(e) if f > e and colors[f] == c]
+            for f in sorted(hits):
+                out.append((e, f, c))
     return out

@@ -70,8 +70,9 @@ def emit_graph(g: MultiGraph) -> str:
 
 def parse_coloring(text: str, g: MultiGraph, palette_size: int = 22) -> PartialColoring:
     """Read an assignment and bind it to g, enforcing validity per line."""
-    seen: set[int] = set()
-    pairs: list[tuple[int, int]] = []
+    m = g.edge_count
+    col = PartialColoring(g, max(palette_size, 1))
+    colors = col._colors
     max_color = 0
     for ln, line in _content_lines(text):
         parts = line.split()
@@ -81,19 +82,16 @@ def parse_coloring(text: str, g: MultiGraph, palette_size: int = 22) -> PartialC
             e, c = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(f"line {ln}: non-integer field")
-        if not (0 <= e < g.edge_count):
-            raise GraphFormatError(f"line {ln}: edge id {e} out of range 0..{g.edge_count - 1}")
+        if not (0 <= e < m):
+            raise GraphFormatError(f"line {ln}: edge id {e} out of range 0..{m - 1}")
         if c < 1:
             raise GraphFormatError(f"line {ln}: color must be >= 1")
-        if e in seen:
+        if colors[e]:
             raise GraphFormatError(f"line {ln}: duplicate edge id {e}")
-        seen.add(e)
-        pairs.append((e, c))
-        max_color = max(max_color, c)
-
-    col = PartialColoring(g, max(palette_size, max_color, 1))
-    for e, c in pairs:
-        col._set_unchecked(e, c)
+        colors[e] = c
+        if c > max_color:
+            max_color = c
+    col.palette_size = max(col.palette_size, max_color)
     return col
 
 

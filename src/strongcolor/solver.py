@@ -298,17 +298,6 @@ def _joining_edge(g: MultiGraph, p: int, q: int, cyc_verts: set[int]) -> int | N
     return min(hits) if hits else None
 
 
-def _finish_cycle(col: PartialColoring, ctx: CycleContext, tel: Telemetry) -> None:
-    for i in sorted(ctx.c):
-        e = ctx.c[i]
-        if col.is_colored(e):
-            continue
-        tel.check(len(col.available_colors(e)) >= 1, "cycle.availability")
-    for e in sorted(ctx.c.values()):
-        if not col.is_colored(e):
-            _greedy_one(col, e, tel)
-
-
 def _girth4_with_diagonals(
     g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: int, j: int
 ) -> PartialColoring:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from strongcolor import MultiGraph
+from strongcolor import MultiGraph, PartialColoring
 
 
 def path(n: int) -> MultiGraph:
@@ -145,6 +145,22 @@ def ref_violations(g: MultiGraph, colors: dict[int, int]) -> list[tuple[int, int
             if colors[e] == colors[f] and conflicting(g, e, f):
                 bad.append((e, f))
     return bad
+
+
+def ref_verify(col: PartialColoring) -> list[tuple[int, int, int]]:
+    """verify's contract by one conflict-set listing per colored edge:
+    every (e, f, color) with e < f, ordered by e, then f."""
+    g = col.graph
+    colors = col._colors
+    out = []
+    for e in range(g.edge_count):
+        c = colors[e]
+        if not c:
+            continue
+        hits = [f for f in g.conflict_set(e) if f > e and colors[f] == c]
+        for f in sorted(hits):
+            out.append((e, f, c))
+    return out
 
 
 def naive_exact(g: MultiGraph, max_k: int = 8) -> int:

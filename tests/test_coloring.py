@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cycle, path, random_multigraph, ref_violations
+from helpers import cycle, disjoint_union, path, random_multigraph, ref_verify, ref_violations
 from strongcolor import (
     ConflictError,
     MultiGraph,
     PaletteExhausted,
     PartialColoring,
     greedy_color,
+    random_max4,
+    solve,
     verify,
 )
 from strongcolor.solver import Telemetry
@@ -230,6 +232,57 @@ def test_verify_empty_means_induced_matchings():
                     assert f not in g.conflict_set(e)
 
 
+@pytest.mark.parametrize("c", [63, 64, 1000, 10**9])
+def test_verify_colors_above_62(c):
+    g = path(5)
+    col = PartialColoring(g, c)
+    col._set_unchecked(0, c)
+    col._set_unchecked(3, c)
+    col._set_unchecked(1, 10**9 + 7)
+    assert verify(col) == []
+    col._set_unchecked(2, c)
+    assert verify(col) == [(0, 2, c), (2, 3, c)]
+
+
+def test_verify_more_than_63_distinct_colors_matches_reference():
+    for seed in range(30):
+        g = disjoint_union(*(random_multigraph(seed * 16 + k, max_n=24, max_m=48) for k in range(16)))
+        assert g.edge_count > 63  # so mask bits are shared
+        rng = random.Random(seed)
+        palette = rng.sample(range(1, 10**9), g.edge_count)
+        col = PartialColoring(g, 22)
+        for e, c in enumerate(palette):
+            col._set_unchecked(e, c)
+        assert verify(col) == []
+        for e in rng.sample(range(g.edge_count), min(12, g.edge_count)):
+            col._set_unchecked(e, rng.choice(palette[:20]))
+        assert verify(col) == ref_verify(col)
+
+
+@pytest.mark.parametrize("loops", [False, True])
+def test_verify_queries_conflict_sets_only_near_a_recolored_edge(monkeypatch, loops):
+    g = random_max4(2000, seed=0, allow_loops=loops)
+    col, _ = solve(g)
+    conflict_set = MultiGraph.conflict_set
+    calls = []
+
+    def counted(self, e):
+        calls.append(e)
+        return conflict_set(self, e)
+
+    monkeypatch.setattr(MultiGraph, "conflict_set", counted)
+    assert verify(col) == [] and calls == []
+
+    e = 1234
+    near = conflict_set(g, e) | {e}
+    f = min(near - {e})
+    col._set_unchecked(e, col.color_of(f))
+    bad = verify(col)
+    assert bad and all(e in (x, y) for x, y, _ in bad)
+    assert e in calls and set(calls) <= near
+    assert bad == ref_verify(col)
+
+
 def test_copy_unassign_and_queries():
     g = path(5)
     col = PartialColoring(g, 22)
@@ -275,3 +328,25 @@ def test_greedy_property_valid_and_at_most_25(g, rng):
     assert col.is_total()
     assert col.colors_used() <= 25
     assert verify(col) == []
+
+
+@given(
+    small_graphs(),
+    st.randoms(use_true_random=False),
+    st.sampled_from([1, 20, 63, 10**9]),
+)
+@settings(max_examples=300, deadline=None)
+def test_verify_equals_reference_listing(g, rng, base):
+    """A valid greedy coloring with edges randomly uncolored or recolored
+    from a few colors at `base`; the result must equal the reference list."""
+    order = list(range(g.edge_count))
+    rng.shuffle(order)
+    col = PartialColoring(g, 25)
+    greedy_color(col, order)
+    for e in range(g.edge_count):
+        r = rng.random()
+        if r < 0.2:
+            col.unassign(e)
+        elif r < 0.45:
+            col._set_unchecked(e, base + rng.randrange(4))
+    assert verify(col) == ref_verify(col)

@@ -130,6 +130,26 @@ def test_parse_coloring_rejects_malformed(text):
         parse_coloring(text, g)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("0\n", "line 3: expected '<edge_id> <color>', got '0'"),
+        ("1 2 3\n", "line 3: expected '<edge_id> <color>', got '1 2 3'"),
+        ("x 1\n", "line 3: non-integer field"),
+        ("1 y\n", "line 3: non-integer field"),
+        ("3 1\n", "line 3: edge id 3 out of range 0..2"),
+        ("-1 1\n", "line 3: edge id -1 out of range 0..2"),
+        ("1 0\n", "line 3: color must be >= 1"),
+        ("2 5\n", "line 3: duplicate edge id 2"),
+    ],
+)
+def test_parse_coloring_error_messages(bad, message):
+    g = parse_graph("p sec 4 3\ne 1 2\ne 2 3\ne 3 4\n")
+    with pytest.raises(GraphFormatError) as info:
+        parse_coloring("# header\n2 1\n" + bad + "0 4\n", g)
+    assert str(info.value) == message
+
+
 def test_parse_coloring_does_not_validate_conflicts():
     # io layer stores what the file says; verification is a separate step
     g = parse_graph("p sec 3 2\ne 1 2\ne 2 3\n")
