@@ -203,11 +203,12 @@ def verify(col: PartialColoring) -> list[tuple[int, int, int]]:
 
     Both conditions are checked with per-vertex color masks in two O(n + m)
     passes over the edges, whatever the color values: the distinct colors
-    are numbered and number i takes mask bit i mod 63. A shared bit or a
-    parallel edge can only flag extra vertices, never hide a conflict.
+    are numbered and number i takes mask bit i mod 63. A shared bit can
+    only flag extra vertices, never hide a conflict. Only an edge whose
+    own bit is not the whole shared mask scans inc(a) for parallel twins.
     The exact conflict-set listing then runs only for colored edges at a
-    flagged vertex, in ascending edge order, so a valid coloring of a
-    graph without parallel edges makes no conflict-set query at all.
+    flagged vertex, in ascending edge order, so a valid coloring with at
+    most 63 colors makes no conflict-set query at all.
     """
     g = col.graph
     colors = col._colors
@@ -231,7 +232,11 @@ def verify(col: PartialColoring) -> list[tuple[int, int, int]]:
     flagged = bytearray(map(bool, dup))
     for (a, b), c in zip(edges, colors):
         if a != b and at[a] & at[b] != bit_of[c]:
-            flagged[a] = flagged[b] = 1
+            joining = {
+                bit_of[colors[f]] for f in g.incident_edges(a) if edges[f] in ((a, b), (b, a))
+            }
+            if at[a] & at[b] != sum(joining):  # distinct bits: the sum is their OR
+                flagged[a] = flagged[b] = 1
     if 1 not in flagged:
         return []
 

@@ -67,12 +67,6 @@ def bfs_from_sources(g: MultiGraph, starts) -> list[int]:
     return dist
 
 
-def edge_distance_class(g: MultiGraph, dist: list[int], e: int) -> int:
-    """An edge sits in the class of its closer endpoint."""
-    u, v = g.endpoints(e)
-    return min(dist[u], dist[v])
-
-
 def compatible_order(g: MultiGraph, anchor: Anchor) -> list[int]:
     """All edge ids sorted by nonincreasing distance class from the anchor.
 
@@ -85,14 +79,18 @@ def compatible_order(g: MultiGraph, anchor: Anchor) -> list[int]:
 
 
 def order_by_distance(g: MultiGraph, dist: list[int]) -> list[int]:
-    """Edge ids sorted by nonincreasing distance class, given BFS distances."""
+    """Edge ids sorted by nonincreasing distance class (the distance of
+    the closer endpoint), given BFS distances. An edge with an unreached
+    endpoint (-1) lands in the extra last bucket and raises."""
     eu, ev, _, _ = g.flat_arrays()
     maxd = max(dist, default=0)
-    buckets: list[list[int]] = [[] for _ in range(maxd + 1)]
+    buckets: list[list[int]] = [[] for _ in range(maxd + 2)]
     for e in range(g.edge_count):
         du = dist[eu[e]]
         dv = dist[ev[e]]
         buckets[du if du < dv else dv].append(e)
+    if buckets[-1]:
+        raise DisconnectedGraphError(f"edge {buckets[-1][0]} has an endpoint unreached by the BFS")
     out: list[int] = []
     for c in range(maxd, -1, -1):
         out.extend(buckets[c])
@@ -103,8 +101,12 @@ def find_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:
     """Shortest cycle as a descriptor, or None for a forest.
 
     Conventions: a loop is a 1-cycle and a parallel pair a 2-cycle; both
-    are checked before any BFS. For simple graphs this runs one BFS per
-    vertex and reconstructs the witness from the minimum closing edge.
+    are checked before any BFS. A simple graph gets one BFS per start
+    vertex, in ascending order, and the first strictly shortest closing
+    edge wins (Itai and Rodeh). Each BFS stops once no closing edge can
+    beat the best so far, and only the vertices it reached are reset, so
+    a start costs the ball up to the current best radius: O(n * 3^(g/2))
+    in total at degree 4, where g is the girth.
     """
     e = g.find_loop()
     if e is not None:
@@ -118,58 +120,54 @@ def find_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:
     edges = g.edges
     inc = g._inc
     n = g.vertex_count
-    best: tuple[int, int, int] | None = None  # (length, start, closing edge)
+    dist = [-1] * n
+    via = [-1] * n  # edge id used to reach each vertex
+    best = n + 1  # longer than any cycle
+    walk = None  # (vertices, edges) of the closed walk of length best
 
     for s in range(n):
-        if best is not None and best[0] == 3:
+        if best == 3:
             break  # girth cannot beat 3 in a simple graph
-        dist = [-1] * n
-        via = [-1] * n  # edge id used to reach each vertex
         dist[s] = 0
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            if best is not None and 2 * dist[x] >= best[0]:
+        via[s] = -1
+        closing = -1
+        reached = [s]  # the BFS queue, and the slots to reset afterwards
+        for x in reached:
+            dx = dist[x]
+            if 2 * dx >= best:
                 break  # even a level-up closing edge cannot improve on best
             for f in inc[x]:
                 a, b = edges[f]
                 y = b if a == x else a
                 if dist[y] == -1:
-                    dist[y] = dist[x] + 1
+                    dist[y] = dx + 1
                     via[y] = f
-                    q.append(y)
+                    reached.append(y)
                 elif f != via[x] and f != via[y]:
-                    cand = dist[x] + dist[y] + 1
-                    if best is None or cand < best[0]:
-                        best = (cand, s, f)
+                    cand = dx + dist[y] + 1
+                    if cand < best:
+                        best = cand
+                        closing = f
+        if closing != -1:
+            walk = _splice(edges, via, s, closing)
+        for x in reached:
+            dist[x] = -1
 
-    if best is None:
+    if walk is None:
         return None
-    return _reconstruct_cycle(g, *best)
+    # A closed walk found earlier can repeat vertices (its two tree paths
+    # may share a prefix); the shortest one never does.
+    verts, cyc_edges = walk
+    if len(set(verts)) != len(verts) or len(verts) != best:
+        raise RuntimeError("shortest-cycle search produced a non-simple walk")
+    return CycleDescriptor(tuple(verts), tuple(cyc_edges))
 
 
-def _reconstruct_cycle(g: MultiGraph, length: int, s: int, closing: int) -> CycleDescriptor:
-    # Re-run the BFS from s and splice the two parent paths of the closing
-    # edge together. For the global minimum the paths share only s, so the
-    # walk below is a simple cycle.
-    edges = g.edges
-    inc = g._inc
-    n = g.vertex_count
-    dist = [-1] * n
-    via = [-1] * n
-    dist[s] = 0
-    q = deque([s])
-    while q:
-        x = q.popleft()
-        for f in inc[x]:
-            a, b = edges[f]
-            y = b if a == x else a
-            if dist[y] == -1:
-                dist[y] = dist[x] + 1
-                via[y] = f
-                q.append(y)
-
-    def path_to_root(x: int) -> tuple[list[int], list[int]]:
+def _splice(edges, via, s: int, closing: int) -> tuple[list[int], list[int]]:
+    """The closed walk s .. x, closing edge (x, y), y .. s along the BFS
+    tree edges `via`, as vertex and edge lists starting at s."""
+    halves = []
+    for x in edges[closing]:
         verts, es = [x], []
         while x != s:
             f = via[x]
@@ -177,16 +175,9 @@ def _reconstruct_cycle(g: MultiGraph, length: int, s: int, closing: int) -> Cycl
             x = b if a == x else a
             verts.append(x)
             es.append(f)
-        return verts, es
-
-    x, y = edges[closing]
-    vx, ex = path_to_root(x)  # x .. s
-    vy, ey = path_to_root(y)  # y .. s
-    verts = vx[::-1] + vy[:-1]  # s .. x, y .. (s excluded)
-    cyc_edges = ex[::-1] + [closing] + ey
-    if len(set(verts)) != len(verts) or len(verts) != length:
-        raise RuntimeError("shortest-cycle reconstruction produced a non-simple walk")
-    return CycleDescriptor(tuple(verts), tuple(cyc_edges))
+        halves.append((verts, es))
+    (vx, ex), (vy, ey) = halves
+    return vx[::-1] + vy[:-1], ex[::-1] + [closing] + ey
 
 
 def girth(g: MultiGraph) -> int | None:

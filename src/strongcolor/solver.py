@@ -652,23 +652,21 @@ def _plan_component(g: MultiGraph):
             v,
             set(g.incident_edges(v)),
         )
-    loop = g.find_loop()
-    if loop is not None:
-        v = g.endpoints(loop)[0]
-        return ("loop", lambda tel: solve_loop(g, loop, tel), v, set(g.incident_edges(v)))
-    pair = g.find_parallel_pair()
-    if pair is not None:
-        v = min(g.endpoints(pair[0]))
-        return (
-            "double_edge",
-            lambda tel: solve_double_edge(g, pair, tel),
-            v,
-            set(g.incident_edges(v)),
-        )
-    cycle = metrics.find_shortest_cycle(g)
+    cycle = metrics.find_shortest_cycle(g)  # a loop, else a parallel pair, else girth
     if cycle is None:
         raise AssertionError("4-regular component without a cycle")
     k = len(cycle)
+    if k == 1:
+        (loop,), (v,) = cycle.edges, cycle.vertices
+        return ("loop", lambda tel: solve_loop(g, loop, tel), v, set(g.incident_edges(v)))
+    if k == 2:
+        v = min(cycle.vertices)
+        return (
+            "double_edge",
+            lambda tel: solve_double_edge(g, cycle.edges, tel),
+            v,
+            set(g.incident_edges(v)),
+        )
     if k == 3:
         return ("girth3", lambda tel: solve_girth3(g, cycle, tel), cycle, set(cycle.edges))
     if k in (4, 5):

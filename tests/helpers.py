@@ -8,8 +8,10 @@ that the optimized code is checked against something independent.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from strongcolor import MultiGraph, PartialColoring
+from strongcolor.metrics import CycleDescriptor
 
 
 def path(n: int) -> MultiGraph:
@@ -161,6 +163,98 @@ def ref_verify(col: PartialColoring) -> list[tuple[int, int, int]]:
         for f in sorted(hits):
             out.append((e, f, c))
     return out
+
+
+def edge_distance_class(g: MultiGraph, dist: list[int], e: int) -> int:
+    """An edge sits in the class of its closer endpoint."""
+    u, v = g.endpoints(e)
+    return min(dist[u], dist[v])
+
+
+def ref_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:
+    """find_shortest_cycle's contract by a fresh full BFS per start vertex:
+    loop first, then parallel pair, then the first strictly shortest
+    closing edge in start order, whose witness is rebuilt by one more BFS
+    from its start."""
+    e = g.find_loop()
+    if e is not None:
+        v, _ = g.endpoints(e)
+        return CycleDescriptor((v,), (e,))
+    pair = g.find_parallel_pair()
+    if pair is not None:
+        u, v = g.endpoints(pair[0])
+        return CycleDescriptor((u, v), pair)
+
+    edges = g.edges
+    n = g.vertex_count
+    best: tuple[int, int, int] | None = None  # (length, start, closing edge)
+
+    for s in range(n):
+        if best is not None and best[0] == 3:
+            break  # girth cannot beat 3 in a simple graph
+        dist = [-1] * n
+        via = [-1] * n  # edge id used to reach each vertex
+        dist[s] = 0
+        q = deque([s])
+        while q:
+            x = q.popleft()
+            if best is not None and 2 * dist[x] >= best[0]:
+                break  # even a level-up closing edge cannot improve on best
+            for f in g.incident_edges(x):
+                a, b = edges[f]
+                y = b if a == x else a
+                if dist[y] == -1:
+                    dist[y] = dist[x] + 1
+                    via[y] = f
+                    q.append(y)
+                elif f != via[x] and f != via[y]:
+                    cand = dist[x] + dist[y] + 1
+                    if best is None or cand < best[0]:
+                        best = (cand, s, f)
+
+    if best is None:
+        return None
+    return _ref_reconstruct_cycle(g, *best)
+
+
+def _ref_reconstruct_cycle(g: MultiGraph, length: int, s: int, closing: int) -> CycleDescriptor:
+    # Re-run the BFS from s and splice the two parent paths of the closing
+    # edge together. For the global minimum the paths share only s, so the
+    # walk below is a simple cycle.
+    edges = g.edges
+    n = g.vertex_count
+    dist = [-1] * n
+    via = [-1] * n
+    dist[s] = 0
+    q = deque([s])
+    while q:
+        x = q.popleft()
+        for f in g.incident_edges(x):
+            a, b = edges[f]
+            y = b if a == x else a
+            if dist[y] == -1:
+                dist[y] = dist[x] + 1
+                via[y] = f
+                q.append(y)
+
+    def path_to_root(x: int) -> tuple[list[int], list[int]]:
+        verts, es = [x], []
+        while x != s:
+            f = via[x]
+            a, b = edges[f]
+            x = b if a == x else a
+            verts.append(x)
+            es.append(f)
+        return verts, es
+
+    x, y = edges[closing]
+    vx, ex = path_to_root(x)  # x .. s
+    vy, ey = path_to_root(y)  # y .. s
+    verts = vx[::-1] + vy[:-1]  # s .. x, y .. (s excluded)
+    cyc_edges = ex[::-1] + [closing] + ey
+    if len(set(verts)) != len(verts) or len(verts) != length:
+        raise RuntimeError("shortest-cycle reconstruction produced a non-simple walk")
+    return CycleDescriptor(tuple(verts), tuple(cyc_edges))
 
 
 def naive_exact(g: MultiGraph, max_k: int = 8) -> int:

@@ -6,6 +6,7 @@ are stated inline; the sweeps are seeded and fully deterministic, only
 the wall-clock readings vary between machines.
 """
 
+import gc
 import random
 import statistics
 import time
@@ -294,3 +295,23 @@ def test_criterion_7_runtime_scaling():
     )
     assert ratio <= 15.0, samples
     assert slowest < 10_000
+
+
+def test_girth3_runtime_scaling():
+    """solve on one 4-regular component with a triangle, at two sizes 10x
+    apart. The shortest-cycle dispatch and the girth-3 strategy are
+    linear, which puts the time ratio at 10-16 on a shared machine; a
+    cycle search that pays the whole graph per start vertex is quadratic
+    and puts it above 40 for these graphs (first triangle vertex 1161 of
+    1e4 and 9527 of 1e5), so the bound sits between the two."""
+    graphs = {n: random_4regular(n, seed=2, min_girth=3)[0] for n in (10_000, 100_000)}
+    samples = {n: [] for n in graphs}
+    for _ in range(3):
+        for n, g in graphs.items():
+            gc.collect()
+            t0 = time.perf_counter()
+            col, report = solve(g)
+            samples[n].append(time.perf_counter() - t0)
+            assert report.strategies() == ["girth3"] and col.is_total()
+    ratio = statistics.median(samples[100_000]) / statistics.median(samples[10_000])
+    assert ratio <= 25.0, samples

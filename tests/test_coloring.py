@@ -259,9 +259,17 @@ def test_verify_more_than_63_distinct_colors_matches_reference():
         assert verify(col) == ref_verify(col)
 
 
-@pytest.mark.parametrize("loops", [False, True])
-def test_verify_queries_conflict_sets_only_near_a_recolored_edge(monkeypatch, loops):
-    g = random_max4(2000, seed=0, allow_loops=loops)
+@pytest.mark.parametrize(
+    "loops, parallel",
+    [
+        pytest.param(False, False, id="False"),
+        pytest.param(True, False, id="True"),
+        pytest.param(False, True, id="parallel"),
+    ],
+)
+def test_verify_queries_conflict_sets_only_near_a_recolored_edge(monkeypatch, loops, parallel):
+    g = random_max4(2000, seed=0, allow_loops=loops, allow_parallel=parallel)
+    assert (g.find_parallel_pair() is not None) == parallel
     col, _ = solve(g)
     conflict_set = MultiGraph.conflict_set
     calls = []

@@ -1,12 +1,23 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import complete, cycle, path, random_multigraph, star
-from strongcolor import MultiGraph, compatible_order, find_shortest_cycle, girth
+from helpers import (
+    complete,
+    cycle,
+    disjoint_union,
+    edge_distance_class,
+    path,
+    random_multigraph,
+    ref_shortest_cycle,
+    star,
+)
+from strongcolor import MultiGraph, compatible_order, find_shortest_cycle, girth, random_4regular
 from strongcolor.metrics import (
     CycleDescriptor,
     DisconnectedGraphError,
     bfs_distances,
-    edge_distance_class,
+    order_by_distance,
 )
 
 
@@ -81,6 +92,17 @@ def test_compatible_order_classes_nonincreasing():
             assert classes == sorted(classes, reverse=True)
             assert sorted(order) == list(range(g.edge_count))
             break
+
+
+def test_order_by_distance_rejects_unreached_edges():
+    g = path(4)
+    with pytest.raises(DisconnectedGraphError):
+        order_by_distance(g, [0, 1, 2, -1])
+    with pytest.raises(DisconnectedGraphError):
+        order_by_distance(g, [-1] * 4)
+    # an isolated vertex may stay unreached
+    h = MultiGraph.from_edges(3, [(0, 1)])
+    assert order_by_distance(h, [0, 1, -1]) == [0]
 
 
 def test_compatible_order_ties_break_by_edge_id():
@@ -167,3 +189,64 @@ def test_girth_matches_networkx_on_simple_graphs():
             assert got is None
         else:
             assert got == want
+
+
+@st.composite
+def cycle_search_graphs(draw):
+    """Disjoint unions of small multigraphs, forests and simple graphs,
+    plus isolated vertices, with the vertex ids shuffled."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 10))
+        shape = draw(st.sampled_from(["multi", "simple", "forest"]))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24))
+        root = list(range(n))  # union-find, for forests
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        edges = []
+        for u, v in pairs:
+            if shape != "multi" and (u == v or (u, v) in edges or (v, u) in edges):
+                continue
+            if shape == "forest":
+                if find(u) == find(v):
+                    continue
+                root[find(u)] = find(v)
+            edges.append((u, v))
+        parts.append(MultiGraph.from_edges(n, edges))
+    parts.append(MultiGraph(draw(st.integers(0, 3))).freeze())
+    g = disjoint_union(*parts)
+    perm = draw(st.permutations(range(g.vertex_count)))
+    return MultiGraph.from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@given(cycle_search_graphs())
+@settings(max_examples=400, deadline=None)
+def test_find_shortest_cycle_equals_reference(g):
+    assert find_shortest_cycle(g) == ref_shortest_cycle(g)
+
+
+# girth-6 repair stalls at small n, so that case runs larger
+@pytest.mark.parametrize("min_girth, n", [(3, 30), (4, 30), (5, 40), (6, 200)])
+def test_find_shortest_cycle_equals_reference_on_4regular(min_girth, n):
+    for seed in range(4):
+        g, achieved = random_4regular(n + 4 * seed, seed=seed, min_girth=min_girth)
+        c = find_shortest_cycle(g)
+        assert c == ref_shortest_cycle(g)
+        assert len(c) == achieved >= min_girth
+
+
+def test_find_shortest_cycle_after_a_non_simple_walk():
+    # Start 0 hangs off the triangle 1-2-3. Its BFS first closes the edge
+    # (2, 3) into the walk 0-1-2-3-1-0, whose two tree paths share the
+    # edge (0, 1): an improvement that is not a simple cycle. The search
+    # must carry on and return the triangle found from start 1. The path
+    # 4-5-6-7 keeps the vertex count above the walk's length 5, so no
+    # bound on cycle length by the vertex count rules the walk out.
+    g = MultiGraph.from_edges(8, [(0, 1), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7)])
+    want = CycleDescriptor((1, 2, 3), (1, 3, 2))
+    assert find_shortest_cycle(g) == want
+    assert ref_shortest_cycle(g) == want
