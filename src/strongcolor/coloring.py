@@ -204,15 +204,19 @@ def verify(col: PartialColoring) -> list[tuple[int, int, int]]:
     Both conditions are checked with per-vertex color masks in two O(n + m)
     passes over the edges, whatever the color values: the distinct colors
     are numbered and number i takes mask bit i mod 63. A shared bit can
-    only flag extra vertices, never hide a conflict. Only an edge whose
-    own bit is not the whole shared mask scans inc(a) for parallel twins.
-    The exact conflict-set listing then runs only for colored edges at a
-    flagged vertex, in ascending edge order, so a valid coloring with at
-    most 63 colors makes no conflict-set query at all.
+    only flag extra vertices, never hide a conflict. Edges whose own bit
+    is not the whole shared mask of their ends (on a valid coloring, only
+    parallel edges) are grouped by endpoint pair, and a pair is flagged
+    when their bits together are not that mask; this may also flag the
+    ends of an uncolored edge parallel to a colored one. The exact
+    conflict-set listing then runs only for colored edges at a flagged
+    vertex, in ascending edge order, so a valid coloring with at most 63
+    colors makes no conflict-set query at all.
     """
     g = col.graph
     colors = col._colors
-    edges = g.edges
+    eu = g.eu
+    ev = g.ev
     n = g.vertex_count
     bit_of = {c: 1 << (i % 63) for i, c in enumerate(set(colors) - {0})}
     bit_of[0] = 0
@@ -220,7 +224,7 @@ def verify(col: PartialColoring) -> list[tuple[int, int, int]]:
     # at[x]: colors on the edges at x; dup[x]: colors met twice there
     at = array("q", bytes(8 * n))
     dup = array("q", bytes(8 * n))
-    for (u, v), c in zip(edges, colors):
+    for u, v, c in zip(eu, ev, colors):
         if c:
             bit = bit_of[c]
             dup[u] |= at[u] & bit
@@ -230,19 +234,20 @@ def verify(col: PartialColoring) -> list[tuple[int, int, int]]:
                 at[v] |= bit
 
     flagged = bytearray(map(bool, dup))
-    for (a, b), c in zip(edges, colors):
+    joining: dict[int, int] = {}  # pair a * n + b (a < b) -> OR of the bits
+    for a, b, c in zip(eu, ev, colors):
         if a != b and at[a] & at[b] != bit_of[c]:
-            joining = {
-                bit_of[colors[f]] for f in g.incident_edges(a) if edges[f] in ((a, b), (b, a))
-            }
-            if at[a] & at[b] != sum(joining):  # distinct bits: the sum is their OR
-                flagged[a] = flagged[b] = 1
+            key = a * n + b if a < b else b * n + a
+            joining[key] = joining.get(key, 0) | bit_of[c]
+    for key, bits in joining.items():
+        a, b = divmod(key, n)
+        if at[a] & at[b] != bits:
+            flagged[a] = flagged[b] = 1
     if 1 not in flagged:
         return []
 
     out = []
-    for e, (u, v) in enumerate(edges):
-        c = colors[e]
+    for e, (u, v, c) in enumerate(zip(eu, ev, colors)):
         if c and (flagged[u] or flagged[v]):
             hits = [f for f in g.conflict_set(e) if f > e and colors[f] == c]
             for f in sorted(hits):

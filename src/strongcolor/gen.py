@@ -167,10 +167,6 @@ def _pairing_4regular(n: int, rng: random.Random) -> list[tuple[int, int]] | Non
     return edges
 
 
-def _girth_of_edges(n: int, edges: list[tuple[int, int]]) -> int | None:
-    return metrics.girth(MultiGraph.from_edges(n, edges))
-
-
 def random_4regular(n: int, seed: int = 0, min_girth: int = 3) -> tuple[MultiGraph, int]:
     """Random simple 4-regular graph with girth >= min_girth.
 
@@ -180,8 +176,10 @@ def random_4regular(n: int, seed: int = 0, min_girth: int = 3) -> tuple[MultiGra
     the order of 1e-7 regardless of n). Returns (graph, achieved girth).
 
     Practical ranges: min_girth 3 needs n >= 5, 4-regular girth 5 exists
-    from n = 19 up, girth 6 from n = 26 up; repair gets slow below about
-    n = 30 for girth 6.
+    from n = 19 up. Girth 6 exists from n = 26 up, but the repair stalls
+    with RejectionBudgetExhausted for n up to about 60 and only works
+    reliably from about n = 100 (seconds there, well under a second from
+    n = 200).
     """
     if n < 5:
         raise ValueError("4-regular simple graphs need n >= 5")

@@ -11,6 +11,8 @@ colors >= 1, sorted by edge id.
 
 from __future__ import annotations
 
+from array import array
+
 from .coloring import PartialColoring
 from .multigraph import MultiGraph
 
@@ -43,7 +45,8 @@ def parse_graph(text: str) -> MultiGraph:
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {ln}: negative vertex or edge count")
 
-    g = MultiGraph(n)
+    eu = array("i")
+    ev = array("i")
     for ln, line in lines:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "e":
@@ -54,16 +57,17 @@ def parse_graph(text: str) -> MultiGraph:
             raise GraphFormatError(f"line {ln}: non-integer endpoint")
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphFormatError(f"line {ln}: endpoint out of range 1..{n}")
-        g.add_edge(u - 1, v - 1)
-    if g.edge_count != m:
-        raise GraphFormatError(f"header declares {m} edges, file has {g.edge_count}")
-    return g.freeze()
+        eu.append(u - 1)
+        ev.append(v - 1)
+    if len(eu) != m:
+        raise GraphFormatError(f"header declares {m} edges, file has {len(eu)}")
+    return MultiGraph.from_arrays(n, eu, ev)
 
 
 def emit_graph(g: MultiGraph) -> str:
     """Canonical text: header plus edge lines in id order, no comments."""
     out = [f"p sec {g.vertex_count} {g.edge_count}"]
-    for u, v in g.edges:
+    for u, v in zip(g.eu, g.ev):
         out.append(f"e {u + 1} {v + 1}")
     return "\n".join(out) + "\n"
 

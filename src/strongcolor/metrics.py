@@ -41,9 +41,9 @@ def bfs_distances(g: MultiGraph, anchor: Anchor) -> list[int]:
     else:
         starts = (anchor,)
     dist = bfs_from_sources(g, starts)
-    _, _, _, nbr_off = g.flat_arrays()
+    off = g.csr()[0]
     for v, d in enumerate(dist):
-        if d == -1 and nbr_off[v] != nbr_off[v + 1]:
+        if d == -1 and off[v] != off[v + 1]:
             raise DisconnectedGraphError(f"vertex {v} has edges but is unreachable from the anchor")
     return dist
 
@@ -82,7 +82,8 @@ def order_by_distance(g: MultiGraph, dist: list[int]) -> list[int]:
     """Edge ids sorted by nonincreasing distance class (the distance of
     the closer endpoint), given BFS distances. An edge with an unreached
     endpoint (-1) lands in the extra last bucket and raises."""
-    eu, ev, _, _ = g.flat_arrays()
+    eu = g.eu
+    ev = g.ev
     maxd = max(dist, default=0)
     buckets: list[list[int]] = [[] for _ in range(maxd + 2)]
     for e in range(g.edge_count):
@@ -117,39 +118,43 @@ def find_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:
         u, v = g.endpoints(pair[0])
         return CycleDescriptor((u, v), pair)
 
-    edges = g.edges
-    inc = g._inc
+    off, inc_flat, nbr_flat = g.csr()
     n = g.vertex_count
     dist = [-1] * n
-    via = [-1] * n  # edge id used to reach each vertex
+    par = [-1] * n  # BFS parent; the graph is simple from here on
     best = n + 1  # longer than any cycle
-    walk = None  # (vertices, edges) of the closed walk of length best
+    walk = None  # vertices of the closed walk of length best
 
     for s in range(n):
         if best == 3:
             break  # girth cannot beat 3 in a simple graph
         dist[s] = 0
-        via[s] = -1
-        closing = -1
+        par[s] = -1
+        closing = None
         reached = [s]  # the BFS queue, and the slots to reset afterwards
         for x in reached:
             dx = dist[x]
             if 2 * dx >= best:
                 break  # even a level-up closing edge cannot improve on best
-            for f in inc[x]:
-                a, b = edges[f]
-                y = b if a == x else a
+            # a vertex first seen on level dx + 1 closes walks of length
+            # >= 2 * dx + 2 and is never expanded, so that level is only
+            # grown while it can still improve on best
+            grow = 2 * dx + 2 < best
+            px = par[x]
+            for y in nbr_flat[off[x] : off[x + 1]]:
                 if dist[y] == -1:
-                    dist[y] = dx + 1
-                    via[y] = f
-                    reached.append(y)
-                elif f != via[x] and f != via[y]:
+                    if grow:
+                        dist[y] = dx + 1
+                        par[y] = x
+                        reached.append(y)
+                elif y != px and par[y] != x:
                     cand = dx + dist[y] + 1
                     if cand < best:
                         best = cand
-                        closing = f
-        if closing != -1:
-            walk = _splice(edges, via, s, closing)
+                        closing = (x, y)
+        if closing is not None:
+            f = _edge_between(g, *closing)
+            walk = _splice(par, s, g.eu[f], g.ev[f])
         for x in reached:
             dist[x] = -1
 
@@ -157,27 +162,31 @@ def find_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:
         return None
     # A closed walk found earlier can repeat vertices (its two tree paths
     # may share a prefix); the shortest one never does.
-    verts, cyc_edges = walk
-    if len(set(verts)) != len(verts) or len(verts) != best:
+    if len(set(walk)) != len(walk) or len(walk) != best:
         raise RuntimeError("shortest-cycle search produced a non-simple walk")
-    return CycleDescriptor(tuple(verts), tuple(cyc_edges))
+    edges = tuple(_edge_between(g, a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
+    return CycleDescriptor(tuple(walk), edges)
 
 
-def _splice(edges, via, s: int, closing: int) -> tuple[list[int], list[int]]:
-    """The closed walk s .. x, closing edge (x, y), y .. s along the BFS
-    tree edges `via`, as vertex and edge lists starting at s."""
+def _edge_between(g: MultiGraph, a: int, b: int) -> int:
+    """The edge joining a and b in a simple graph."""
+    off, inc_flat, nbr_flat = g.csr()
+    lo = off[a]
+    return inc_flat[lo + nbr_flat[lo : off[a + 1]].index(b)]
+
+
+def _splice(par, s: int, x: int, y: int) -> list[int]:
+    """The closed walk s .. x, edge (x, y), y .. s along the BFS tree
+    `par`, as its vertex list starting at s."""
     halves = []
-    for x in edges[closing]:
-        verts, es = [x], []
-        while x != s:
-            f = via[x]
-            a, b = edges[f]
-            x = b if a == x else a
-            verts.append(x)
-            es.append(f)
-        halves.append((verts, es))
-    (vx, ex), (vy, ey) = halves
-    return vx[::-1] + vy[:-1], ex[::-1] + [closing] + ey
+    for v in (x, y):
+        verts = [v]
+        while v != s:
+            v = par[v]
+            verts.append(v)
+        halves.append(verts)
+    vx, vy = halves
+    return vx[::-1] + vy[:-1]
 
 
 def girth(g: MultiGraph) -> int | None:

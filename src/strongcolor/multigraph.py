@@ -10,32 +10,52 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
+from operator import eq, sub
 
 
 class MultiGraph:
     """Mutable during construction, then frozen.
 
-    A loop (u == v) counts 2 toward the degree of its vertex. Parallel
-    edges are distinct ids with equal endpoint pairs.
+    The graph is typed arrays only: endpoint arrays `eu`/`ev` indexed by
+    edge id, and a compressed incidence structure (CSR) built on the
+    first incidence query and kept until the next `add_edge`: vertex v's
+    incidences are slots off[v]:off[v+1], where inc_flat holds the edge
+    id (ascending) and nbr_flat the far endpoint. A loop (u == v) takes
+    two slots at its vertex and so counts 2 toward the degree. Parallel
+    edges are distinct ids with equal endpoint pairs. Treat every array
+    handed out as read-only.
     """
 
-    __slots__ = ("vertex_count", "_edges", "_inc", "_frozen", "_nbr", "_flat")
+    __slots__ = ("vertex_count", "eu", "ev", "_frozen", "_csr")
 
     def __init__(self, vertex_count: int):
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         self.vertex_count = vertex_count
-        self._edges: list[tuple[int, int]] = []
-        self._inc: list[list[int]] = [[] for _ in range(vertex_count)]
+        self.eu = array("i")
+        self.ev = array("i")
         self._frozen = False
-        self._nbr: list[list[int]] | None = None
-        self._flat: tuple[array, array, array, array] | None = None
+        self._csr: tuple[array, array, array] | None = None
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges) -> MultiGraph:
+        edges = list(edges)
+        us = array("i", [u for u, _ in edges])
+        vs = array("i", [v for _, v in edges])
+        return cls.from_arrays(vertex_count, us, vs)
+
+    @classmethod
+    def from_arrays(cls, vertex_count: int, eu: array, ev: array) -> MultiGraph:
+        """Frozen graph over the endpoint arrays, which it takes over."""
         g = cls(vertex_count)
-        for u, v in edges:
-            g.add_edge(u, v)
+        if len(eu) != len(ev):
+            raise ValueError("endpoint arrays differ in length")
+        n = vertex_count
+        if eu and not (0 <= min(min(eu), min(ev)) and max(max(eu), max(ev)) < n):
+            u, v = next((u, v) for u, v in zip(eu, ev) if not (0 <= u < n and 0 <= v < n))
+            raise IndexError(f"vertex id out of range: ({u}, {v})")
+        g.eu = eu
+        g.ev = ev
         return g.freeze()
 
     def add_edge(self, u: int, v: int) -> int:
@@ -45,12 +65,10 @@ class MultiGraph:
         n = self.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"vertex id out of range: ({u}, {v})")
-        e = len(self._edges)
-        self._edges.append((u, v))
-        # a loop is appended twice at its vertex so degree == len(inc list)
-        self._inc[u].append(e)
-        self._inc[v].append(e)
-        return e
+        self.eu.append(u)
+        self.ev.append(v)
+        self._csr = None
+        return len(self.eu) - 1
 
     def freeze(self) -> MultiGraph:
         self._frozen = True
@@ -62,132 +80,105 @@ class MultiGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self.eu)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        """Endpoint pairs indexed by edge id. Treat as read-only."""
-        return self._edges
+        """Endpoint pairs indexed by edge id, as a fresh list."""
+        return list(zip(self.eu, self.ev))
 
     def endpoints(self, e: int) -> tuple[int, int]:
-        return self._edges[e]
+        return self.eu[e], self.ev[e]
 
     def is_loop(self, e: int) -> bool:
-        u, v = self._edges[e]
-        return u == v
+        return self.eu[e] == self.ev[e]
 
-    def degree(self, v: int) -> int:
-        return len(self._inc[v])
-
-    def incident_edges(self, v: int) -> list[int]:
-        """Edge ids at v; a loop appears twice. Treat as read-only."""
-        return self._inc[v]
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """out[v] lists the far endpoint of each edge at v, in incidence
-        order; a loop contributes v itself twice. Cached once frozen."""
-        if self._nbr is not None:
-            return self._nbr
-        nbr: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for a, b in self._edges:
-            nbr[a].append(b)
-            nbr[b].append(a)
-        if self._frozen:
-            self._nbr = nbr
-        return nbr
+    def csr(self) -> tuple[array, array, array]:
+        """(off, inc_flat, nbr_flat), built on the first call after the
+        last change: a counting sort of the edge ends by vertex."""
+        if self._csr is not None:
+            return self._csr
+        n = self.vertex_count
+        eu = self.eu
+        ev = self.ev
+        deg = [0] * n
+        for u in eu:
+            deg[u] += 1
+        for v in ev:
+            deg[v] += 1
+        off = array("i", accumulate(deg, initial=0))
+        fill = off.tolist()
+        inc_flat = array("i", bytes(8 * len(eu)))
+        nbr_flat = array("i", bytes(8 * len(eu)))
+        e = 0
+        for a, b in zip(eu, ev):
+            i = fill[a]
+            fill[a] = i + 1
+            inc_flat[i] = e
+            nbr_flat[i] = b
+            i = fill[b]
+            fill[b] = i + 1
+            inc_flat[i] = e
+            nbr_flat[i] = a
+            e += 1
+        self._csr = (off, inc_flat, nbr_flat)
+        return self._csr
 
     def flat_arrays(self) -> tuple[array, array, array, array]:
-        """Contiguous typed views for hot loops: endpoint arrays (eu, ev)
-        indexed by edge id, plus the neighbor lists in compressed form
-        (nbr_flat, nbr_off) where v's neighbors occupy
-        nbr_flat[nbr_off[v]:nbr_off[v+1]]. Cached once frozen."""
-        if self._flat is not None:
-            return self._flat
-        n = self.vertex_count
-        if self._edges:
-            us, vs = zip(*self._edges)
-            eu = array("i", us)
-            ev = array("i", vs)
-        else:
-            eu = array("i")
-            ev = array("i")
-        nbr_off = array("i", accumulate((len(lst) for lst in self._inc), initial=0))
-        nbr_flat = array("i", bytes(4 * nbr_off[n]))
-        fill = list(nbr_off[:n])
-        for e, (a, b) in enumerate(self._edges):
-            nbr_flat[fill[a]] = b
-            fill[a] += 1
-            nbr_flat[fill[b]] = a
-            fill[b] += 1
-        flat = (eu, ev, nbr_flat, nbr_off)
-        if self._frozen:
-            self._flat = flat
-        return flat
+        """(eu, ev, nbr_flat, off): the endpoint arrays and the CSR
+        neighbor slots, v's neighbors being nbr_flat[off[v]:off[v+1]]."""
+        off, _, nbr_flat = self.csr()
+        return self.eu, self.ev, nbr_flat, off
+
+    def degree(self, v: int) -> int:
+        off = self.csr()[0]
+        return off[v + 1] - off[v]
+
+    def incident_edges(self, v: int) -> list[int]:
+        """Edge ids at v, ascending; a loop appears twice."""
+        off, inc_flat, _ = self.csr()
+        return inc_flat[off[v] : off[v + 1]].tolist()
 
     def max_degree(self) -> int:
-        return max((len(lst) for lst in self._inc), default=0)
+        off = self.csr()[0]
+        return max(map(sub, off[1:], off), default=0)
 
     def min_degree(self) -> int:
-        return min((len(lst) for lst in self._inc), default=0)
+        off = self.csr()[0]
+        return min(map(sub, off[1:], off), default=0)
 
     def conflict_set(self, e: int) -> set[int]:
         """All edges within distance one of e (e itself excluded).
 
         This is the set of edges that must avoid e's color: edges sharing
         an endpoint with e, plus edges sharing an endpoint with one of
-        those. With max degree 4 the result has at most 24 members.
+        those, which is the union of inc(y) over the neighbors y of e's
+        endpoints (every edge at an endpoint x lies in inc of its far
+        end). With max degree 4 the result has at most 24 members.
         """
-        edges = self._edges
-        inc = self._inc
+        off, inc_flat, nbr_flat = self.csr()
         out: set[int] = set()
-        u, v = edges[e]
-        for x in (u, v):
-            for f in inc[x]:
-                out.add(f)
-                a, b = edges[f]
-                out.update(inc[a])
-                out.update(inc[b])
+        for x in (self.eu[e], self.ev[e]):
+            for y in nbr_flat[off[x] : off[x + 1]]:
+                out.update(inc_flat[off[y] : off[y + 1]])
         out.discard(e)
         return out
 
     def find_loop(self) -> int | None:
         """Smallest edge id that is a loop, or None."""
-        for e, (u, v) in enumerate(self._edges):
-            if u == v:
-                return e
-        return None
+        e = bytes(map(eq, self.eu, self.ev)).find(1)
+        return None if e < 0 else e
 
     def find_parallel_pair(self) -> tuple[int, int] | None:
         """First (i, j) with i < j sharing both endpoints, by smallest j."""
-        seen: dict[tuple[int, int], int] = {}
-        for e, (u, v) in enumerate(self._edges):
-            key = (u, v) if u <= v else (v, u)
+        n = self.vertex_count
+        seen: dict[int, int] = {}  # pair u * n + v (u <= v) -> first edge id
+        for e, (u, v) in enumerate(zip(self.eu, self.ev)):
+            key = u * n + v if u <= v else v * n + u
             if key in seen:
                 return (seen[key], e)
             seen[key] = e
         return None
-
-    def connected_components(self) -> list[list[int]]:
-        """Vertex groups, each sorted ascending, ordered by smallest member."""
-        seen = [False] * self.vertex_count
-        comps: list[list[int]] = []
-        for start in range(self.vertex_count):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for f in self._inc[x]:
-                    a, b = self._edges[f]
-                    y = b if a == x else a
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        stack.append(y)
-            comps.append(sorted(comp))
-        return comps
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.vertex_count}, m={self.edge_count})"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import pairwise
 
 from . import metrics
 from .coloring import ConflictError, PaletteExhausted, PartialColoring, greedy_color
@@ -89,6 +88,7 @@ class SolveReport:
     colors_used: int = 0
     assertions_checked: int = 0
     fallback_invocations: int = 0
+    labels: dict[str, int] = field(default_factory=dict)  # checks per lemma label
 
     def strategies(self) -> list[str]:
         return [c.strategy for c in self.components]
@@ -771,7 +771,7 @@ def _solve_fused_low_degree(
             )
         )
         return col
-    eu, _, _, _ = g.flat_arrays()
+    eu = g.eu
     ncomp = max(comp) + 1
     counts = array("i", bytes(4 * ncomp))
     masks = array("q", bytes(8 * ncomp))
@@ -801,17 +801,17 @@ def _edge_components(g: MultiGraph):
         vlocal[v] = sizes[cid[v]]
         sizes[cid[v]] += 1
     buckets: list[list[int]] = [[] for _ in range(k)]
-    for e, (u, _) in enumerate(g.edges):
+    for e, u in enumerate(g.eu):
         buckets[cid[u]].append(e)
+    eu = array("i", map(vlocal.__getitem__, g.eu))
+    ev = array("i", map(vlocal.__getitem__, g.ev))
     out = []
     for idx in range(k):
-        if not buckets[idx]:
-            continue
-        sub = MultiGraph(sizes[idx])
-        for ge in buckets[idx]:
-            u, v = g.endpoints(ge)
-            sub.add_edge(vlocal[u], vlocal[v])
-        out.append((sub.freeze(), buckets[idx]))
+        emap = buckets[idx]
+        if emap:
+            sub_eu = array("i", map(eu.__getitem__, emap))
+            sub_ev = array("i", map(ev.__getitem__, emap))
+            out.append((MultiGraph.from_arrays(sizes[idx], sub_eu, sub_ev), emap))
     return out
 
 
@@ -843,12 +843,13 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
 
     Components are handled independently; the report lists the strategy
     used for each (components without edges are skipped), the assertions
-    exercised, and how often the backtracking fallback fired (expected 0).
+    exercised, per label and in total, and how often the backtracking
+    fallback fired (expected 0). The input graph is frozen first.
     """
-    _, _, _, nbr_off = g.flat_arrays()
-    for v, (a, b) in enumerate(pairwise(nbr_off)):
-        if b - a > 4:
-            raise MaxDegreeExceeded(v, b - a)
+    g.freeze()
+    if g.max_degree() > 4:
+        v = next(v for v in range(g.vertex_count) if g.degree(v) > 4)
+        raise MaxDegreeExceeded(v, g.degree(v))
     tel = Telemetry()
     report = SolveReport()
     if g.edge_count == 0:
@@ -876,4 +877,5 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
         report.colors_used = final.colors_used()
     report.assertions_checked = tel.checks
     report.fallback_invocations = tel.fallbacks
+    report.labels = dict(tel.labels)
     return final, report

@@ -114,6 +114,31 @@ def random_multigraph(seed: int, max_n: int = 16, max_m: int = 28) -> MultiGraph
     return g.freeze()
 
 
+def components(g: MultiGraph) -> list[list[int]]:
+    """Vertex groups, each sorted ascending, ordered by smallest member,
+    by a plain search over the endpoint pairs."""
+    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * g.vertex_count
+    comps = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    stack.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
 def brute_conflict_set(g: MultiGraph, e: int) -> set[int]:
     """Edges f != e such that e and f are the end edges of a path with at
     most 3 edges, enumerated directly over edge pairs."""

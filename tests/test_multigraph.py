@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_conflict_set, complete, path, random_multigraph
 from strongcolor import MultiGraph
@@ -26,6 +28,8 @@ def test_vertex_id_out_of_range_rejected():
         g.add_edge(0, 2)
     with pytest.raises(IndexError):
         g.add_edge(-1, 0)
+    with pytest.raises(IndexError, match=r"\(1, 2\)"):
+        MultiGraph.from_edges(2, [(0, 1), (1, 2), (-1, 0)])
 
 
 def test_frozen_graph_rejects_mutation():
@@ -110,45 +114,93 @@ def test_incident_edges_lists_loop_twice():
     assert g.incident_edges(1) == [1]
 
 
-def test_neighbor_lists_match_incidence():
+def naive_incidence(g: MultiGraph, v: int) -> list[int]:
+    """Edge ids at v from the edge list, ascending, a loop twice."""
+    return [e for e, (a, b) in enumerate(g.edges) for _ in range((a == v) + (b == v))]
+
+
+def naive_degree(g: MultiGraph, v: int) -> int:
+    return sum((a == v) + (b == v) for a, b in g.edges)
+
+
+def far_end(g: MultiGraph, e: int, v: int) -> int:
+    a, b = g.endpoints(e)
+    return b if a == v else a
+
+
+def test_flat_neighbors_match_incidence():
     for seed in range(25):
         g = random_multigraph(seed)
-        nbr = g.neighbor_lists()
+        _, _, nbr_flat, off = g.flat_arrays()
         for v in range(g.vertex_count):
-            want = []
-            for e in g.incident_edges(v):
-                a, b = g.endpoints(e)
-                want.append(b if a == v else a)
-            # a loop at v appears twice in the incidence list and both
-            # slots point back at v
-            assert sorted(nbr[v]) == sorted(want)
+            # slot by slot: the far end of the incident edge in the same
+            # slot; a loop at v takes two slots, both pointing back at v
+            want = [far_end(g, e, v) for e in g.incident_edges(v)]
+            assert list(nbr_flat[off[v] : off[v + 1]]) == want
 
 
 def test_flat_arrays_agree_with_edges_and_neighbors():
     for seed in range(25):
         g = random_multigraph(seed)
-        eu, ev, nbr_flat, nbr_off = g.flat_arrays()
+        eu, ev, nbr_flat, off = g.flat_arrays()
         assert list(eu) == [u for u, _ in g.edges]
         assert list(ev) == [v for _, v in g.edges]
-        nbr = g.neighbor_lists()
+        assert off[0] == 0 and off[-1] == 2 * g.edge_count
         for v in range(g.vertex_count):
-            assert sorted(nbr_flat[nbr_off[v] : nbr_off[v + 1]]) == sorted(nbr[v])
+            want = [far_end(g, e, v) for e in naive_incidence(g, v)]
+            assert list(nbr_flat[off[v] : off[v + 1]]) == want
 
 
 def test_flat_arrays_cached_after_freeze():
     g = MultiGraph(3)
     g.add_edge(0, 1)
+    assert g.degree(2) == 0
+    g.add_edge(1, 2)  # a new edge drops the incidences built for the query
+    assert g.degree(2) == 1 and g.incident_edges(1) == [0, 1]
     g.freeze()
-    assert g.flat_arrays() is g.flat_arrays()
+    assert all(a is b for a, b in zip(g.flat_arrays(), g.flat_arrays()))
 
 
-def test_connected_components_order_and_content():
-    g = MultiGraph(6)
-    g.add_edge(4, 5)
-    g.add_edge(0, 1)
-    g.freeze()
-    comps = g.connected_components()
-    assert comps == [[0, 1], [2], [3], [4, 5]]
+@st.composite
+def multigraphs(draw):
+    """Any multigraph with loops and parallel edges, plus a few isolated
+    vertices at the end; degrees are not capped."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=18))
+    return n + draw(st.integers(0, 3)), pairs
+
+
+@given(multigraphs(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_incidence_queries_equal_a_reference_from_the_edge_list(spec, one_by_one):
+    n, pairs = spec
+    if one_by_one:
+        # queries between additions must see every edge added so far
+        g = MultiGraph(n)
+        for u, v in pairs:
+            g.add_edge(u, v)
+            assert g.degree(u) == naive_degree(g, u)
+        g.freeze()
+    else:
+        g = MultiGraph.from_edges(n, pairs)
+    assert g.edges == pairs
+    assert [g.endpoints(e) for e in range(g.edge_count)] == pairs
+    eu, ev, nbr_flat, off = g.flat_arrays()
+    assert list(eu) == [u for u, _ in pairs] and list(ev) == [v for _, v in pairs]
+    assert len(off) == n + 1 and len(nbr_flat) == 2 * len(pairs)
+    for v in range(n):
+        inc = naive_incidence(g, v)
+        assert g.degree(v) == naive_degree(g, v) == len(inc) == off[v + 1] - off[v]
+        assert g.incident_edges(v) == inc
+        assert list(nbr_flat[off[v] : off[v + 1]]) == [far_end(g, e, v) for e in inc]
+    degrees = [naive_degree(g, v) for v in range(n)]
+    assert (g.max_degree(), g.min_degree()) == (max(degrees), min(degrees))
+    loops = [e for e, (u, v) in enumerate(pairs) if u == v]
+    assert g.find_loop() == (loops[0] if loops else None)
+    twins = [(i, j) for j in range(len(pairs)) for i in range(j) if sorted(pairs[i]) == sorted(pairs[j])]
+    assert g.find_parallel_pair() == (min(twins, key=lambda t: (t[1], t[0])) if twins else None)
+    for e in range(g.edge_count):
+        assert g.conflict_set(e) == brute_conflict_set(g, e)
 
 
 def test_max_min_degree():

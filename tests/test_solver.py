@@ -30,6 +30,7 @@ from strongcolor.solver import (
 from helpers import (
     complete,
     complete_bipartite,
+    components,
     cycle,
     disjoint_union,
     doubled_triangle,
@@ -388,6 +389,47 @@ def test_fused_failure_falls_back_to_split(monkeypatch, petersen):
 def test_report_assertions_counted(en_graph):
     _, rep = solve(en_graph)
     assert rep.assertions_checked > 0
+
+
+def test_report_labels_sum_to_assertions_checked(robertson, cage46, petersen):
+    for g, label in (
+        (robertson, "girth5.cycle-availability"),
+        (disjoint_union(path(4), complete(5), robertson, cage46), "girth6.anchor-degree"),
+        (disjoint_union(path(4), petersen), "low-degree.final-neighborhood"),
+    ):
+        _, rep = solve(g)
+        assert rep.labels[label] > 0
+        assert sum(rep.labels.values()) == rep.assertions_checked
+
+
+def test_solve_freezes_an_unfrozen_graph(cage46):
+    src = disjoint_union(path(5), cage46, triangle_with_loops())
+    g = MultiGraph(src.vertex_count)
+    for u, v in src.edges:
+        g.add_edge(u, v)
+    assert not g.frozen
+    col, rep = solve(g)
+    assert g.frozen
+    with pytest.raises(RuntimeError):
+        g.add_edge(0, 1)
+    assert_total_valid(g, col)
+    want_col, want_rep = solve(src)
+    assert col.as_dict() == want_col.as_dict()
+    assert rep == want_rep
+
+
+def test_label_components_order_and_content():
+    g = MultiGraph(6)
+    g.add_edge(4, 5)
+    g.add_edge(0, 1)
+    g.freeze()
+    assert components(g) == [[0, 1], [2], [3], [4, 5]]
+    assert solver._label_components(g) == ([0, 0, 1, 2, 3, 3], 4)
+    for seed in range(25):
+        h = random_multigraph(seed)
+        comp, k = solver._label_components(h)
+        groups = [[v for v in range(h.vertex_count) if comp[v] == c] for c in range(k)]
+        assert groups == components(h)
 
 
 @settings(max_examples=100, deadline=None)
