@@ -29,8 +29,11 @@ class PartialColoring:
     """Color assignment for a fixed graph and palette.
 
     Mutable by design: assign/unassign update in place, copy() snapshots.
-    All single-edge operations enforce validity; bulk internal writes used
-    by the solver go through _set_unchecked and are re-verified in tests.
+    assign enforces validity. greedy_color and the solver's one-edge
+    finish write the color list directly, with a color free of every
+    colored conflict; parse_coloring stores a file as given, for verify to
+    check; fallback_exact's search (on its working copy) and the exact
+    oracle's witness go through _set_unchecked.
     """
 
     __slots__ = ("graph", "palette_size", "_colors")

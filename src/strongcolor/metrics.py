@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from operator import eq
 from typing import Union
 
 from .multigraph import MultiGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleDescriptor:
     """A closed walk with distinct vertices; edges[i] joins vertices[i]
     and vertices[(i+1) % k]. A loop is the length-1 cycle, a parallel
@@ -75,59 +77,93 @@ def compatible_order(g: MultiGraph, anchor: Anchor) -> list[int]:
     reached, everything strictly closer to the anchor is still uncolored.
     Bucket sort keeps this linear in the graph size.
     """
-    return order_by_distance(g, bfs_distances(g, anchor))
+    return order_by_distance(g, bfs_distances(g, anchor)).tolist()
 
 
-def order_by_distance(g: MultiGraph, dist: list[int]) -> list[int]:
+def order_by_distance(g: MultiGraph, dist: list[int]) -> array:
     """Edge ids sorted by nonincreasing distance class (the distance of
-    the closer endpoint), given BFS distances. An edge with an unreached
-    endpoint (-1) lands in the extra last bucket and raises."""
+    the closer endpoint), given BFS distances, as a compact array. An
+    edge with an unreached endpoint (-1) lands in the extra last bucket
+    and raises."""
     eu = g.eu
     ev = g.ev
     maxd = max(dist, default=0)
-    buckets: list[list[int]] = [[] for _ in range(maxd + 2)]
+    buckets = [array("i") for _ in range(maxd + 2)]
     for e in range(g.edge_count):
         du = dist[eu[e]]
         dv = dist[ev[e]]
         buckets[du if du < dv else dv].append(e)
     if buckets[-1]:
         raise DisconnectedGraphError(f"edge {buckets[-1][0]} has an endpoint unreached by the BFS")
-    out: list[int] = []
+    out = array("i")
     for c in range(maxd, -1, -1):
-        out.extend(buckets[c])
+        out += buckets[c]
     return out
 
 
 def find_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:
-    """Shortest cycle as a descriptor, or None for a forest.
+    """Shortest cycle as a descriptor, or None for a forest: the
+    one-component case of shortest_cycles."""
+    return shortest_cycles(g, [0] * g.vertex_count, [True])[0]
 
-    Conventions: a loop is a 1-cycle and a parallel pair a 2-cycle; both
-    are checked before any BFS. A simple graph gets one BFS per start
-    vertex, in ascending order, and the first strictly shortest closing
-    edge wins (Itai and Rodeh). Each BFS stops once no closing edge can
-    beat the best so far, and only the vertices it reached are reset, so
-    a start costs the ball up to the current best radius: O(n * 3^(g/2))
-    in total at degree 4, where g is the girth.
+
+def shortest_cycles(g: MultiGraph, comp, wanted) -> list[CycleDescriptor | None]:
+    """Shortest cycle of every component c with wanted[c], from one scan
+    of the graph; None for the other components and for forests.
+
+    comp[v] is the component id of vertex v. Conventions, per component:
+    the loop with the smallest edge id is a 1-cycle, else the first
+    parallel pair (by smallest later edge id) a 2-cycle; both are found
+    before any BFS. A simple component gets one BFS per start vertex, in
+    ascending order, and the first strictly shortest closing edge wins
+    (Itai and Rodeh). Each BFS stops once no closing edge can beat its
+    component's best so far, and only the vertices it reached are reset,
+    so a start costs the ball up to the current best radius:
+    O(n * 3^(g/2)) in total at degree 4, where g is the girth.
     """
-    e = g.find_loop()
-    if e is not None:
-        v, _ = g.endpoints(e)
-        return CycleDescriptor((v,), (e,))
-    pair = g.find_parallel_pair()
-    if pair is not None:
-        u, v = g.endpoints(pair[0])
-        return CycleDescriptor((u, v), pair)
-
-    off, inc_flat, nbr_flat = g.csr()
+    found: list[CycleDescriptor | None] = [None] * len(wanted)
+    if not any(wanted):
+        return found
     n = g.vertex_count
-    dist = [-1] * n
-    par = [-1] * n  # BFS parent; the graph is simple from here on
-    best = n + 1  # longer than any cycle
-    walk = None  # vertices of the closed walk of length best
+    eu = g.eu
+    ev = g.ev
+    loops = bytes(map(eq, eu, ev))
+    e = loops.find(1)
+    while e >= 0:
+        c = comp[eu[e]]
+        if wanted[c] and found[c] is None:
+            found[c] = CycleDescriptor((eu[e],), (e,))
+        e = loops.find(1, e + 1)
+    # a parallel pair shows as a repeated neighbor in the CSR; per
+    # component keep the pair whose later edge id is smallest
+    off, inc_flat, nbr_flat = g.csr()
+    pairs: dict[int, tuple[int, int]] = {}
+    for x in range(n):
+        c = comp[x]
+        if not wanted[c] or found[c] is not None:
+            continue
+        lo = off[x]
+        nbrs = nbr_flat[lo : off[x + 1]]
+        if len(set(nbrs)) == len(nbrs):
+            continue
+        for w in set(nbrs):
+            if w > x and nbrs.count(w) > 1:
+                i, j = [inc_flat[lo + t] for t, y in enumerate(nbrs) if y == w][:2]
+                if c not in pairs or j < pairs[c][1]:
+                    pairs[c] = (i, j)
+    for c, (i, j) in pairs.items():
+        found[c] = CycleDescriptor((eu[i], ev[i]), (i, j))
 
+    bests = [n + 1] * len(wanted)  # longer than any cycle
+    walks: list[list[int] | None] = [None] * len(wanted)  # closed walk of length bests[c]
+    searching = [w and f is None for w, f in zip(wanted, found)]
+    dist = [-1] * n
+    par = [-1] * n  # BFS parent; the components searched here are simple
     for s in range(n):
-        if best == 3:
-            break  # girth cannot beat 3 in a simple graph
+        c = comp[s]
+        if not searching[c]:
+            continue
+        best = bests[c]
         dist[s] = 0
         par[s] = -1
         closing = None
@@ -153,19 +189,23 @@ def find_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:
                         best = cand
                         closing = (x, y)
         if closing is not None:
+            bests[c] = best
             f = _edge_between(g, *closing)
-            walk = _splice(par, s, g.eu[f], g.ev[f])
+            walks[c] = _splice(par, s, eu[f], ev[f])
+            searching[c] = best > 3  # girth cannot beat 3 in a simple graph
         for x in reached:
             dist[x] = -1
 
-    if walk is None:
-        return None
-    # A closed walk found earlier can repeat vertices (its two tree paths
-    # may share a prefix); the shortest one never does.
-    if len(set(walk)) != len(walk) or len(walk) != best:
-        raise RuntimeError("shortest-cycle search produced a non-simple walk")
-    edges = tuple(_edge_between(g, a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
-    return CycleDescriptor(tuple(walk), edges)
+    for c, walk in enumerate(walks):
+        if walk is None:
+            continue
+        # A closed walk found earlier can repeat vertices (its two tree
+        # paths may share a prefix); the shortest one never does.
+        if len(set(walk)) != len(walk) or len(walk) != bests[c]:
+            raise RuntimeError("shortest-cycle search produced a non-simple walk")
+        edges = tuple(_edge_between(g, a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
+        found[c] = CycleDescriptor(tuple(walk), edges)
+    return found
 
 
 def _edge_between(g: MultiGraph, a: int, b: int) -> int:

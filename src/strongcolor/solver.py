@@ -1,39 +1,41 @@
 """Constructive 22-color strong edge-coloring for max degree 4.
 
-Every connected component is dispatched to a strategy keyed on its
-structure: a vertex of degree at most 3, a loop, a parallel pair, or (for
-simple 4-regular graphs) the girth. Each strategy colors everything far
-from a small anchor by a greedy pass over a distance-compatible order,
-then finishes the few remaining edges with whatever bookkeeping makes the
-counting work. Counting claims are asserted at runtime; any violation is
-routed to a backtracking fallback and counted, never ignored.
+Every connected component gets a strategy keyed on its structure: a
+vertex of degree at most 3, a loop, a parallel pair, or (for simple
+4-regular components) the girth. A strategy colors everything far from a
+small anchor by a greedy pass over a distance-compatible order, then
+finishes the few held-back edges with whatever bookkeeping makes the
+counting work. `solve` runs all components in one pass over the whole
+graph: each strategy returns a Plan (held-back edges, planted colors,
+greedy bounds, finish), and one BFS, one edge order and one greedy call
+per bound class serve every component. Counting claims are asserted at
+runtime; a component whose claim fails is recolored by a backtracking
+fallback and counted, never ignored.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import compress
+from typing import Callable, Sequence
 
 from . import metrics
 from .coloring import ConflictError, PaletteExhausted, PartialColoring, greedy_color
 from .graphio import emit_graph
 from .hall import common_color, find_sdr, max_discrepancy_subset
-from .metrics import CycleDescriptor
+from .metrics import Anchor, CycleDescriptor
 from .multigraph import MultiGraph
 
 PALETTE = 22
 FALLBACK_LIMIT = 32
-
-STRATEGIES = (
-    "low_degree",
-    "loop",
-    "double_edge",
-    "girth3",
-    "girth4",
-    "girth5",
-    "girth6",
-    "fallback_exact",
-)
+# (distinct colors among an edge's colored conflicts, color) that a
+# greedy pass checks on every edge. Along a distance-compatible order the
+# edges one step closer to the anchor are still uncolored, so an edge
+# meets at most 20 distinct colors and 21 suffice; strategies with
+# planted repeats take one more of each.
+BOUND_CLASSES = ((20, 21), (21, 22))
 
 
 class MaxDegreeExceeded(Exception):
@@ -75,11 +77,12 @@ class Telemetry:
             raise LemmaAssertionError(label)
 
 
-@dataclass
+@dataclass(slots=True)
 class ComponentReport:
     strategy: str
     edge_count: int
     colors_used: int
+    failure: str | None = None  # failing lemma label (or exception name) of a rescue
 
 
 @dataclass
@@ -95,46 +98,45 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# guaranteed greedy phases
+# the part of one component in the shared pass
 
 
-def color_except_vertex(
-    g: MultiGraph, v: int, telemetry: Telemetry | None = None
-) -> PartialColoring:
-    """Color everything but v's edges, greedy over the order compatible
-    with v. Each edge meets at most 20 distinct colors among its colored
-    conflicts (all edges one step closer to v are still untouched), so 21
-    colors always suffice; both facts are asserted."""
-    tel = telemetry if telemetry is not None else Telemetry()
-    col = PartialColoring(g, PALETTE)
-    skip = set(g.incident_edges(v))
-    order = [e for e in metrics.compatible_order(g, v) if e not in skip]
-    greedy_color(col, order, telemetry=tel, max_conflict_colors=20, max_color=21)
-    return col
+@dataclass(slots=True)
+class Plan:
+    """What a strategy asks of the shared pass over its component.
+
+    The pass colors `plants` first, then every other edge of the
+    component except `held`, greedily along the distance order from the
+    anchor and checking `bounds` (distinct colors among an edge's colored
+    conflicts, and its color) on each; `finish(col, dist)` then colors the
+    held-back edges, given the BFS distances to the anchor.
+    """
+
+    held: Sequence[int]
+    finish: Callable[[PartialColoring, list[int]], None]
+    plants: Sequence[tuple[int, int]] = ()
+    bounds: tuple[int, int] = (20, 21)
 
 
-def color_except_cycle(
-    g: MultiGraph, cycle: CycleDescriptor, telemetry: Telemetry | None = None
-) -> PartialColoring:
-    """Like color_except_vertex but anchored on a shortest cycle: every
-    non-cycle edge still has enough uncolored company (the cycle itself,
-    or all edges at the next vertex toward it) to stay within 21 colors."""
-    tel = telemetry if telemetry is not None else Telemetry()
-    col = PartialColoring(g, PALETTE)
-    skip = set(cycle.edges)
-    order = [e for e in metrics.compatible_order(g, cycle) if e not in skip]
-    greedy_color(col, order, telemetry=tel, max_conflict_colors=20, max_color=21)
-    return col
-
-
-def _greedy_one(col: PartialColoring, e: int, tel: Telemetry, max_color: int = PALETTE) -> None:
+def _greedy_one(
+    col: PartialColoring,
+    e: int,
+    tel: Telemetry,
+    max_color: int = PALETTE,
+    bound: int | None = None,
+    label: str = "",
+) -> None:
     """Least free color for one edge by direct conflict scan; O(1) on
     bounded-degree graphs, unlike a one-element greedy_color call which
-    would rebuild its per-vertex masks."""
-    if col.is_colored(e):
-        raise ValueError(f"edge {e} is already colored")
+    would rebuild its per-vertex masks. With a bound, first check the
+    lemma `label`: at most `bound` edges conflicting with e are colored."""
     colors = col._colors
-    used = {colors[f] for f in col.graph.conflict_set(e)}
+    near = list(map(colors.__getitem__, col.graph.conflict_set(e)))
+    if bound is not None:
+        tel.check(len(near) - near.count(0) <= bound, label)
+    if colors[e]:
+        raise ValueError(f"edge {e} is already colored")
+    used = set(near)
     c = 1
     while c in used:
         c += 1
@@ -145,83 +147,73 @@ def _greedy_one(col: PartialColoring, e: int, tel: Telemetry, max_color: int = P
 
 
 # ---------------------------------------------------------------------------
-# strategies for components that are not simple 4-regular
+# strategies for components that are not simple 4-regular, and girth 3
 
 
-def solve_low_degree(g: MultiGraph, v: int, telemetry: Telemetry | None = None) -> PartialColoring:
+def _finish_tail(
+    tail: list[int],
+    bounds: tuple[int, ...],
+    label: str,
+    tel: Telemetry,
+    col: PartialColoring,
+    dist: list[int],
+) -> None:
+    """Color the held-back `tail` last, in order, each edge within 21
+    colors once the lemma `label` caps its colored neighborhood at its
+    bound. Plans bind the first four arguments with partial, which keeps
+    a plan small when every component holds one at once."""
+    for bound, e in zip(bounds, tail):
+        _greedy_one(col, e, tel, max_color=21, bound=bound, label=label)
+
+
+def solve_low_degree(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
     """Component with a vertex of degree at most 3: color everything else
     first, then v's edges. Their conflict neighborhoods are capped at
     18/19/20 colored edges respectively, so 21 colors suffice."""
-    tel = telemetry if telemetry is not None else Telemetry()
     tel.check(g.degree(v) <= 3, "low-degree.anchor-degree")
-    col = color_except_vertex(g, v, tel)
     tail = sorted(set(g.incident_edges(v)))
-    bounds = (18, 19, 20)
-    for k, e in enumerate(tail):
-        tel.check(len(col.colored_conflicts(e)) <= bounds[k], "low-degree.final-neighborhood")
-        _greedy_one(col, e, tel, max_color=21)
-    return col
+    return Plan(tail, partial(_finish_tail, tail, (18, 19, 20), "low-degree.final-neighborhood", tel))
 
 
-def solve_loop(g: MultiGraph, loop_edge: int, telemetry: Telemetry | None = None) -> PartialColoring:
+def solve_loop(g: MultiGraph, loop_edge: int, tel: Telemetry) -> Plan:
     """4-regular component with a loop: anchor at the loop's vertex, which
     carries at most three distinct edges, and finish there last."""
-    tel = telemetry if telemetry is not None else Telemetry()
     tel.check(g.is_loop(loop_edge), "loop.anchor-is-loop")
     v = g.endpoints(loop_edge)[0]
-    col = color_except_vertex(g, v, tel)
     vedges = sorted(set(g.incident_edges(v)))
     tail = [e for e in vedges if not g.is_loop(e)] + [e for e in vedges if g.is_loop(e)]
-    for e in tail:
-        tel.check(len(col.colored_conflicts(e)) <= 20, "loop.final-neighborhood")
-        _greedy_one(col, e, tel, max_color=21)
-    return col
+    return Plan(tail, partial(_finish_tail, tail, (20, 20, 20), "loop.final-neighborhood", tel))
 
 
-def solve_double_edge(
-    g: MultiGraph, pair: tuple[int, int], telemetry: Telemetry | None = None
-) -> PartialColoring:
+def solve_double_edge(g: MultiGraph, pair: tuple[int, int], tel: Telemetry) -> Plan:
     """4-regular component with parallel edges: anchor at the smaller
     endpoint. Coloring its other two edges first and the pair last keeps
     the colored neighborhoods at 17/18 then 16/17 edges."""
-    tel = telemetry if telemetry is not None else Telemetry()
     p, q = sorted(pair)
     tel.check(
         tuple(sorted(g.endpoints(p))) == tuple(sorted(g.endpoints(q))),
         "double-edge.anchor-parallel",
     )
     v = min(g.endpoints(p))
-    col = color_except_vertex(g, v, tel)
-    vedges = set(g.incident_edges(v))
-    others = sorted(vedges - {p, q})
-    tail = others + [p, q]
+    tail = sorted(set(g.incident_edges(v)) - {p, q}) + [p, q]
     tel.check(len(tail) == 4, "double-edge.vertex-shape")
-    for bound, e in zip((17, 18, 16, 17), tail):
-        tel.check(len(col.colored_conflicts(e)) <= bound, "double-edge.final-neighborhood")
-        _greedy_one(col, e, tel, max_color=21)
-    return col
+    return Plan(tail, partial(_finish_tail, tail, (17, 18, 16, 17), "double-edge.final-neighborhood", tel))
 
 
-def solve_girth3(
-    g: MultiGraph, cycle: CycleDescriptor, telemetry: Telemetry | None = None
-) -> PartialColoring:
+def solve_girth3(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     """Simple 4-regular with a triangle: a triangle edge only has about 20
     conflicting edges to begin with, so finishing the triangle last stays
     within 21 colors."""
-    tel = telemetry if telemetry is not None else Telemetry()
     tel.check(len(cycle) == 3, "girth3.cycle-length")
-    col = color_except_cycle(g, cycle, tel)
-    for k, e in enumerate(sorted(cycle.edges)):
-        tel.check(len(col.colored_conflicts(e)) <= 18 + k, "girth3.final-neighborhood")
-        _greedy_one(col, e, tel, max_color=21)
-    return col
+    tail = sorted(cycle.edges)
+    return Plan(tail, partial(_finish_tail, tail, (18, 19, 20), "girth3.final-neighborhood", tel))
 
 
 # ---------------------------------------------------------------------------
 # short-cycle context labeling (girth 4 and 5)
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleContext:
     """1-based labels around a chordless 4- or 5-cycle in a 4-regular
     graph: c[i] is the i-th cycle edge, a[i]/b[i] the two non-cycle edges
@@ -298,9 +290,16 @@ def _joining_edge(g: MultiGraph, p: int, q: int, cyc_verts: set[int]) -> int | N
     return min(hits) if hits else None
 
 
-def _girth4_with_diagonals(
-    g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: int, j: int
-) -> PartialColoring:
+def _girth4_cycle(col: PartialColoring, ctx: CycleContext, tel: Telemetry) -> None:
+    """Color the 4-cycle, which every branch leaves at least 4 free
+    colors per edge."""
+    for i in sorted(ctx.c):
+        tel.check(len(col.available_colors(ctx.c[i])) >= 4, "girth4.cycle-availability")
+    for e in sorted(ctx.c.values()):
+        _greedy_one(col, e, tel)
+
+
+def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: int, j: int) -> Plan:
     """No two edges of the (i, j) pack can share a color, which forces an
     edge between the far ends of each non-adjacent pack pair. Reserving
     those four diagonals until after the cycle keeps the cycle colorable:
@@ -313,52 +312,33 @@ def _girth4_with_diagonals(
             tel.check(d is not None, "girth4.diagonal-exists")
             diagonals.append(d)
     tel.check(len(set(diagonals)) == 4, "girth4.diagonals-distinct")
-    col = PartialColoring(g, PALETTE)
-    skip = set(ctx.c.values()) | set(diagonals)
-    order = [e for e in metrics.compatible_order(g, ctx.cycle) if e not in skip]
-    greedy_color(col, order, telemetry=tel, max_conflict_colors=20, max_color=21)
-    for i_ in sorted(ctx.c):
-        tel.check(len(col.available_colors(ctx.c[i_])) >= 4, "girth4.cycle-availability")
-    for e in sorted(ctx.c.values()):
-        _greedy_one(col, e, tel)
-    for d in sorted(set(diagonals)):
-        tel.check(len(col.colored_conflicts(d)) <= 21, "girth4.diagonal-neighborhood")
-        _greedy_one(col, d, tel)
-    return col
+    diagonals = sorted(diagonals)
+
+    def finish(col, dist):
+        _girth4_cycle(col, ctx, tel)
+        for d in diagonals:
+            _greedy_one(col, d, tel, bound=21, label="girth4.diagonal-neighborhood")
+
+    return Plan(list(ctx.c.values()) + diagonals, finish)
 
 
-def _girth4_with_precolor(
-    g: MultiGraph, ctx: CycleContext, tel: Telemetry, precolored: list[tuple[int, int]]
-) -> PartialColoring:
+def _girth4_with_precolor(ctx: CycleContext, tel: Telemetry, plants: list[tuple[int, int]]) -> Plan:
     """Plant repeated colors on conflict-free incident pairs, color all
     remaining non-cycle edges greedily, then the cycle: each cycle edge
     sees every planted edge, so the repeats leave it at least 4 colors."""
-    col = PartialColoring(g, PALETTE)
-    for e, color in precolored:
-        col.assign(e, color)
-    cset = set(ctx.c.values())
-    done = {e for e, _ in precolored}
-    order = [e for e in metrics.compatible_order(g, ctx.cycle) if e not in cset and e not in done]
-    greedy_color(col, order, telemetry=tel, max_conflict_colors=21, max_color=22)
-    for i in sorted(ctx.c):
-        tel.check(len(col.available_colors(ctx.c[i])) >= 4, "girth4.cycle-availability")
-    for e in sorted(cset):
-        _greedy_one(col, e, tel)
-    return col
+    held = list(ctx.c.values()) + [e for e, _ in plants]
+    return Plan(held, lambda col, dist: _girth4_cycle(col, ctx, tel), plants, (21, 22))
 
 
-def solve_girth4(
-    g: MultiGraph, cycle: CycleDescriptor, telemetry: Telemetry | None = None
-) -> PartialColoring:
+def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     """Simple 4-regular, shortest cycle of length 4.
 
     The eight non-cycle edges at the cycle's corners steer the case split:
     pairs of them sharing a far endpoint ("adjacent pairs", only possible
     between opposite corners) shrink the cycle edges' neighborhoods; when
     they are scarce, same-colored planted pairs or reserved diagonal edges
-    make up the difference.
+    make up the difference. The branch depends on the structure alone.
     """
-    tel = telemetry if telemetry is not None else Telemetry()
     ctx = label_cycle_context(g, cycle, tel)
     cyc_verts = set(cycle.vertices)
 
@@ -378,26 +358,21 @@ def solve_girth4(
                 )
 
     if len(adjacent_pairs) >= 2:
-        col = PartialColoring(g, PALETTE)
         incident = ctx.incident_edges()
-        skip = set(ctx.c.values()) | set(incident)
-        order = [e for e in metrics.compatible_order(g, cycle) if e not in skip]
-        greedy_color(col, order, telemetry=tel, max_conflict_colors=20, max_color=21)
-        for e in incident:
-            tel.check(len(col.colored_conflicts(e)) <= 20, "girth4.incident-neighborhood")
-            _greedy_one(col, e, tel, max_color=21)
-        for i in sorted(ctx.c):
-            tel.check(len(col.available_colors(ctx.c[i])) >= 4, "girth4.cycle-availability")
-        for e in sorted(ctx.c.values()):
-            _greedy_one(col, e, tel)
-        return col
+
+        def finish(col, dist):
+            for e in incident:
+                _greedy_one(col, e, tel, max_color=21, bound=20, label="girth4.incident-neighborhood")
+            _girth4_cycle(col, ctx, tel)
+
+        return Plan(list(ctx.c.values()) + incident, finish)
 
     if len(adjacent_pairs) == 1:
         taken = adjacent_pairs[0][0]
         i, j = (2, 4) if taken == (1, 3) else (1, 3)
         pair = _free_cross_pair(g, ctx, i, j)
         if pair is not None:
-            return _girth4_with_precolor(g, ctx, tel, [(pair[0], 22), (pair[1], 22)])
+            return _girth4_with_precolor(ctx, tel, [(pair[0], 22), (pair[1], 22)])
         return _girth4_with_diagonals(g, ctx, tel, i, j)
 
     # no adjacent pair at all: plant 21s on one pack and 22s on the other,
@@ -406,7 +381,7 @@ def solve_girth4(
     pair24 = _free_cross_pair(g, ctx, 2, 4)
     if pair13 is not None and pair24 is not None:
         plants = [(pair13[0], 21), (pair13[1], 21), (pair24[0], 22), (pair24[1], 22)]
-        return _girth4_with_precolor(g, ctx, tel, plants)
+        return _girth4_with_precolor(ctx, tel, plants)
     if pair13 is None:
         return _girth4_with_diagonals(g, ctx, tel, 1, 3)
     return _girth4_with_diagonals(g, ctx, tel, 2, 4)
@@ -416,9 +391,7 @@ def solve_girth4(
 # girth 5
 
 
-def solve_girth5(
-    g: MultiGraph, cycle: CycleDescriptor, telemetry: Telemetry | None = None
-) -> PartialColoring:
+def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     """Simple 4-regular, shortest cycle of length 5.
 
     Two conflict-free pairs get planted colors (21 on b1 and the opposite
@@ -426,26 +399,17 @@ def solve_girth5(
     colored greedily, and the remaining 11 edges are finished through a
     distinct-representative argument on their availability sets.
     """
-    tel = telemetry if telemetry is not None else Telemetry()
     ctx = label_cycle_context(g, cycle, tel)
     tel.check(ctx.c[3] not in g.conflict_set(ctx.b[1]), "girth5.planted-pair-free")
     planted = (ctx.b[1], ctx.c[3], ctx.a[5], ctx.b[2])
     ends = {w for e in planted for w in g.endpoints(e)}
     tel.check(len(ends) == 8, "girth5.planted-endpoints-distinct")
-    col = PartialColoring(g, PALETTE)
-    col.assign(ctx.b[1], 21)
-    col.assign(ctx.c[3], 21)
-    col.assign(ctx.a[5], 22)
-    col.assign(ctx.b[2], 22)
-    skip = set(ctx.c.values()) | set(ctx.incident_edges())
-    order = [e for e in metrics.compatible_order(g, cycle) if e not in skip]
-    greedy_color(col, order, telemetry=tel, max_conflict_colors=21, max_color=22)
-    return _complete_girth5(g, ctx, col, tel)
+    held = list(ctx.c.values()) + ctx.incident_edges()
+    plants = tuple(zip(planted, (21, 21, 22, 22)))
+    return Plan(held, lambda col, dist: _complete_girth5(g, ctx, col, tel), plants, (21, 22))
 
 
-def _complete_girth5(
-    g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel: Telemetry
-) -> PartialColoring:
+def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel: Telemetry) -> None:
     """Finish the 11 uncolored edges around the 5-cycle.
 
     Availability is rich (>= 8 on cycle edges, >= 5 on incident edges,
@@ -468,7 +432,7 @@ def _complete_girth5(
     if sdr is not None:
         for e in uncolored:
             col.assign(e, sdr[e])
-        return col
+        return
 
     res = max_discrepancy_subset(fam)
     tel.check(res.disc > 0, "girth5.discrepancy-positive")
@@ -479,15 +443,14 @@ def _complete_girth5(
         # edges, so a straight greedy pass works, and coloring a maximum
         # discrepancy subfamily first makes the rest extendable
         for e in sorted(subset):
-            tel.check(len(col.colored_conflicts(e)) <= 21, "girth5.subset-neighborhood")
-            _greedy_one(col, e, tel)
+            _greedy_one(col, e, tel, bound=21, label="girth5.subset-neighborhood")
         rest = [e for e in uncolored if not col.is_colored(e)]
         fam2 = {e: frozenset(col.available_colors(e)) for e in rest}
         sdr2 = find_sdr(fam2)
         tel.check(sdr2 is not None, "girth5.extension")
         for e in rest:
             col.assign(e, sdr2[e])
-        return col
+        return
 
     tel.check(len(subset) in (9, 10, 11), "girth5.subset-size")
     pairs = [
@@ -514,15 +477,14 @@ def _complete_girth5(
         for e in incident:
             if col.is_colored(e):
                 continue
-            tel.check(len(col.colored_conflicts(e)) <= 21, "girth5.incident-neighborhood")
-            _greedy_one(col, e, tel)
+            _greedy_one(col, e, tel, bound=21, label="girth5.incident-neighborhood")
         if (p, q) == pairs[1]:
             tail = [ctx.c[2], ctx.c[4], ctx.c[1], ctx.c[5]]
         else:
             tail = [ctx.c[2], ctx.c[4], ctx.c[5], ctx.c[1]]
         for e in tail:
             _greedy_one(col, e, tel)
-        return col
+        return
 
     # |subset| == 11 and no pair shares a color: the availability sets of
     # each pair partition the whole union, so a color shared by c1 and a4
@@ -550,54 +512,47 @@ def _complete_girth5(
         _greedy_one(col, e, tel)
     for e in (ctx.c[2], ctx.c[4], ctx.c[5]):
         _greedy_one(col, e, tel)
-    return col
 
 
 # ---------------------------------------------------------------------------
 # girth 6 and beyond
 
 
-def solve_girth6(
-    g: MultiGraph, telemetry: Telemetry | None = None, anchor_vertex: int | None = None
-) -> PartialColoring:
-    """Simple 4-regular with girth at least 6: color everything except one
-    vertex's edges, then recolor one edge per neighbor (heading to a
+def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
+    """Simple 4-regular with girth at least 6: color everything except
+    v's edges, then recolor one edge per neighbor (heading to a
     distance-2 vertex) with the single color 22 -- the girth makes those
-    four pairwise conflict-free -- and finish the anchor's edges greedily
-    against the freed-up palette."""
-    tel = telemetry if telemetry is not None else Telemetry()
-    if anchor_vertex is not None:
-        v = anchor_vertex
-    else:
-        v = next((w for w in range(g.vertex_count) if g.degree(w) > 0), 0)
-    col = color_except_vertex(g, v, tel)
-    dist = metrics.bfs_distances(g, v)
+    four pairwise conflict-free -- and finish v's edges greedily against
+    the freed-up palette."""
     vedges = sorted(set(g.incident_edges(v)))
-    tel.check(len(vedges) == 4, "girth6.anchor-degree")
-    neighbors = sorted({w for e in vedges for w in g.endpoints(e) if w != v})
-    tel.check(len(neighbors) == 4, "girth6.neighbors-distinct")
-    recolored = []
-    for u in neighbors:
-        cands = []
-        for f in sorted(set(g.incident_edges(u))):
-            if f in vedges:
-                continue
-            uu, vv = g.endpoints(f)
-            w = vv if uu == u else uu
-            if dist[w] == 2:
-                cands.append(f)
-        tel.check(bool(cands), "girth6.distance-two-edge")
-        recolored.append(min(cands))
-    for idx, e in enumerate(recolored):
-        for f in recolored[:idx]:
-            tel.check(f not in g.conflict_set(e), "girth6.recolor-independent")
-    for e in recolored:
-        col.unassign(e)
-    for e in recolored:
-        col.assign(e, 22)
-    for e in vedges:
-        _greedy_one(col, e, tel)
-    return col
+
+    def finish(col, dist):
+        tel.check(len(vedges) == 4, "girth6.anchor-degree")
+        neighbors = sorted({w for e in vedges for w in g.endpoints(e) if w != v})
+        tel.check(len(neighbors) == 4, "girth6.neighbors-distinct")
+        recolored = []
+        for u in neighbors:
+            cands = []
+            for f in sorted(set(g.incident_edges(u))):
+                if f in vedges:
+                    continue
+                uu, vv = g.endpoints(f)
+                w = vv if uu == u else uu
+                if dist[w] == 2:
+                    cands.append(f)
+            tel.check(bool(cands), "girth6.distance-two-edge")
+            recolored.append(min(cands))
+        for idx, e in enumerate(recolored):
+            for f in recolored[:idx]:
+                tel.check(f not in g.conflict_set(e), "girth6.recolor-independent")
+        for e in recolored:
+            col.unassign(e)
+        for e in recolored:
+            col.assign(e, 22)
+        for e in vedges:
+            _greedy_one(col, e, tel)
+
+    return Plan(vedges, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -637,64 +592,23 @@ def fallback_exact(g: MultiGraph, col: PartialColoring, uncolored) -> PartialCol
     raise Unsatisfiable(f"backtracking completion failed on {len(todo)} edges", g)
 
 
-def _plan_component(g: MultiGraph):
-    """Pick (strategy, run, rescue_anchor, rescue_skip).
-
-    The graph must have all its edges in one connected component;
-    isolated vertices are tolerated and never chosen as anchors.
-    """
-    low = next((v for v in range(g.vertex_count) if 0 < g.degree(v) <= 3), None)
-    if low is not None:
-        v = low
-        return (
-            "low_degree",
-            lambda tel: solve_low_degree(g, v, tel),
-            v,
-            set(g.incident_edges(v)),
-        )
-    cycle = metrics.find_shortest_cycle(g)  # a loop, else a parallel pair, else girth
-    if cycle is None:
-        raise AssertionError("4-regular component without a cycle")
-    k = len(cycle)
-    if k == 1:
-        (loop,), (v,) = cycle.edges, cycle.vertices
-        return ("loop", lambda tel: solve_loop(g, loop, tel), v, set(g.incident_edges(v)))
-    if k == 2:
-        v = min(cycle.vertices)
-        return (
-            "double_edge",
-            lambda tel: solve_double_edge(g, cycle.edges, tel),
-            v,
-            set(g.incident_edges(v)),
-        )
-    if k == 3:
-        return ("girth3", lambda tel: solve_girth3(g, cycle, tel), cycle, set(cycle.edges))
-    if k in (4, 5):
-        skip = set(cycle.edges)
-        for v in cycle.vertices:
-            skip.update(g.incident_edges(v))
-        name = "girth4" if k == 4 else "girth5"
-        fn = solve_girth4 if k == 4 else solve_girth5
-        return (name, lambda tel: fn(g, cycle, tel), cycle, skip)
-    v6 = next(w for w in range(g.vertex_count) if g.degree(w) > 0)
-    return (
-        "girth6",
-        lambda tel: solve_girth6(g, tel, anchor_vertex=v6),
-        v6,
-        set(g.incident_edges(v6)),
-    )
+_RESCUABLE = (PaletteExhausted, LemmaAssertionError, ConflictError)
 
 
-def _rescue_component(g: MultiGraph, tel: Telemetry, anchor, skip: set[int]) -> PartialColoring:
-    """Re-run the guaranteed greedy phase and backtrack over the rest."""
-    tel.fallbacks += 1
-    col = PartialColoring(g, PALETTE)
-    order = [e for e in metrics.compatible_order(g, anchor) if e not in skip]
-    try:
-        greedy_color(col, order)
-    except PaletteExhausted:
-        raise Unsatisfiable("guaranteed greedy phase ran out of colors", g)
-    return fallback_exact(g, col, skip)
+@dataclass(slots=True)
+class _Part:
+    """One edge-bearing component in the pass: its id, strategy and
+    anchor (BFS source), the strategy's plan, and why it failed, if it did
+    (the failing lemma's label, or the exception's name)."""
+
+    comp: int
+    strategy: str
+    anchor: Anchor
+    plan: Plan | None = None
+    failure: str | None = None
+
+    def fail(self, exc: Exception) -> None:
+        self.failure = str(exc) if isinstance(exc, LemmaAssertionError) else type(exc).__name__
 
 
 def _label_components(g: MultiGraph) -> tuple[list[int], int]:
@@ -718,132 +632,172 @@ def _label_components(g: MultiGraph) -> tuple[list[int], int]:
     return comp, k
 
 
-def _component_anchors(g: MultiGraph, comp: list[int], k: int) -> list[int | None]:
-    """Smallest vertex of degree 1..3 in each component that has edges.
+def _plan_components(
+    g: MultiGraph, comp: list[int], k: int, col: PartialColoring, tel: Telemetry
+) -> list[_Part]:
+    """Strategy, anchor and plan for every component with edges, in
+    component order, with the plants placed in col.
 
-    One entry per edge-bearing component in component order; None marks a
-    4-regular component, which needs the structural strategies instead.
+    The anchor is the component's smallest vertex of degree 1..3, else its
+    smallest loop, else its first parallel pair, else its shortest cycle,
+    all from one scan of the graph. A strategy or plant that raises marks
+    its component failed; the others are unaffected.
     """
-    _, _, _, nbr_off = g.flat_arrays()
-    anchor = [-1] * k
-    has_edges = [False] * k
+    off = g.csr()[0]
+    low = [-1] * k  # smallest vertex of degree 1..3
+    first = [-1] * k  # smallest vertex with edges
     for v in range(g.vertex_count):
-        d = nbr_off[v + 1] - nbr_off[v]
-        if d == 0:
+        d = off[v + 1] - off[v]
+        if d:
+            c = comp[v]
+            if first[c] == -1:
+                first[c] = v
+            if d <= 3 and low[c] == -1:
+                low[c] = v
+    regular = [f != -1 and lo == -1 for f, lo in zip(first, low)]
+    cycles = metrics.shortest_cycles(g, comp, regular)
+
+    parts = []
+    for c in range(k):
+        if first[c] == -1:
             continue
-        c = comp[v]
-        has_edges[c] = True
-        if d <= 3 and anchor[c] == -1:
-            anchor[c] = v
-    return [None if anchor[c] == -1 else anchor[c] for c in range(k) if has_edges[c]]
+        cycle = cycles[c]
+        if low[c] != -1:
+            strategy, anchor, run, arg = "low_degree", low[c], solve_low_degree, low[c]
+        elif cycle is None:
+            raise AssertionError("4-regular component without a cycle")
+        elif len(cycle) == 1:
+            strategy, anchor, run, arg = "loop", cycle.vertices[0], solve_loop, cycle.edges[0]
+        elif len(cycle) == 2:
+            strategy, anchor, run, arg = "double_edge", min(cycle.vertices), solve_double_edge, cycle.edges
+        elif len(cycle) <= 5:
+            strategy, anchor, arg = ("girth3", "girth4", "girth5")[len(cycle) - 3], cycle, cycle
+            run = (solve_girth3, solve_girth4, solve_girth5)[len(cycle) - 3]
+        else:
+            strategy, anchor, run, arg = "girth6", first[c], solve_girth6, first[c]
+        part = _Part(c, strategy, anchor)
+        parts.append(part)
+        try:
+            part.plan = run(g, arg, tel)
+            for e, color in part.plan.plants:
+                col.assign(e, color)
+        except _RESCUABLE as exc:
+            part.fail(exc)
+    return parts
 
 
-def _solve_fused_low_degree(
-    g: MultiGraph, tel: Telemetry, comp: list[int], anchors: list[int], report: SolveReport
-) -> PartialColoring:
-    """Low-degree strategy over all components at once.
-
-    A BFS from every anchor simultaneously gives each vertex its distance
-    to its own component's anchor, so one greedy pass over the combined
-    order behaves exactly like the per-component passes; conflicts never
-    cross components. This avoids extracting subgraphs, which dominates
-    the cost on large inputs with a few stray small components.
-    """
-    for v in anchors:
-        tel.check(g.degree(v) <= 3, "low-degree.anchor-degree")
-    col = PartialColoring(g, PALETTE)
-    skip: set[int] = set()
-    for v in anchors:
-        skip.update(g.incident_edges(v))
-    dist = metrics.bfs_from_sources(g, anchors)
-    order = [e for e in metrics.order_by_distance(g, dist) if e not in skip]
-    greedy_color(col, order, telemetry=tel, max_conflict_colors=20, max_color=21)
-    bounds = (18, 19, 20)
-    for v in anchors:
-        tail = sorted(set(g.incident_edges(v)))
-        for i, e in enumerate(tail):
-            tel.check(len(col.colored_conflicts(e)) <= bounds[i], "low-degree.final-neighborhood")
-            _greedy_one(col, e, tel, max_color=21)
-    if len(anchors) == 1:
-        report.components.append(
-            ComponentReport(
-                strategy="low_degree", edge_count=g.edge_count, colors_used=col.colors_used()
-            )
-        )
-        return col
+def _greedy_pass(
+    g: MultiGraph,
+    comp: list[int],
+    k: int,
+    parts: list[_Part],
+    order: Sequence[int],
+    col: PartialColoring,
+    tel: Telemetry,
+) -> None:
+    """One greedy_color call per bound class over the shared order,
+    leaving out held-back edges and failed components. When a call
+    raises, the failing edge is the first uncolored one in its order: its
+    component is marked failed and the call resumes after that edge
+    without the component's edges."""
+    cls = bytearray(k)  # component -> 1 + its bound class, 0 for none
+    for p in parts:
+        if p.failure is None:
+            cls[p.comp] = 1 + BOUND_CLASSES.index(p.plan.bounds)
+    ecls = bytearray(map(cls.__getitem__, map(comp.__getitem__, g.eu)))
+    for p in parts:
+        if p.failure is None:
+            for e in p.plan.held:
+                ecls[e] = 0
     eu = g.eu
-    ncomp = max(comp) + 1
-    counts = array("i", bytes(4 * ncomp))
-    masks = array("q", bytes(8 * ncomp))
     colors = col._colors
-    for e in range(g.edge_count):
-        c = comp[eu[e]]
-        counts[c] += 1
-        masks[c] |= 1 << colors[e]
-    for c in range(ncomp):
-        if counts[c]:
-            report.components.append(
-                ComponentReport(
-                    strategy="low_degree",
-                    edge_count=counts[c],
-                    colors_used=masks[c].bit_count(),
-                )
-            )
-    return col
+    for i, (conflicts, ceiling) in enumerate(BOUND_CLASSES, start=1):
+        todo = array("i", compress(order, map(i.__eq__, map(ecls.__getitem__, order)))) if i in cls else []
+        while todo:
+            try:
+                greedy_color(col, todo, telemetry=tel, max_conflict_colors=conflicts, max_color=ceiling)
+                break
+            except _RESCUABLE as exc:
+                at = next(idx for idx, e in enumerate(todo) if not colors[e])
+                c = comp[eu[todo[at]]]
+                next(p for p in parts if p.comp == c).fail(exc)
+                todo = [e for e in todo[at + 1 :] if comp[eu[e]] != c]
 
 
-def _edge_components(g: MultiGraph):
-    """(subgraph, edge id map) per connected component that has edges."""
-    cid, k = _label_components(g)
-    sizes = [0] * k
-    vlocal = [0] * g.vertex_count
-    for v in range(g.vertex_count):
-        vlocal[v] = sizes[cid[v]]
-        sizes[cid[v]] += 1
-    buckets: list[list[int]] = [[] for _ in range(k)]
-    for e, u in enumerate(g.eu):
-        buckets[cid[u]].append(e)
-    eu = array("i", map(vlocal.__getitem__, g.eu))
-    ev = array("i", map(vlocal.__getitem__, g.ev))
-    out = []
-    for idx in range(k):
-        emap = buckets[idx]
-        if emap:
-            sub_eu = array("i", map(eu.__getitem__, emap))
-            sub_ev = array("i", map(ev.__getitem__, emap))
-            out.append((MultiGraph.from_arrays(sizes[idx], sub_eu, sub_ev), emap))
-    return out
-
-
-def _run_with_rescue(g: MultiGraph, tel: Telemetry) -> tuple[str, PartialColoring]:
-    strategy, run, anchor, skip = _plan_component(g)
+def _rescue_component(
+    g: MultiGraph, comp: list[int], part: _Part, order: Sequence[int], col: PartialColoring, tel: Telemetry
+) -> None:
+    """Recolor one component from scratch: the guaranteed greedy phase
+    over its share of the order, then backtracking over the edges at the
+    anchor. It runs on the component extracted as a graph of its own, so
+    Unsatisfiable carries only that component, and then overwrites all of
+    the component's edges in col."""
+    tel.fallbacks += 1
+    c = part.comp
+    eu = g.eu
+    ev = g.ev
+    local = {v: i for i, v in enumerate(v for v in range(g.vertex_count) if comp[v] == c)}
+    edges = [e for e in range(g.edge_count) if comp[eu[e]] == c]
+    eid = {e: i for i, e in enumerate(edges)}
+    sub = MultiGraph.from_arrays(
+        len(local), array("i", [local[eu[e]] for e in edges]), array("i", [local[ev[e]] for e in edges])
+    )
+    anchor = part.anchor
+    if isinstance(anchor, CycleDescriptor):
+        skip = set(anchor.edges)
+        if len(anchor) > 3:
+            for v in anchor.vertices:
+                skip.update(g.incident_edges(v))
+    else:
+        skip = set(g.incident_edges(anchor))
+    sub_col = PartialColoring(sub, PALETTE)
     try:
-        return strategy, run(tel)
-    except (PaletteExhausted, LemmaAssertionError, ConflictError):
-        return "fallback_exact", _rescue_component(g, tel, anchor, skip)
+        greedy_color(sub_col, [eid[e] for e in order if e in eid and e not in skip])
+    except PaletteExhausted:
+        raise Unsatisfiable("guaranteed greedy phase ran out of colors", sub)
+    sub_col = fallback_exact(sub, sub_col, [eid[e] for e in skip])
+    for e in edges:
+        col.unassign(e)
+    for e, color in zip(edges, sub_col._colors):
+        col.assign(e, color)
 
 
-def _solve_split(g: MultiGraph, tel: Telemetry, report: SolveReport) -> PartialColoring:
-    """Extract each edge-bearing component and solve it on its own."""
-    final = PartialColoring(g, PALETTE)
-    for sub, emap in _edge_components(g):
-        strategy, subcol = _run_with_rescue(sub, tel)
-        for le, ge in enumerate(emap):
-            final._set_unchecked(ge, subcol._colors[le])
-        report.components.append(
-            ComponentReport(
-                strategy=strategy, edge_count=sub.edge_count, colors_used=subcol.colors_used()
-            )
+def _component_reports(
+    g: MultiGraph, comp: list[int], k: int, parts: list[_Part], col: PartialColoring
+) -> list[ComponentReport]:
+    """One ComponentReport per part: strategy (fallback_exact if it was
+    rescued), edge count and colors used, from one pass over the edges."""
+    counts = array("i", bytes(4 * k))
+    masks = array("q", bytes(8 * k))
+    for u, color in zip(g.eu, col._colors):
+        c = comp[u]
+        counts[c] += 1
+        masks[c] |= 1 << color
+    return [
+        ComponentReport(
+            strategy=p.strategy if p.failure is None else "fallback_exact",
+            edge_count=counts[p.comp],
+            colors_used=(masks[p.comp] >> 1).bit_count(),
+            failure=p.failure,
         )
-    return final
+        for p in parts
+    ]
 
 
 def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
     """Strong edge-coloring with at most 22 colors.
 
-    Components are handled independently; the report lists the strategy
-    used for each (components without edges are skipped), the assertions
-    exercised, per label and in total, and how often the backtracking
+    One pass over the whole graph and its edge ids: label the components
+    once; plan every component with edges (strategy, anchor, held-back
+    edges, planted colors, bound class) and place its planted colors; run
+    one BFS from all anchors and one distance order; make one greedy_color
+    call per bound class; then run each component's finish. Conflicts never cross
+    components, so every component gets the coloring it would get alone.
+    A component whose plan, greedy share or finish fails a check is
+    recolored alone by the backtracking fallback; the others keep theirs.
+
+    The report lists the strategy used for each component with edges, the
+    assertions exercised, per label and in total, and how often the
     fallback fired (expected 0). The input graph is frozen first.
     """
     g.freeze()
@@ -851,31 +805,29 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
         v = next(v for v in range(g.vertex_count) if g.degree(v) > 4)
         raise MaxDegreeExceeded(v, g.degree(v))
     tel = Telemetry()
-    report = SolveReport()
-    if g.edge_count == 0:
-        final = PartialColoring(g, PALETTE)
-    else:
-        comp, k = _label_components(g)
-        anchors = _component_anchors(g, comp, k)
-        if all(a is not None for a in anchors):
+    col = PartialColoring(g, PALETTE)
+    comp, k = _label_components(g)
+    parts = _plan_components(g, comp, k, col, tel)
+    sources = []
+    for p in parts:
+        sources.extend(p.anchor.vertices if isinstance(p.anchor, CycleDescriptor) else (p.anchor,))
+    dist = metrics.bfs_from_sources(g, sources)
+    order = metrics.order_by_distance(g, dist)
+    _greedy_pass(g, comp, k, parts, order, col, tel)
+    for p in parts:
+        if p.failure is None:
             try:
-                final = _solve_fused_low_degree(g, tel, comp, anchors, report)
-            except (PaletteExhausted, LemmaAssertionError, ConflictError):
-                # per-component retry reproduces the failure in isolation
-                # and rescues just that component
-                report.components.clear()
-                final = _solve_split(g, tel, report)
-        elif len(anchors) == 1:
-            strategy, final = _run_with_rescue(g, tel)
-            report.components.append(
-                ComponentReport(
-                    strategy=strategy, edge_count=g.edge_count, colors_used=final.colors_used()
-                )
-            )
-        else:
-            final = _solve_split(g, tel, report)
-        report.colors_used = final.colors_used()
-    report.assertions_checked = tel.checks
-    report.fallback_invocations = tel.fallbacks
-    report.labels = dict(tel.labels)
-    return final, report
+                p.plan.finish(col, dist)
+            except _RESCUABLE as exc:
+                p.fail(exc)
+    for p in parts:
+        if p.failure is not None:
+            _rescue_component(g, comp, p, order, col, tel)
+    report = SolveReport(
+        components=_component_reports(g, comp, k, parts, col),
+        colors_used=col.colors_used(),
+        assertions_checked=tel.checks,
+        fallback_invocations=tel.fallbacks,
+        labels=dict(tel.labels),
+    )
+    return col, report

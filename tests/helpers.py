@@ -8,9 +8,10 @@ that the optimized code is checked against something independent.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 
-from strongcolor import MultiGraph, PartialColoring
+from strongcolor import MultiGraph, PartialColoring, greedy_color, metrics
 from strongcolor.metrics import CycleDescriptor
 
 
@@ -137,6 +138,74 @@ def components(g: MultiGraph) -> list[list[int]]:
                     stack.append(y)
         comps.append(sorted(comp))
     return comps
+
+
+def split_components(g: MultiGraph) -> list[tuple[MultiGraph, list[int]]]:
+    """(subgraph, global edge ids) per connected component with edges, in
+    order of smallest vertex; vertex and edge ids are renumbered in
+    ascending order, so the subgraph is the component relabelled
+    monotonically."""
+    groups = components(g)
+    cid = [0] * g.vertex_count
+    local = [0] * g.vertex_count
+    for idx, group in enumerate(groups):
+        for i, v in enumerate(group):
+            cid[v] = idx
+            local[v] = i
+    buckets: list[list[int]] = [[] for _ in groups]
+    for e, u in enumerate(g.eu):
+        buckets[cid[u]].append(e)
+    return [
+        (
+            MultiGraph.from_arrays(
+                len(group),
+                array("i", [local[g.eu[e]] for e in emap]),
+                array("i", [local[g.ev[e]] for e in emap]),
+            ),
+            emap,
+        )
+        for group, emap in zip(groups, buckets)
+        if emap
+    ]
+
+
+def greedy_phase(g: MultiGraph, anchor, held=(), plants=(), bounds=(20, 21), telemetry=None):
+    """(coloring, BFS distances) after the guaranteed greedy phase as
+    solve runs it for one component: the plants, then one greedy pass
+    over the compatible order from the anchor without the held-back
+    edges, checking the bounds."""
+    col = PartialColoring(g, 22)
+    for e, c in plants:
+        col.assign(e, c)
+    dist = metrics.bfs_distances(g, anchor)
+    skip = set(held)
+    order = [e for e in metrics.order_by_distance(g, dist) if e not in skip]
+    conflicts, ceiling = bounds
+    greedy_color(col, order, telemetry=telemetry, max_conflict_colors=conflicts, max_color=ceiling)
+    return col, dist
+
+
+def run_plan(g: MultiGraph, anchor, plan, telemetry) -> PartialColoring:
+    """One strategy's plan run on its own: the greedy phase, then the
+    finish."""
+    col, dist = greedy_phase(g, anchor, plan.held, plan.plants, plan.bounds, telemetry)
+    plan.finish(col, dist)
+    return col
+
+
+def shuffled_union(graphs, seed: int) -> MultiGraph:
+    """Disjoint union with vertex ids permuted and edge order shuffled."""
+    rng = random.Random(seed)
+    edges = []
+    n = 0
+    for h in graphs:
+        edges.extend((u + n, v + n) for u, v in h.edges)
+        n += h.vertex_count
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in edges]
+    rng.shuffle(edges)
+    return MultiGraph.from_edges(n, edges)
 
 
 def brute_conflict_set(g: MultiGraph, e: int) -> set[int]:

@@ -43,6 +43,7 @@ from helpers import (
     naive_exact,
     path,
     random_multigraph,
+    run_plan,
     triangle_with_loops,
     two_loops_one_vertex,
 )
@@ -265,7 +266,8 @@ def test_criterion_6_duality_and_instrumentation(corpus):
             continue
         if len(components(g)) == 1:
             tel = Telemetry()
-            col = solve_girth5(g, find_shortest_cycle(g), tel)
+            c = find_shortest_cycle(g)
+            col = run_plan(g, c, solve_girth5(g, c, tel), tel)
             assert col.is_total() and verify(col) == []
             assert tel.labels["girth5.uncolored-count"] == 1
             assert tel.labels["girth5.cycle-availability"] == 4

@@ -4,20 +4,31 @@ from hypothesis import strategies as st
 
 from helpers import (
     complete,
+    components,
     cycle,
     disjoint_union,
     edge_distance_class,
     path,
     random_multigraph,
     ref_shortest_cycle,
+    shuffled_union,
+    split_components,
     star,
 )
-from strongcolor import MultiGraph, compatible_order, find_shortest_cycle, girth, random_4regular
+from strongcolor import (
+    MultiGraph,
+    compatible_order,
+    find_shortest_cycle,
+    girth,
+    load_fixture,
+    random_4regular,
+)
 from strongcolor.metrics import (
     CycleDescriptor,
     DisconnectedGraphError,
     bfs_distances,
     order_by_distance,
+    shortest_cycles,
 )
 
 
@@ -102,7 +113,7 @@ def test_order_by_distance_rejects_unreached_edges():
         order_by_distance(g, [-1] * 4)
     # an isolated vertex may stay unreached
     h = MultiGraph.from_edges(3, [(0, 1)])
-    assert order_by_distance(h, [0, 1, -1]) == [0]
+    assert order_by_distance(h, [0, 1, -1]).tolist() == [0]
 
 
 def test_compatible_order_ties_break_by_edge_id():
@@ -226,6 +237,48 @@ def cycle_search_graphs(draw):
 @given(cycle_search_graphs())
 @settings(max_examples=400, deadline=None)
 def test_find_shortest_cycle_equals_reference(g):
+    assert find_shortest_cycle(g) == ref_shortest_cycle(g)
+
+
+def assert_component_cycles_match_reference(g, wanted):
+    """shortest_cycles per component equals ref_shortest_cycle of the
+    component extracted as its own graph (ids mapped back), and None
+    where the component is not wanted or has no edges."""
+    groups = components(g)
+    comp = [0] * g.vertex_count
+    for c, group in enumerate(groups):
+        for v in group:
+            comp[v] = c
+    got = shortest_cycles(g, comp, wanted)
+    subs = {comp[g.eu[emap[0]]]: (sub, emap) for sub, emap in split_components(g)}
+    for c, group in enumerate(groups):
+        want = None
+        if wanted[c] and c in subs:
+            sub, emap = subs[c]
+            ref = ref_shortest_cycle(sub)
+            if ref is not None:
+                want = CycleDescriptor(
+                    tuple(group[v] for v in ref.vertices), tuple(emap[e] for e in ref.edges)
+                )
+        assert got[c] == want
+
+
+@given(cycle_search_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_shortest_cycles_per_component_equal_reference(g, rnd):
+    k = len(components(g))
+    assert_component_cycles_match_reference(g, [True] * k)
+    assert_component_cycles_match_reference(g, [rnd.random() < 0.5 for _ in range(k)])
+
+
+def test_shortest_cycles_per_component_on_4regular_unions():
+    graphs = [
+        random_4regular(30 + 2 * seed, seed=seed, min_girth=g)[0] for seed in range(2) for g in (3, 4, 5)
+    ]
+    graphs += [load_fixture("cage_4_6"), load_fixture("petersen"), path(3), MultiGraph(2).freeze()]
+    for seed in range(3):
+        g = shuffled_union(graphs, seed)
+        assert_component_cycles_match_reference(g, [True] * len(components(g)))
     assert find_shortest_cycle(g) == ref_shortest_cycle(g)
 
 

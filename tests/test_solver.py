@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,16 +9,18 @@ from strongcolor import (
     LemmaAssertionError,
     MaxDegreeExceeded,
     MultiGraph,
+    PaletteExhausted,
     PartialColoring,
     Telemetry,
     Unsatisfiable,
+    erdos_nesetril_5,
     find_shortest_cycle,
+    load_fixture,
+    metrics,
     solve,
     verify,
 )
 from strongcolor.solver import (
-    color_except_cycle,
-    color_except_vertex,
     fallback_exact,
     label_cycle_context,
     solve_double_edge,
@@ -34,9 +38,13 @@ from helpers import (
     cycle,
     disjoint_union,
     doubled_triangle,
+    greedy_phase,
     hypercube4,
     path,
     random_multigraph,
+    run_plan,
+    shuffled_union,
+    split_components,
     star,
     triangle_with_loops,
     two_loops_one_vertex,
@@ -50,24 +58,26 @@ def assert_total_valid(g, col, max_colors=22):
 
 
 # --- greedy phases ---------------------------------------------------------
+# Everything except the anchor's edges, greedy along the order compatible
+# with the anchor, within 21 colors and 20 conflict colors per edge.
 
 
 def test_color_except_vertex_star_center():
     g = star(4)
-    col = color_except_vertex(g, 0)
+    col, _ = greedy_phase(g, 0, held=g.incident_edges(0), telemetry=Telemetry())
     assert col.uncolored_edges() == list(range(4))
 
 
 def test_color_except_vertex_pentagon():
     g = cycle(5)
-    col = color_except_vertex(g, 0)
+    col, _ = greedy_phase(g, 0, held=g.incident_edges(0), telemetry=Telemetry())
     assert len(col.uncolored_edges()) == 2
     assert verify(col) == []
     assert col.colors_used() <= 21
 
 
 def test_color_except_vertex_4regular(robertson):
-    col = color_except_vertex(robertson, 7)
+    col, _ = greedy_phase(robertson, 7, held=robertson.incident_edges(7), telemetry=Telemetry())
     assert set(col.uncolored_edges()) == set(robertson.incident_edges(7))
     assert verify(col) == []
 
@@ -75,7 +85,7 @@ def test_color_except_vertex_4regular(robertson):
 def test_color_except_cycle_whole_graph():
     g = cycle(5)
     c = find_shortest_cycle(g)
-    col = color_except_cycle(g, c)
+    col, _ = greedy_phase(g, c, held=c.edges, telemetry=Telemetry())
     assert col.uncolored_edges() == sorted(c.edges)
     assert len(col.uncolored_edges()) == 5
 
@@ -84,30 +94,36 @@ def test_color_except_cycle_k5():
     g = complete(5)
     c = find_shortest_cycle(g)
     assert len(c) == 3
-    col = color_except_cycle(g, c)
+    col, _ = greedy_phase(g, c, held=c.edges, telemetry=Telemetry())
     assert len(col.uncolored_edges()) == 3
     assert verify(col) == []
 
 
 # --- per-shape strategies --------------------------------------------------
+# Each strategy returns a Plan; run_plan runs it alone, as solve runs it.
+
+
+def run_strategy(strategy, g, arg, anchor):
+    tel = Telemetry()
+    return run_plan(g, anchor, strategy(g, arg, tel), tel)
 
 
 def test_low_degree_path_is_optimal():
-    col = solve_low_degree(path(4), 0)
+    col = run_strategy(solve_low_degree, path(4), 0, 0)
     assert_total_valid(path(4), col, max_colors=21)
     assert col.colors_used() == 3
 
 
 def test_low_degree_petersen(petersen):
-    col = solve_low_degree(petersen, 0)
+    col = run_strategy(solve_low_degree, petersen, 0, 0)
     assert_total_valid(petersen, col, max_colors=21)
 
 
 def test_low_degree_star():
     g = star(4)
     with pytest.raises(LemmaAssertionError):
-        solve_low_degree(g, 0)  # center has degree 4
-    col = solve_low_degree(g, 1)
+        solve_low_degree(g, 0, Telemetry())  # center has degree 4
+    col = run_strategy(solve_low_degree, g, 1, 1)
     assert_total_valid(g, col, max_colors=21)
     assert col.colors_used() == 4
 
@@ -115,19 +131,19 @@ def test_low_degree_star():
 def test_loop_strategy():
     g = triangle_with_loops()
     e = g.find_loop()
-    col = solve_loop(g, e)
+    col = run_strategy(solve_loop, g, e, g.endpoints(e)[0])
     assert_total_valid(g, col, max_colors=21)
 
 
 def test_loop_strategy_rejects_plain_edge():
     g = triangle_with_loops()
     with pytest.raises(LemmaAssertionError):
-        solve_loop(g, 0)
+        solve_loop(g, 0, Telemetry())
 
 
 def test_two_loops_need_two_colors():
     g = two_loops_one_vertex()
-    col = solve_loop(g, 0)
+    col = run_strategy(solve_loop, g, 0, 0)
     assert_total_valid(g, col, max_colors=21)
     assert col.colors_used() == 2
 
@@ -135,14 +151,14 @@ def test_two_loops_need_two_colors():
 def test_double_edge_strategy():
     g = doubled_triangle()
     pair = g.find_parallel_pair()
-    col = solve_double_edge(g, pair)
+    col = run_strategy(solve_double_edge, g, pair, min(g.endpoints(pair[0])))
     assert_total_valid(g, col, max_colors=21)
 
 
 def test_girth3_strategy():
     g = complete(5)
     c = find_shortest_cycle(g)
-    col = solve_girth3(g, c)
+    col = run_strategy(solve_girth3, g, c, c)
     assert_total_valid(g, col, max_colors=21)
     assert col.colors_used() == 10
 
@@ -151,7 +167,7 @@ def test_girth4_strategy_k44():
     g = complete_bipartite(4, 4)
     c = find_shortest_cycle(g)
     assert len(c) == 4
-    col = solve_girth4(g, c)
+    col = run_strategy(solve_girth4, g, c, c)
     assert_total_valid(g, col)
     assert col.colors_used() == 16
 
@@ -159,19 +175,19 @@ def test_girth4_strategy_k44():
 def test_girth4_strategy_hypercube():
     g = hypercube4()
     c = find_shortest_cycle(g)
-    col = solve_girth4(g, c)
+    col = run_strategy(solve_girth4, g, c, c)
     assert_total_valid(g, col)
 
 
 def test_girth5_strategy(robertson):
     c = find_shortest_cycle(robertson)
     assert len(c) == 5
-    col = solve_girth5(robertson, c)
+    col = run_strategy(solve_girth5, robertson, c, c)
     assert_total_valid(robertson, col)
 
 
 def test_girth6_strategy(cage46):
-    col = solve_girth6(cage46)
+    col = run_strategy(solve_girth6, cage46, 0, 0)
     assert_total_valid(cage46, col)
     assert 22 in {col.color_of(e) for e in range(cage46.edge_count)}
 
@@ -213,7 +229,7 @@ def test_cycle_context_rejects_wrong_length():
 def test_girth5_instrumentation_counts(robertson):
     tel = Telemetry()
     c = find_shortest_cycle(robertson)
-    solve_girth5(robertson, c, tel)
+    run_plan(robertson, c, solve_girth5(robertson, c, tel), tel)
     assert tel.labels["girth5.uncolored-count"] == 1
     assert tel.labels["girth5.cycle-availability"] == 4
     assert tel.labels["girth5.incident-availability"] == 7
@@ -222,7 +238,7 @@ def test_girth5_instrumentation_counts(robertson):
 
 def test_girth6_instrumentation_counts(cage46):
     tel = Telemetry()
-    solve_girth6(cage46, tel)
+    run_plan(cage46, 0, solve_girth6(cage46, 0, tel), tel)
     assert tel.labels["girth6.distance-two-edge"] == 4
     assert tel.labels["girth6.recolor-independent"] == 6
 
@@ -248,7 +264,7 @@ def test_fallback_exact_single_edge():
 
 def test_fallback_exact_completes_stripped_k5():
     g = complete(5)
-    full = solve_girth3(g, find_shortest_cycle(g))
+    full, _ = solve(g)
     col = full.copy()
     removed = [0, 3, 7]
     for e in removed:
@@ -366,24 +382,168 @@ def test_rescue_path_counts_fallback(monkeypatch):
     assert_total_valid(g, col)
     assert rep.strategies() == ["fallback_exact"]
     assert rep.fallback_invocations == 1
+    assert rep.components[0].failure == "girth3.cycle-length"
+    assert rep.labels == {"girth3.cycle-length": 1} and rep.assertions_checked == 1
 
 
-def test_fused_failure_falls_back_to_split(monkeypatch, petersen):
-    calls = {"n": 0}
-    real = solver._solve_fused_low_degree
+def _failing_greedy(monkeypatch, graph, target, exc_factory):
+    """Make solver.greedy_color fail at edge `target` the first time it
+    is called on `graph` with that edge in its order: the edges before it
+    are colored, then exc_factory(telemetry, target) raises. Returns the
+    orders the patched function is called with."""
+    real = solver.greedy_color
+    seen = []
 
-    def flaky(g, tel, comp, anchors, report):
-        calls["n"] += 1
-        raise LemmaAssertionError("forced")
+    def flaky(col, order, **kwargs):
+        seen.append(list(order))
+        if col.graph is graph and target in order and not flaky.fired:
+            flaky.fired = True
+            real(col, order[: order.index(target)], **kwargs)
+            exc_factory(kwargs.get("telemetry"), target)
+        return real(col, order, **kwargs)
 
-    monkeypatch.setattr(solver, "_solve_fused_low_degree", flaky)
-    g = disjoint_union(path(4), petersen)
+    flaky.fired = False
+    monkeypatch.setattr(solver, "greedy_color", flaky)
+    return seen
+
+
+def _bound_failure(tel, e):
+    tel.check(False, "greedy.conflict-color-bound")
+
+
+def _palette_failure(tel, e):
+    raise PaletteExhausted(e, 22)
+
+
+@pytest.mark.parametrize(
+    "exc_factory, failure",
+    [(_bound_failure, "greedy.conflict-color-bound"), (_palette_failure, "PaletteExhausted")],
+    ids=["lemma", "palette"],
+)
+def test_shared_greedy_failure_rescues_only_its_component(
+    monkeypatch, petersen, cage46, exc_factory, failure
+):
+    g = shuffled_union([petersen, path(6), complete(5), cage46, complete(5)], seed=3)
+    clean_col, clean_rep = solve(g)
+    subs = split_components(g)
+    victim = 2  # component index; its edges are not all last in the order
+    emap = subs[victim][1]
+    seen = _failing_greedy(monkeypatch, g, None, exc_factory)
+    solve(g)  # only records the orders
+    shared = max(seen, key=len)
+    mine = [e for e in shared if e in emap]
+    target = mine[1]
+    assert any(e not in emap for e in shared[shared.index(target) + 1 :])
+
+    _failing_greedy(monkeypatch, g, target, exc_factory)
     col, rep = solve(g)
-    assert calls["n"] == 1
-    assert_total_valid(g, col)
-    assert rep.strategies() == ["low_degree", "low_degree"]
-    assert rep.fallback_invocations == 0
-    monkeypatch.setattr(solver, "_solve_fused_low_degree", real)
+    assert col.is_total() and verify(col) == []
+    assert rep.fallback_invocations == 1
+    for idx, (comp, clean) in enumerate(zip(rep.components, clean_rep.components)):
+        if idx == victim:
+            assert comp.strategy == "fallback_exact"
+            assert comp.failure == failure
+        else:
+            assert comp == clean
+    others = [e for _, em in subs if em is not emap for e in em]
+    assert [col.color_of(e) for e in others] == [clean_col.color_of(e) for e in others]
+    assert sum(rep.labels.values()) == rep.assertions_checked
+
+    # every check is counted once: the labels are the sum over the
+    # components solved alone, the victim failing at the same edge
+    want = Counter()
+    for idx, (sub, em) in enumerate(subs):
+        if idx == victim:
+            _failing_greedy(monkeypatch, sub, em.index(target), exc_factory)
+        _, sub_rep = solve(sub)
+        assert sub_rep.components == [rep.components[idx]]
+        want.update(sub_rep.labels)
+    assert Counter(rep.labels) == want
+
+
+def test_planting_conflict_is_rescued_and_named(monkeypatch, robertson, petersen):
+    real = solver.solve_girth5
+
+    def clash(g, cycle, tel):
+        plan = real(g, cycle, tel)
+        e = plan.plants[0][0]
+        f = min(g.conflict_set(e))
+        plan.plants = ((e, 21), (f, 21))
+        return plan
+
+    monkeypatch.setattr(solver, "solve_girth5", clash)
+    g = disjoint_union(petersen, robertson)
+    col, rep = solve(g)
+    assert col.is_total() and verify(col) == []
+    assert rep.strategies() == ["low_degree", "fallback_exact"]
+    assert [c.failure for c in rep.components] == [None, "ConflictError"]
+    assert rep.fallback_invocations == 1
+
+
+def test_finish_failure_is_rescued(monkeypatch, cage46):
+    g = disjoint_union(complete(5), cage46)
+    clean_col, _ = solve(g)
+    real = solver.solve_girth3
+
+    def late(g, cycle, tel):
+        plan = real(g, cycle, tel)
+
+        def finish(col, dist):
+            tel.check(False, "girth3.final-neighborhood")
+
+        plan.finish = finish
+        return plan
+
+    monkeypatch.setattr(solver, "solve_girth3", late)
+    col, rep = solve(g)
+    assert col.is_total() and verify(col) == []
+    assert rep.strategies() == ["fallback_exact", "girth6"]
+    assert rep.components[0].failure == "girth3.final-neighborhood"
+    assert [col.color_of(e) for e in range(10, g.edge_count)] == [
+        clean_col.color_of(e) for e in range(10, g.edge_count)
+    ]
+
+
+def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson, cage46, petersen):
+    parts = [complete(5), en_graph, robertson, cage46, petersen]
+    g = shuffled_union(parts + [triangle_with_loops(), doubled_triangle(), path(7)], seed=11)
+    calls = Counter()
+    bounds = []
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "greedy_color":
+                bounds.append((kwargs["max_conflict_colors"], kwargs["max_color"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(solver, "_label_components")
+    counted(solver, "greedy_color")
+    for name in ("shortest_cycles", "find_shortest_cycle", "bfs_from_sources", "bfs_distances"):
+        counted(metrics, name)
+    counted(metrics, "order_by_distance")
+    real_from_arrays = MultiGraph.from_arrays.__func__
+
+    def from_arrays(cls, *args):
+        calls["from_arrays"] += 1
+        return real_from_arrays(cls, *args)
+
+    monkeypatch.setattr(MultiGraph, "from_arrays", classmethod(from_arrays))
+    col, rep = solve(g)
+    assert col.is_total() and rep.fallback_invocations == 0
+    assert sorted(rep.strategies()) == sorted(
+        ["girth3", "girth4", "girth5", "girth6", "low_degree", "loop", "double_edge", "low_degree"]
+    )
+    assert calls["_label_components"] == 1
+    assert calls["shortest_cycles"] == 1
+    assert calls["bfs_from_sources"] == 1
+    assert calls["order_by_distance"] == 1
+    assert calls["find_shortest_cycle"] == calls["bfs_distances"] == calls["from_arrays"] == 0
+    assert sorted(bounds) == [(20, 21), (21, 22)]
 
 
 def test_report_assertions_counted(en_graph):
@@ -441,3 +601,48 @@ def test_solve_property_random_multigraphs(seed):
     assert verify(col) == []
     assert rep.colors_used <= 22
     assert rep.fallback_invocations == 0
+
+
+FIXTURE_MENU = (
+    lambda: complete(5),
+    lambda: complete_bipartite(4, 4),
+    hypercube4,
+    triangle_with_loops,
+    doubled_triangle,
+    two_loops_one_vertex,
+    lambda: load_fixture("petersen"),
+    lambda: load_fixture("robertson"),
+    lambda: load_fixture("cage_4_6"),
+    erdos_nesetril_5,
+    lambda: path(1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, len(FIXTURE_MENU) - 1).map(lambda i: FIXTURE_MENU[i]()),
+            st.integers(0, 10_000).map(lambda seed: random_multigraph(seed, max_n=12, max_m=22)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 1000),
+)
+def test_solve_equals_solving_each_component_alone(graphs, seed):
+    g = shuffled_union(graphs, seed)
+    col, rep = solve(g)
+    subs = split_components(g)
+    assert len(rep.components) == len(subs)
+    labels = Counter()
+    fallbacks = 0
+    for (sub, emap), comp in zip(subs, rep.components):
+        sub_col, sub_rep = solve(sub)
+        assert [col.color_of(e) for e in emap] == [sub_col.color_of(e) for e in range(sub.edge_count)]
+        assert sub_rep.components == [comp]
+        labels.update(sub_rep.labels)
+        fallbacks += sub_rep.fallback_invocations
+    assert Counter(rep.labels) == labels
+    assert rep.assertions_checked == sum(labels.values())
+    assert rep.fallback_invocations == fallbacks
