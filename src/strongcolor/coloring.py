@@ -29,14 +29,20 @@ class PartialColoring:
     """Color assignment for a fixed graph and palette.
 
     Mutable by design: assign/unassign update in place, copy() snapshots.
-    assign enforces validity. greedy_color and the solver's one-edge
-    finish write the color list directly, with a color free of every
-    colored conflict; parse_coloring stores a file as given, for verify to
-    check; fallback_exact's search (on its working copy) and the exact
-    oracle's witness go through _set_unchecked.
+    assign enforces validity. greedy_color writes the color list directly,
+    with a color free of every colored conflict; parse_coloring stores a
+    file as given, for verify to check; fallback_exact's search (on its
+    working copy) and the exact oracle's witness go through _set_unchecked.
+
+    Conflict queries (available_colors, assign, greedy_color) read one
+    per-vertex mask array, _at[x] holding bit c when an edge at x has
+    color c. It is built on the first query, which raises ValueError if a
+    color above 62 is present, and every write keeps it exact: assign,
+    unassign and _set_unchecked recompute it at the edge's ends,
+    greedy_color ORs in each new bit, and a write above 62 drops it.
     """
 
-    __slots__ = ("graph", "palette_size", "_colors")
+    __slots__ = ("graph", "palette_size", "_colors", "_at")
 
     def __init__(self, graph: MultiGraph, palette_size: int):
         if palette_size < 1:
@@ -44,11 +50,10 @@ class PartialColoring:
         self.graph = graph
         self.palette_size = palette_size
         self._colors = [0] * graph.edge_count
+        self._at: array | None = None
 
     def copy(self) -> PartialColoring:
-        dup = PartialColoring.__new__(PartialColoring)
-        dup.graph = self.graph
-        dup.palette_size = self.palette_size
+        dup = PartialColoring(self.graph, self.palette_size)
         dup._colors = list(self._colors)
         return dup
 
@@ -76,30 +81,63 @@ class PartialColoring:
         colors = self._colors
         return {f for f in self.graph.conflict_set(e) if colors[f]}
 
+    def _masks(self) -> array:
+        at = self._at
+        if at is None:
+            g = self.graph
+            if max(self._colors, default=0) > 62:
+                raise ValueError(f"conflict queries need colors <= 62, found {max(self._colors)}")
+            at = self._at = array("q", bytes(8 * g.vertex_count))
+            for u, v, c in zip(g.eu, g.ev, self._colors):
+                if c:
+                    at[u] |= 1 << c
+                    at[v] |= 1 << c
+        return at
+
+    def _conflict_colors(self, e: int) -> int:
+        """Mask of the colors on the edges conflicting with the uncolored
+        e: the OR of the masks at the neighbors of e's ends."""
+        at = self._masks()
+        eu, ev, nbr_flat, off = self.graph.flat_arrays()
+        used = 0
+        for x in (eu[e], ev[e]):
+            for y in nbr_flat[off[x] : off[x + 1]]:
+                used |= at[y]
+        return used
+
     def available_colors(self, e: int) -> set[int]:
         """Palette colors not used on any edge conflicting with e."""
         if self._colors[e]:
             raise ValueError(f"edge {e} is already colored")
-        colors = self._colors
-        used = {colors[f] for f in self.graph.conflict_set(e)}
-        return {c for c in range(1, self.palette_size + 1) if c not in used}
+        used = self._conflict_colors(e)
+        return {c for c in range(1, self.palette_size + 1) if not used >> c & 1}
 
     def assign(self, e: int, c: int) -> None:
         if not (1 <= c <= self.palette_size):
             raise ValueError(f"color {c} outside palette 1..{self.palette_size}")
         if self._colors[e]:
             raise ValueError(f"edge {e} is already colored")
-        colors = self._colors
-        for f in self.graph.conflict_set(e):
-            if colors[f] == c:
-                raise ConflictError(f"color {c} already on conflicting edge {f} (assigning edge {e})")
-        colors[e] = c
+        if self._conflict_colors(e) >> c & 1:
+            f = min(f for f in self.colored_conflicts(e) if self._colors[f] == c)
+            raise ConflictError(f"color {c} already on conflicting edge {f} (assigning edge {e})")
+        self._set_unchecked(e, c)
 
     def unassign(self, e: int) -> None:
-        self._colors[e] = 0
+        self._set_unchecked(e, 0)
 
     def _set_unchecked(self, e: int, c: int) -> None:
-        self._colors[e] = c
+        colors = self._colors
+        colors[e] = c
+        if c > 62:
+            self._at = None
+        elif self._at is not None:
+            g = self.graph
+            off, inc_flat, _ = g.csr()
+            for x in (g.eu[e], g.ev[e]):
+                mask = 0
+                for f in inc_flat[off[x] : off[x + 1]]:
+                    mask |= 1 << colors[f]
+                self._at[x] = mask & ~1  # bit 0 would be the uncolored edges
 
     def as_dict(self) -> dict[int, int]:
         return {e: c for e, c in enumerate(self._colors) if c}
@@ -121,8 +159,10 @@ def greedy_color(
     seen among colored conflicting edges, max_color caps the assigned
     color; violations raise through telemetry.check.
 
-    Palettes are capped at 62 colors so color masks fit machine words;
-    that is far above the 25 any greedy order can need at max degree 4.
+    Conflict colors come from col's per-vertex masks, into which each new
+    color is ORed. Palettes are capped at 62 colors so the masks fit
+    machine words; that is far above the 25 any greedy order can need at
+    max degree 4.
 
     Args:
         col: coloring to extend in place (also returned).
@@ -139,17 +179,9 @@ def greedy_color(
     bound_hits = 0
     ceiling_hits = 0
 
-    # Per-vertex color masks make the conflict query cheap: at_v[x] holds
-    # the colors on edges at x, so an edge's conflict colors are exactly
-    # the OR of at_v over its endpoints and their neighbors. Typed arrays
-    # keep the working set contiguous on large graphs.
+    # col._conflict_colors inlined for speed
     eu, ev, nbr_flat, nbr_off = g.flat_arrays()
-    at_v = array("q", bytes(8 * g.vertex_count))
-    for f, c in enumerate(colors):
-        if c:
-            bit = 1 << c
-            at_v[eu[f]] |= bit
-            at_v[ev[f]] |= bit
+    at_v = col._masks()
 
     try:
         for e in order:
@@ -157,12 +189,11 @@ def greedy_color(
                 raise ValueError(f"edge {e} in greedy order is already colored")
             u = eu[e]
             v = ev[e]
-            used = at_v[u] | at_v[v]
+            used = 0  # the neighbors of e's ends include both ends
             for y in nbr_flat[nbr_off[u] : nbr_off[u + 1]]:
                 used |= at_v[y]
-            if v != u:
-                for y in nbr_flat[nbr_off[v] : nbr_off[v + 1]]:
-                    used |= at_v[y]
+            for y in nbr_flat[nbr_off[v] : nbr_off[v + 1]]:
+                used |= at_v[y]
             free = full & ~used
             if check_bound:
                 if used.bit_count() > max_conflict_colors:

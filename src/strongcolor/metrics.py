@@ -107,9 +107,10 @@ def find_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:
     return shortest_cycles(g, [0] * g.vertex_count, [True])[0]
 
 
-def shortest_cycles(g: MultiGraph, comp, wanted) -> list[CycleDescriptor | None]:
+def shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[CycleDescriptor | None]:
     """Shortest cycle of every component c with wanted[c], from one scan
-    of the graph; None for the other components and for forests.
+    of the graph; None for the other components, for forests and for
+    girths above `longest`.
 
     comp[v] is the component id of vertex v. Conventions, per component:
     the loop with the smallest edge id is a 1-cycle, else the first
@@ -119,7 +120,7 @@ def shortest_cycles(g: MultiGraph, comp, wanted) -> list[CycleDescriptor | None]
     (Itai and Rodeh). Each BFS stops once no closing edge can beat its
     component's best so far, and only the vertices it reached are reset,
     so a start costs the ball up to the current best radius:
-    O(n * 3^(g/2)) in total at degree 4, where g is the girth.
+    O(n * 3^(g/2)) in total at degree 4, where g = min(girth, longest).
     """
     found: list[CycleDescriptor | None] = [None] * len(wanted)
     if not any(wanted):
@@ -154,7 +155,7 @@ def shortest_cycles(g: MultiGraph, comp, wanted) -> list[CycleDescriptor | None]
     for c, (i, j) in pairs.items():
         found[c] = CycleDescriptor((eu[i], ev[i]), (i, j))
 
-    bests = [n + 1] * len(wanted)  # longer than any cycle
+    bests = [(n if longest is None else longest) + 1] * len(wanted)  # longer than any cycle sought
     walks: list[list[int] | None] = [None] * len(wanted)  # closed walk of length bests[c]
     searching = [w and f is None for w, f in zip(wanted, found)]
     dist = [-1] * n

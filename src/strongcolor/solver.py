@@ -8,17 +8,18 @@ finishes the few held-back edges with whatever bookkeeping makes the
 counting work. `solve` runs all components in one pass over the whole
 graph: each strategy returns a Plan (held-back edges, planted colors,
 greedy bounds, finish), and one BFS, one edge order and one greedy call
-per bound class serve every component. Counting claims are asserted at
-runtime; a component whose claim fails is recolored by a backtracking
-fallback and counted, never ignored.
+per bound class serve every component; the finishes call greedy_color
+too. Counting claims are asserted at runtime; a component whose claim
+fails is recolored by a backtracking fallback and counted, never ignored.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import compress
+from operator import or_
 from typing import Callable, Sequence
 
 from . import metrics
@@ -118,34 +119,6 @@ class Plan:
     bounds: tuple[int, int] = (20, 21)
 
 
-def _greedy_one(
-    col: PartialColoring,
-    e: int,
-    tel: Telemetry,
-    max_color: int = PALETTE,
-    bound: int | None = None,
-    label: str = "",
-) -> None:
-    """Least free color for one edge by direct conflict scan; O(1) on
-    bounded-degree graphs, unlike a one-element greedy_color call which
-    would rebuild its per-vertex masks. With a bound, first check the
-    lemma `label`: at most `bound` edges conflicting with e are colored."""
-    colors = col._colors
-    near = list(map(colors.__getitem__, col.graph.conflict_set(e)))
-    if bound is not None:
-        tel.check(len(near) - near.count(0) <= bound, label)
-    if colors[e]:
-        raise ValueError(f"edge {e} is already colored")
-    used = set(near)
-    c = 1
-    while c in used:
-        c += 1
-    if c > col.palette_size:
-        raise PaletteExhausted(e, col.palette_size)
-    tel.check(c <= max_color, "greedy.color-ceiling")
-    colors[e] = c
-
-
 # ---------------------------------------------------------------------------
 # strategies for components that are not simple 4-regular, and girth 3
 
@@ -156,14 +129,16 @@ def _finish_tail(
     label: str,
     tel: Telemetry,
     col: PartialColoring,
-    dist: list[int],
+    dist: list[int] | None = None,
+    ceiling: int = 21,
 ) -> None:
-    """Color the held-back `tail` last, in order, each edge within 21
-    colors once the lemma `label` caps its colored neighborhood at its
-    bound. Plans bind the first four arguments with partial, which keeps
-    a plan small when every component holds one at once."""
+    """Color the held-back `tail` last, in order, each edge within
+    `ceiling` colors once the lemma `label` caps its colored conflicting
+    edges at its bound. Plans bind the first four arguments with partial,
+    which keeps a plan small when every component holds one at once."""
     for bound, e in zip(bounds, tail):
-        _greedy_one(col, e, tel, max_color=21, bound=bound, label=label)
+        tel.check(len(col.colored_conflicts(e)) <= bound, label)
+        greedy_color(col, [e], telemetry=tel, max_color=ceiling)
 
 
 def solve_low_degree(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
@@ -295,8 +270,7 @@ def _girth4_cycle(col: PartialColoring, ctx: CycleContext, tel: Telemetry) -> No
     colors per edge."""
     for i in sorted(ctx.c):
         tel.check(len(col.available_colors(ctx.c[i])) >= 4, "girth4.cycle-availability")
-    for e in sorted(ctx.c.values()):
-        _greedy_one(col, e, tel)
+    greedy_color(col, sorted(ctx.c.values()), telemetry=tel, max_color=PALETTE)
 
 
 def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: int, j: int) -> Plan:
@@ -316,8 +290,7 @@ def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: 
 
     def finish(col, dist):
         _girth4_cycle(col, ctx, tel)
-        for d in diagonals:
-            _greedy_one(col, d, tel, bound=21, label="girth4.diagonal-neighborhood")
+        _finish_tail(diagonals, (21,) * 4, "girth4.diagonal-neighborhood", tel, col, ceiling=PALETTE)
 
     return Plan(list(ctx.c.values()) + diagonals, finish)
 
@@ -361,8 +334,7 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
         incident = ctx.incident_edges()
 
         def finish(col, dist):
-            for e in incident:
-                _greedy_one(col, e, tel, max_color=21, bound=20, label="girth4.incident-neighborhood")
+            _finish_tail(incident, (20,) * len(incident), "girth4.incident-neighborhood", tel, col)
             _girth4_cycle(col, ctx, tel)
 
         return Plan(list(ctx.c.values()) + incident, finish)
@@ -442,8 +414,8 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
         # purely incident edges: each still sees >= 3 uncolored cycle
         # edges, so a straight greedy pass works, and coloring a maximum
         # discrepancy subfamily first makes the rest extendable
-        for e in sorted(subset):
-            _greedy_one(col, e, tel, bound=21, label="girth5.subset-neighborhood")
+        first = sorted(subset)
+        _finish_tail(first, (21,) * len(first), "girth5.subset-neighborhood", tel, col, ceiling=PALETTE)
         rest = [e for e in uncolored if not col.is_colored(e)]
         fam2 = {e: frozenset(col.available_colors(e)) for e in rest}
         sdr2 = find_sdr(fam2)
@@ -474,16 +446,13 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
         (p, q), x = chosen
         col.assign(p, x)
         col.assign(q, x)
-        for e in incident:
-            if col.is_colored(e):
-                continue
-            _greedy_one(col, e, tel, bound=21, label="girth5.incident-neighborhood")
+        rest = [e for e in incident if not col.is_colored(e)]
+        _finish_tail(rest, (21,) * len(rest), "girth5.incident-neighborhood", tel, col, ceiling=PALETTE)
         if (p, q) == pairs[1]:
             tail = [ctx.c[2], ctx.c[4], ctx.c[1], ctx.c[5]]
         else:
             tail = [ctx.c[2], ctx.c[4], ctx.c[5], ctx.c[1]]
-        for e in tail:
-            _greedy_one(col, e, tel)
+        greedy_color(col, tail, telemetry=tel, max_color=PALETTE)
         return
 
     # |subset| == 11 and no pair shares a color: the availability sets of
@@ -502,16 +471,13 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
         first_wave.append(holders[0])
     for e in first_wave:
         tel.check(x not in col.available_colors(e), "girth5.crossing-blocked")
-        _greedy_one(col, e, tel)
+        greedy_color(col, [e], telemetry=tel, max_color=PALETTE)
     second = [e for p in pairs for e in p if not col.is_colored(e)]
     # the >= 3 bound is a pre-stage guarantee; coloring one second-wave
     # edge may shrink another's set, so check all three up front
     for e in second:
         tel.check(len(col.available_colors(e)) >= 3, "girth5.second-wave-availability")
-    for e in second:
-        _greedy_one(col, e, tel)
-    for e in (ctx.c[2], ctx.c[4], ctx.c[5]):
-        _greedy_one(col, e, tel)
+    greedy_color(col, second + [ctx.c[2], ctx.c[4], ctx.c[5]], telemetry=tel, max_color=PALETTE)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +515,7 @@ def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
             col.unassign(e)
         for e in recolored:
             col.assign(e, 22)
-        for e in vedges:
-            _greedy_one(col, e, tel)
+        greedy_color(col, vedges, telemetry=tel, max_color=PALETTE)
 
     return Plan(vedges, finish)
 
@@ -639,9 +604,11 @@ def _plan_components(
     component order, with the plants placed in col.
 
     The anchor is the component's smallest vertex of degree 1..3, else its
-    smallest loop, else its first parallel pair, else its shortest cycle,
-    all from one scan of the graph. A strategy or plant that raises marks
-    its component failed; the others are unaffected.
+    smallest loop, else its first parallel pair, else its shortest cycle
+    of length <= 5, else (girth >= 6) its smallest vertex, all from one
+    scan, whose BFS starts the cap of 5 keeps within radius 2. A strategy
+    or plant that raises marks its component failed; the others are
+    unaffected.
     """
     off = g.csr()[0]
     low = [-1] * k  # smallest vertex of degree 1..3
@@ -655,7 +622,7 @@ def _plan_components(
             if d <= 3 and low[c] == -1:
                 low[c] = v
     regular = [f != -1 and lo == -1 for f, lo in zip(first, low)]
-    cycles = metrics.shortest_cycles(g, comp, regular)
+    cycles = metrics.shortest_cycles(g, comp, regular, longest=5)
 
     parts = []
     for c in range(k):
@@ -665,16 +632,14 @@ def _plan_components(
         if low[c] != -1:
             strategy, anchor, run, arg = "low_degree", low[c], solve_low_degree, low[c]
         elif cycle is None:
-            raise AssertionError("4-regular component without a cycle")
+            strategy, anchor, run, arg = "girth6", first[c], solve_girth6, first[c]
         elif len(cycle) == 1:
             strategy, anchor, run, arg = "loop", cycle.vertices[0], solve_loop, cycle.edges[0]
         elif len(cycle) == 2:
             strategy, anchor, run, arg = "double_edge", min(cycle.vertices), solve_double_edge, cycle.edges
-        elif len(cycle) <= 5:
+        else:
             strategy, anchor, arg = ("girth3", "girth4", "girth5")[len(cycle) - 3], cycle, cycle
             run = (solve_girth3, solve_girth4, solve_girth5)[len(cycle) - 3]
-        else:
-            strategy, anchor, run, arg = "girth6", first[c], solve_girth6, first[c]
         part = _Part(c, strategy, anchor)
         parts.append(part)
         try:
@@ -762,26 +727,32 @@ def _rescue_component(
         col.assign(e, color)
 
 
-def _component_reports(
-    g: MultiGraph, comp: list[int], k: int, parts: list[_Part], col: PartialColoring
-) -> list[ComponentReport]:
-    """One ComponentReport per part: strategy (fallback_exact if it was
-    rescued), edge count and colors used, from one pass over the edges."""
+def _solve_report(
+    g: MultiGraph, comp: list[int], k: int, parts: list[_Part], col: PartialColoring, tel: Telemetry
+) -> SolveReport:
+    """The SolveReport: per part, strategy (fallback_exact if rescued), edge
+    count and colors used, and the colors used overall, from one pass."""
     counts = array("i", bytes(4 * k))
     masks = array("q", bytes(8 * k))
     for u, color in zip(g.eu, col._colors):
         c = comp[u]
         counts[c] += 1
         masks[c] |= 1 << color
-    return [
-        ComponentReport(
-            strategy=p.strategy if p.failure is None else "fallback_exact",
-            edge_count=counts[p.comp],
-            colors_used=(masks[p.comp] >> 1).bit_count(),
-            failure=p.failure,
-        )
-        for p in parts
-    ]
+    return SolveReport(
+        components=[
+            ComponentReport(
+                strategy=p.strategy if p.failure is None else "fallback_exact",
+                edge_count=counts[p.comp],
+                colors_used=(masks[p.comp] >> 1).bit_count(),
+                failure=p.failure,
+            )
+            for p in parts
+        ],
+        colors_used=(reduce(or_, masks, 0) >> 1).bit_count(),
+        assertions_checked=tel.checks,
+        fallback_invocations=tel.fallbacks,
+        labels=dict(tel.labels),
+    )
 
 
 def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
@@ -823,11 +794,5 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
     for p in parts:
         if p.failure is not None:
             _rescue_component(g, comp, p, order, col, tel)
-    report = SolveReport(
-        components=_component_reports(g, comp, k, parts, col),
-        colors_used=col.colors_used(),
-        assertions_checked=tel.checks,
-        fallback_invocations=tel.fallbacks,
-        labels=dict(tel.labels),
-    )
-    return col, report
+    col._at = None  # the masks served the pass; a caller's first query rebuilds them
+    return col, _solve_report(g, comp, k, parts, col, tel)

@@ -100,6 +100,37 @@ def disjoint_union(*graphs: MultiGraph) -> MultiGraph:
     return out.freeze()
 
 
+def cayley_sl2(p: int) -> MultiGraph:
+    """Cayley graph of SL(2, p) for a prime p >= 5 with generators
+    [[1,2],[0,1]] and [[1,0],[2,1]]: simple, 4-regular and connected,
+    with p * (p * p - 1) vertices numbered in BFS order from the identity
+    and a large girth (10 at p = 13). Each vertex x gets the edges to x*A
+    and x*B, in vertex order."""
+    gens = ((1, 2, 0, 1), (1, 0, 2, 1))
+
+    def times(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+
+    ident = (1, 0, 0, 1)
+    inverses = tuple((d, -b % p, -c % p, a) for a, b, c, d in gens)
+    ids = {ident: 0}
+    queue = deque([ident])
+    while queue:
+        x = queue.popleft()
+        for y in gens + inverses:
+            z = times(x, y)
+            if z not in ids:
+                ids[z] = len(ids)
+                queue.append(z)
+    g = MultiGraph(len(ids))
+    for x in ids:
+        for y in gens:
+            g.add_edge(ids[x], ids[times(x, y)])
+    return g.freeze()
+
+
 def random_multigraph(seed: int, max_n: int = 16, max_m: int = 28) -> MultiGraph:
     """Arbitrary small multigraph with max degree 4, loops and parallels."""
     rng = random.Random(seed)

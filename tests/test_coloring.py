@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cycle, disjoint_union, path, random_multigraph, ref_verify, ref_violations
+from helpers import brute_conflict_set, cycle, disjoint_union, path, random_multigraph, ref_verify, ref_violations
 from strongcolor import (
     ConflictError,
     MultiGraph,
@@ -358,3 +358,72 @@ def test_verify_equals_reference_listing(g, rng, base):
         elif r < 0.45:
             col._set_unchecked(e, base + rng.randrange(4))
     assert verify(col) == ref_verify(col)
+
+
+@given(
+    small_graphs(),
+    st.integers(min_value=1, max_value=62),
+    st.lists(
+        st.tuples(st.sampled_from(["assign", "unassign", "set", "greedy"]), st.randoms(use_true_random=False)),
+        max_size=30,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_color_masks_stay_exact_under_every_write(g, palette, steps):
+    """Random assign/unassign/_set_unchecked (colors <= 62)/greedy_color
+    steps: once built, the masks equal a rebuild from the color list, and
+    every conflict query agrees with the brute-force conflict sets."""
+    m = g.edge_count
+    near = [brute_conflict_set(g, e) for e in range(m)]
+    col = PartialColoring(g, palette)
+    colors = col._colors
+    for op, rng in steps:
+        e = rng.randrange(m) if m else None
+        if op == "assign" and e is not None and not colors[e]:
+            c = rng.randint(1, palette)
+            if any(colors[f] == c for f in near[e]):
+                with pytest.raises(ConflictError):
+                    col.assign(e, c)
+            else:
+                col.assign(e, c)
+        elif op == "unassign" and e is not None:
+            col.unassign(e)
+        elif op == "set" and e is not None:
+            col._set_unchecked(e, rng.randint(0, 62))
+        elif op == "greedy":
+            order = [f for f in range(m) if not colors[f]]
+            rng.shuffle(order)
+            try:
+                greedy_color(col, order[: rng.randint(0, len(order))])
+            except PaletteExhausted:
+                pass
+        if col._at is not None:
+            want = [0] * g.vertex_count
+            for (u, v), c in zip(g.edges, colors):
+                if c:
+                    want[u] |= 1 << c
+                    want[v] |= 1 << c
+            assert col._at.tolist() == want
+        for f in range(m):
+            if not colors[f]:
+                used = {colors[h] for h in near[f]}
+                assert col.available_colors(f) == set(range(1, palette + 1)) - used
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["unbuilt", "built"])
+@pytest.mark.parametrize("query", ["available_colors", "assign", "greedy_color"])
+def test_conflict_query_with_a_color_above_62_raises(query, built):
+    g = path(5)
+    col = PartialColoring(g, 22)
+    if built:
+        col.available_colors(3)
+    col._set_unchecked(0, 63)
+    assert col._at is None
+    with pytest.raises(ValueError):
+        if query == "available_colors":
+            col.available_colors(3)
+        elif query == "assign":
+            col.assign(3, 1)
+        else:
+            greedy_color(col, [3])
+    assert verify(col) == []

@@ -32,6 +32,7 @@ from strongcolor.solver import (
     solve_low_degree,
 )
 from helpers import (
+    cayley_sl2,
     complete,
     complete_bipartite,
     components,
@@ -509,6 +510,8 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
     g = shuffled_union(parts + [triangle_with_loops(), doubled_triangle(), path(7)], seed=11)
     calls = Counter()
     bounds = []
+    finishing = []  # edges of each greedy_color call without a bound class
+    planned = []
 
     def counted(owner, name):
         real = getattr(owner, name)
@@ -516,12 +519,19 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
         def wrapper(*args, **kwargs):
             calls[name] += 1
             if name == "greedy_color":
-                bounds.append((kwargs["max_conflict_colors"], kwargs["max_color"]))
-            return real(*args, **kwargs)
+                if "max_conflict_colors" in kwargs:
+                    bounds.append((kwargs["max_conflict_colors"], kwargs["max_color"]))
+                else:
+                    finishing.append(set(args[1]))
+            out = real(*args, **kwargs)
+            if name == "_plan_components":
+                planned.extend(out)
+            return out
 
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(solver, "_label_components")
+    counted(solver, "_plan_components")
     counted(solver, "greedy_color")
     for name in ("shortest_cycles", "find_shortest_cycle", "bfs_from_sources", "bfs_distances"):
         counted(metrics, name)
@@ -544,6 +554,50 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
     assert calls["order_by_distance"] == 1
     assert calls["find_shortest_cycle"] == calls["bfs_distances"] == calls["from_arrays"] == 0
     assert sorted(bounds) == [(20, 21), (21, 22)]
+    held = [set(p.plan.held) for p in planned]
+    assert finishing and all(sum(edges <= h for h in held) == 1 for edges in finishing)
+
+
+class CountingSlices:
+    """Stand-in for a CSR array that counts the slices read from it."""
+
+    def __init__(self, arr):
+        self.arr = arr
+        self.reads = 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.reads += 1
+        return self.arr[i]
+
+
+def test_high_girth_dispatch_scans_only_radius_two_balls(monkeypatch):
+    """SL(2, 13)'s Cayley graph has girth 10. Dispatch only needs to know
+    that no cycle of length <= 5 exists, so the cycle scan reads one
+    neighbor slice per vertex for parallel pairs and at most the 17 of a
+    radius-2 ball per BFS start, where an exact search reads balls of
+    radius 5; girth() keeps the exact search."""
+    g = cayley_sl2(13)
+    n = g.vertex_count
+    assert n == 2184 and metrics.girth(g) == 10
+    real = metrics.shortest_cycles
+    reads = []
+
+    def counted(g, *args, **kwargs):
+        csr = g.csr()
+        nbr = CountingSlices(csr[2])
+        g._csr = (csr[0], csr[1], nbr)
+        try:
+            return real(g, *args, **kwargs)
+        finally:
+            g._csr = csr
+            reads.append(nbr.reads)
+
+    monkeypatch.setattr(metrics, "shortest_cycles", counted)
+    col, rep = solve(g)
+    assert rep.strategies() == ["girth6"] and rep.fallback_invocations == 0
+    assert col.is_total() and verify(col) == []
+    assert len(reads) == 1 and reads[0] <= 18 * n
 
 
 def test_report_assertions_counted(en_graph):
