@@ -17,16 +17,30 @@ from .coloring import PartialColoring
 from .multigraph import MultiGraph
 
 
+# Text is split SLICE characters and built SLICE >> 4 lines at a time,
+# so no per-line object is held for the whole file.
+SLICE = 1 << 16
+
+
 class GraphFormatError(ValueError):
     """Malformed graph or coloring text; message carries the line number."""
 
 
 def _content_lines(text: str):
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield ln, line
+    """(line number, stripped line) of every line that is neither blank
+    nor a comment. Each slice of about SLICE characters ends just after
+    a line feed, so splitting the slices gives the lines of the whole text."""
+    ln = 0
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + SLICE) + 1 or len(text)
+        lines = text[start:stop].splitlines()
+        for i, raw in enumerate(lines, ln + 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield i, line
+        ln += len(lines)
+        start = stop
 
 
 def parse_graph(text: str) -> MultiGraph:
@@ -66,10 +80,12 @@ def parse_graph(text: str) -> MultiGraph:
 
 def emit_graph(g: MultiGraph) -> str:
     """Canonical text: header plus edge lines in id order, no comments."""
-    out = [f"p sec {g.vertex_count} {g.edge_count}"]
-    for u, v in zip(g.eu, g.ev):
-        out.append(f"e {u + 1} {v + 1}")
-    return "\n".join(out) + "\n"
+    eu, ev, step = g.eu, g.ev, SLICE >> 4
+    out = [f"p sec {g.vertex_count} {g.edge_count}\n"]
+    for lo in range(0, g.edge_count, step):
+        hi = lo + step
+        out.append("".join([f"e {u + 1} {v + 1}\n" for u, v in zip(eu[lo:hi], ev[lo:hi])]))
+    return "".join(out)
 
 
 def parse_coloring(text: str, g: MultiGraph, palette_size: int = 22) -> PartialColoring:
@@ -100,5 +116,9 @@ def parse_coloring(text: str, g: MultiGraph, palette_size: int = 22) -> PartialC
 
 
 def emit_coloring(col: PartialColoring) -> str:
-    out = [f"{e} {c}" for e, c in sorted(col.as_dict().items())]
-    return "\n".join(out) + ("\n" if out else "")
+    """One `<edge_id> <color>` line per colored edge, in id order."""
+    colors, step = col._colors, SLICE >> 4
+    out = []
+    for lo in range(0, len(colors), step):
+        out.append("".join([f"{e} {c}\n" for e, c in enumerate(colors[lo : lo + step], lo) if c]))
+    return "".join(out)

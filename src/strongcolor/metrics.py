@@ -117,10 +117,13 @@ def shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[CycleDesc
     parallel pair (by smallest later edge id) a 2-cycle; both are found
     before any BFS. A simple component gets one BFS per start vertex, in
     ascending order, and the first strictly shortest closing edge wins
-    (Itai and Rodeh). Each BFS stops once no closing edge can beat its
-    component's best so far, and only the vertices it reached are reset,
-    so a start costs the ball up to the current best radius:
-    O(n * 3^(g/2)) in total at degree 4, where g = min(girth, longest).
+    (Itai and Rodeh). Each BFS stops at the first level dx with
+    2 * dx + 1 >= its component's best so far: a closing edge scanned
+    there closes a walk of at least that length, except one back to
+    level dx - 1, which was already seen from that level. Only the
+    vertices it reached are reset, so a start costs the ball of radius
+    about half the current best: O(n * 3^(g/2)) in total at degree 4,
+    where g = min(girth, longest).
     """
     found: list[CycleDescriptor | None] = [None] * len(wanted)
     if not any(wanted):
@@ -171,8 +174,8 @@ def shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[CycleDesc
         reached = [s]  # the BFS queue, and the slots to reset afterwards
         for x in reached:
             dx = dist[x]
-            if 2 * dx >= best:
-                break  # even a level-up closing edge cannot improve on best
+            if 2 * dx + 1 >= best:
+                break  # no closing edge from here on can improve on best
             # a vertex first seen on level dx + 1 closes walks of length
             # >= 2 * dx + 2 and is never expanded, so that level is only
             # grown while it can still improve on best

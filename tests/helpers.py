@@ -296,6 +296,29 @@ def edge_distance_class(g: MultiGraph, dist: list[int], e: int) -> int:
     return min(dist[u], dist[v])
 
 
+class CountingSlices:
+    """Stand-in for a CSR array that counts the slices read from it."""
+
+    def __init__(self, arr):
+        self.arr = arr
+        self.reads = 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.reads += 1
+        return self.arr[i]
+
+
+def ref_content_lines(text: str):
+    """graphio._content_lines by one splitlines of the whole text:
+    (line number, stripped line) of every non-blank, non-comment line."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield ln, line
+
+
 def ref_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:
     """find_shortest_cycle's contract by a fresh full BFS per start vertex:
     loop first, then parallel pair, then the first strictly shortest

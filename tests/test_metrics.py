@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CountingSlices,
     complete,
     components,
     cycle,
@@ -161,6 +162,26 @@ def test_fixture_girths(petersen, robertson, cage46):
     assert girth(petersen) == 5
     assert girth(robertson) == 5
     assert girth(cage46) == 6
+
+
+def test_cycle_scan_stops_where_no_closing_edge_can_improve(petersen, robertson, cage46):
+    """Each BFS stops at the first level dx with 2 * dx + 1 >= best, so
+    the scan reads few neighbor slices (one per vertex for parallel
+    pairs, plus the BFS levels it expands); the witness is the same."""
+    for g, reads, want in (
+        (petersen, 57, ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4))),
+        (robertson, 121, ((0, 4, 18, 5, 11), (13, 6, 4, 20, 30))),
+        (cage46, 475, ((0, 17, 1, 13, 4, 14), (1, 5, 4, 16, 17, 0))),
+    ):
+        csr = g.csr()
+        nbr = CountingSlices(csr[2])
+        g._csr = (csr[0], csr[1], nbr)
+        try:
+            found = shortest_cycles(g, [0] * g.vertex_count, [True])
+        finally:
+            g._csr = csr
+        assert found == [CycleDescriptor(*want)]
+        assert nbr.reads == reads
 
 
 def _cycle_is_valid(g: MultiGraph, c: CycleDescriptor) -> bool:

@@ -32,6 +32,7 @@ from strongcolor.solver import (
     solve_low_degree,
 )
 from helpers import (
+    CountingSlices,
     cayley_sl2,
     complete,
     complete_bipartite,
@@ -556,19 +557,6 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
     assert sorted(bounds) == [(20, 21), (21, 22)]
     held = [set(p.plan.held) for p in planned]
     assert finishing and all(sum(edges <= h for h in held) == 1 for edges in finishing)
-
-
-class CountingSlices:
-    """Stand-in for a CSR array that counts the slices read from it."""
-
-    def __init__(self, arr):
-        self.arr = arr
-        self.reads = 0
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            self.reads += 1
-        return self.arr[i]
 
 
 def test_high_girth_dispatch_scans_only_radius_two_balls(monkeypatch):
