@@ -1,17 +1,15 @@
-"""Command-line interface: generate, inspect, color, verify, and bench.
+"""Command-line interface: generate, inspect, color, verify, and exact.
 
-All output is deterministic for fixed inputs and seeds, except the
-timing column of `bench`.
+All output is deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .coloring import verify as verify_coloring
-from .gen import GenSpec, RejectionBudgetExhausted, generate, random_max4
+from .gen import GenSpec, RejectionBudgetExhausted, generate
 from .graphio import GraphFormatError, emit_coloring, emit_graph, parse_coloring, parse_graph
 from .metrics import girth
 from .multigraph import MultiGraph
@@ -101,27 +99,6 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-def bench_rows(sizes, seed: int = 0) -> list[tuple[int, int, int, int]]:
-    """(n, m, millis, colors) per size, sizes ascending. Used by bench
-    and by the wall-clock scaling checks in the test suite."""
-    rows = []
-    for n in sorted(sizes):
-        g = random_max4(n, seed=seed)
-        t0 = time.perf_counter()
-        _, report = solve(g)
-        millis = int((time.perf_counter() - t0) * 1000)
-        rows.append((n, g.edge_count, millis, report.colors_used))
-    return rows
-
-
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    print("n,m,millis,colors")
-    for n, m, millis, colors in bench_rows(sizes, seed=args.seed):
-        print(f"{n},{m},{millis},{colors}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strongcolor",
@@ -157,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ub", type=int, default=22, help="upper bound to search")
     p.add_argument("--out", help="write the witness coloring to this file")
     p.set_defaults(func=_cmd_exact)
-
-    p = sub.add_parser("bench", help="time the solver on random graphs")
-    p.add_argument("--sizes", default="1000,10000,100000")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

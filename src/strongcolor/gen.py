@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 
@@ -38,30 +39,29 @@ class GenSpec:
 def erdos_nesetril_5() -> MultiGraph:
     """Blown-up 5-cycle: 10 vertices, 20 edges, 4-regular, and every pair
     of edges conflicts, so any valid coloring needs all 20 colors."""
-    g = MultiGraph(10)
+    edges = []
     for i in range(5):
         j = (i + 1) % 5
         for x in (2 * i, 2 * i + 1):
             for y in (2 * j, 2 * j + 1):
-                g.add_edge(x, y)
-    return g.freeze()
+                edges.append((x, y))
+    return MultiGraph.from_edges(10, edges)
 
 
 def star_neighborhood() -> MultiGraph:
     """Center edge whose conflict set is as large as degree 4 allows (24):
     three extra edges at both endpoints, three more at each of those six
     midpoints. 26 vertices, 25 edges."""
-    g = MultiGraph(26)
-    g.add_edge(0, 1)
+    edges = [(0, 1)]
     mids = list(range(2, 8))
     for i, w in enumerate(mids):
-        g.add_edge(0 if i < 3 else 1, w)
+        edges.append((0 if i < 3 else 1, w))
     leaf = 8
     for w in mids:
         for _ in range(3):
-            g.add_edge(w, leaf)
+            edges.append((w, leaf))
             leaf += 1
-    return g.freeze()
+    return MultiGraph.from_edges(26, edges)
 
 
 def random_max4(
@@ -94,15 +94,17 @@ def random_max4(
     stall = 50 + 4 * n
     stubs: list[int] = []
     existing: set[tuple[int, int]] = set()
-    g = MultiGraph(n)
+    eu = array("i")
+    ev = array("i")
     streak = 0
 
     def restart() -> None:
-        nonlocal stubs, existing, g, streak
+        nonlocal stubs, existing, eu, ev, streak
         stubs = list(range(n)) * 4
         rng.shuffle(stubs)
         existing = set()
-        g = MultiGraph(n)
+        eu = array("i")
+        ev = array("i")
         streak = 0
 
     def take(idx: int) -> None:
@@ -110,7 +112,7 @@ def random_max4(
         stubs.pop()
 
     restart()
-    while g.edge_count < m:
+    while len(eu) < m:
         if budget <= 0:
             raise RejectionBudgetExhausted(
                 f"random_max4(n={n}, m={m}, seed={seed}) stalled; lower m or change seed"
@@ -144,9 +146,10 @@ def random_max4(
         # remove the higher index first so the lower one stays in place
         take(max(i, j))
         take(min(i, j))
-        g.add_edge(u, v)
+        eu.append(u)
+        ev.append(v)
         streak = 0
-    return g.freeze()
+    return MultiGraph(n, eu, ev)
 
 
 def _pairing_4regular(n: int, rng: random.Random) -> list[tuple[int, int]] | None:

@@ -75,7 +75,7 @@ def parse_graph(text: str) -> MultiGraph:
         ev.append(v - 1)
     if len(eu) != m:
         raise GraphFormatError(f"header declares {m} edges, file has {len(eu)}")
-    return MultiGraph.from_arrays(n, eu, ev)
+    return MultiGraph(n, eu, ev)
 
 
 def emit_graph(g: MultiGraph) -> str:

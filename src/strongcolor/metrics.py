@@ -28,26 +28,7 @@ Anchor = Union[int, CycleDescriptor]
 
 
 class DisconnectedGraphError(ValueError):
-    """An edge-bearing vertex is unreachable from the anchor."""
-
-
-def bfs_distances(g: MultiGraph, anchor: Anchor) -> list[int]:
-    """Distance from every vertex to the anchor (vertex or cycle).
-
-    Isolated vertices keep the sentinel -1; a vertex that has edges but
-    cannot be reached raises DisconnectedGraphError, since coloring logic
-    anchored here would silently mis-order such edges.
-    """
-    if isinstance(anchor, CycleDescriptor):
-        starts = anchor.vertices
-    else:
-        starts = (anchor,)
-    dist = bfs_from_sources(g, starts)
-    off = g.csr()[0]
-    for v, d in enumerate(dist):
-        if d == -1 and off[v] != off[v + 1]:
-            raise DisconnectedGraphError(f"vertex {v} has edges but is unreachable from the anchor")
-    return dist
+    """An edge has an endpoint that the BFS from the anchor did not reach."""
 
 
 def bfs_from_sources(g: MultiGraph, starts) -> list[int]:
@@ -75,9 +56,12 @@ def compatible_order(g: MultiGraph, anchor: Anchor) -> list[int]:
     Ties break by ascending edge id, so the order is fully deterministic.
     Coloring edges in this order guarantees that whenever an edge is
     reached, everything strictly closer to the anchor is still uncolored.
-    Bucket sort keeps this linear in the graph size.
+    Bucket sort keeps this linear in the graph size. An edge the anchor
+    cannot reach raises DisconnectedGraphError, since coloring logic
+    anchored here would silently mis-order it.
     """
-    return order_by_distance(g, bfs_distances(g, anchor)).tolist()
+    starts = anchor.vertices if isinstance(anchor, CycleDescriptor) else (anchor,)
+    return order_by_distance(g, bfs_from_sources(g, starts)).tolist()
 
 
 def order_by_distance(g: MultiGraph, dist: list[int]) -> array:

@@ -1,6 +1,6 @@
 """Undirected multigraphs with loops and parallel edges.
 
-Vertices and edges use dense integer ids; edge ids follow insertion order.
+Vertices and edges use dense integer ids; edge ids follow the order given.
 The conflict relation (edges within distance one of each other) is what the
 coloring machinery is built on: two edges conflict when they share an
 endpoint or are joined by a third edge.
@@ -14,69 +14,42 @@ from operator import eq, sub
 
 
 class MultiGraph:
-    """Mutable during construction, then frozen.
+    """Immutable: built whole in one call, never changed afterwards.
 
     The graph is typed arrays only: endpoint arrays `eu`/`ev` indexed by
     edge id, and a compressed incidence structure (CSR) built on the
-    first incidence query and kept until the next `add_edge`: vertex v's
-    incidences are slots off[v]:off[v+1], where inc_flat holds the edge
-    id (ascending) and nbr_flat the far endpoint. A loop (u == v) takes
-    two slots at its vertex and so counts 2 toward the degree. Parallel
-    edges are distinct ids with equal endpoint pairs. Treat every array
-    handed out as read-only.
+    first incidence query: vertex v's incidences are slots
+    off[v]:off[v+1], where inc_flat holds the edge id (ascending) and
+    nbr_flat the far endpoint. A loop (u == v) takes two slots at its
+    vertex and so counts 2 toward the degree. Parallel edges are
+    distinct ids with equal endpoint pairs. Treat every array handed out
+    as read-only.
     """
 
-    __slots__ = ("vertex_count", "eu", "ev", "_frozen", "_csr")
+    __slots__ = ("vertex_count", "eu", "ev", "_csr")
 
-    def __init__(self, vertex_count: int):
+    def __init__(self, vertex_count: int, eu: array | None = None, ev: array | None = None):
+        """Graph over the endpoint arrays ("i" typecode), which it takes
+        over; edge e joins eu[e] and ev[e]. Omitted arrays mean no edges."""
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        self.vertex_count = vertex_count
-        self.eu = array("i")
-        self.ev = array("i")
-        self._frozen = False
-        self._csr: tuple[array, array, array] | None = None
-
-    @classmethod
-    def from_edges(cls, vertex_count: int, edges) -> MultiGraph:
-        edges = list(edges)
-        us = array("i", [u for u, _ in edges])
-        vs = array("i", [v for _, v in edges])
-        return cls.from_arrays(vertex_count, us, vs)
-
-    @classmethod
-    def from_arrays(cls, vertex_count: int, eu: array, ev: array) -> MultiGraph:
-        """Frozen graph over the endpoint arrays, which it takes over."""
-        g = cls(vertex_count)
+        eu = array("i") if eu is None else eu
+        ev = array("i") if ev is None else ev
         if len(eu) != len(ev):
             raise ValueError("endpoint arrays differ in length")
         n = vertex_count
         if eu and not (0 <= min(min(eu), min(ev)) and max(max(eu), max(ev)) < n):
             u, v = next((u, v) for u, v in zip(eu, ev) if not (0 <= u < n and 0 <= v < n))
             raise IndexError(f"vertex id out of range: ({u}, {v})")
-        g.eu = eu
-        g.ev = ev
-        return g.freeze()
+        self.vertex_count = vertex_count
+        self.eu = eu
+        self.ev = ev
+        self._csr: tuple[array, array, array] | None = None
 
-    def add_edge(self, u: int, v: int) -> int:
-        """Append an edge and return its id. Loops and duplicates allowed."""
-        if self._frozen:
-            raise RuntimeError("graph is frozen; build a new one instead")
-        n = self.vertex_count
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexError(f"vertex id out of range: ({u}, {v})")
-        self.eu.append(u)
-        self.ev.append(v)
-        self._csr = None
-        return len(self.eu) - 1
-
-    def freeze(self) -> MultiGraph:
-        self._frozen = True
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
+    @classmethod
+    def from_edges(cls, vertex_count: int, edges) -> MultiGraph:
+        edges = list(edges)
+        return cls(vertex_count, array("i", [u for u, _ in edges]), array("i", [v for _, v in edges]))
 
     @property
     def edge_count(self) -> int:
@@ -94,8 +67,8 @@ class MultiGraph:
         return self.eu[e] == self.ev[e]
 
     def csr(self) -> tuple[array, array, array]:
-        """(off, inc_flat, nbr_flat), built on the first call after the
-        last change: a counting sort of the edge ends by vertex."""
+        """(off, inc_flat, nbr_flat), built on the first call: a counting
+        sort of the edge ends by vertex."""
         if self._csr is not None:
             return self._csr
         n = self.vertex_count

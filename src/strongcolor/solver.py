@@ -704,7 +704,7 @@ def _rescue_component(
     local = {v: i for i, v in enumerate(v for v in range(g.vertex_count) if comp[v] == c)}
     edges = [e for e in range(g.edge_count) if comp[eu[e]] == c]
     eid = {e: i for i, e in enumerate(edges)}
-    sub = MultiGraph.from_arrays(
+    sub = MultiGraph(
         len(local), array("i", [local[eu[e]] for e in edges]), array("i", [local[ev[e]] for e in edges])
     )
     anchor = part.anchor
@@ -769,9 +769,8 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
 
     The report lists the strategy used for each component with edges, the
     assertions exercised, per label and in total, and how often the
-    fallback fired (expected 0). The input graph is frozen first.
+    fallback fired (expected 0).
     """
-    g.freeze()
     if g.max_degree() > 4:
         v = next(v for v in range(g.vertex_count) if g.degree(v) > 4)
         raise MaxDegreeExceeded(v, g.degree(v))

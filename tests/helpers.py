@@ -8,96 +8,67 @@ that the optimized code is checked against something independent.
 from __future__ import annotations
 
 import random
+import time
 from array import array
 from collections import deque
 
-from strongcolor import MultiGraph, PartialColoring, greedy_color, metrics
+from strongcolor import MultiGraph, PartialColoring, greedy_color, metrics, random_max4, solve
 from strongcolor.metrics import CycleDescriptor
 
 
 def path(n: int) -> MultiGraph:
     """Path on n vertices (n - 1 edges)."""
-    g = MultiGraph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g.freeze()
+    return MultiGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(k: int) -> MultiGraph:
-    g = MultiGraph(k)
-    for i in range(k):
-        g.add_edge(i, (i + 1) % k)
-    return g.freeze()
+    return MultiGraph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def complete(n: int) -> MultiGraph:
-    g = MultiGraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.add_edge(u, v)
-    return g.freeze()
+    return MultiGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def complete_bipartite(a: int, b: int) -> MultiGraph:
-    g = MultiGraph(a + b)
-    for u in range(a):
-        for v in range(b):
-            g.add_edge(u, a + v)
-    return g.freeze()
+    return MultiGraph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
 def star(leaves: int) -> MultiGraph:
-    g = MultiGraph(leaves + 1)
-    for i in range(leaves):
-        g.add_edge(0, 1 + i)
-    return g.freeze()
+    return MultiGraph.from_edges(leaves + 1, [(0, 1 + i) for i in range(leaves)])
 
 
 def hypercube4() -> MultiGraph:
     """4-dimensional hypercube: 4-regular, girth 4, 16 vertices."""
-    g = MultiGraph(16)
+    edges = []
     for v in range(16):
         for bit in range(4):
             w = v ^ (1 << bit)
             if v < w:
-                g.add_edge(v, w)
-    return g.freeze()
+                edges.append((v, w))
+    return MultiGraph.from_edges(16, edges)
 
 
 def triangle_with_loops() -> MultiGraph:
     """Triangle plus one loop per vertex: 4-regular with loops."""
-    g = MultiGraph(3)
-    for i in range(3):
-        g.add_edge(i, (i + 1) % 3)
-    for i in range(3):
-        g.add_edge(i, i)
-    return g.freeze()
+    return MultiGraph.from_edges(3, [(i, (i + 1) % 3) for i in range(3)] + [(i, i) for i in range(3)])
 
 
 def doubled_triangle() -> MultiGraph:
     """Every triangle edge doubled: 4-regular with parallel pairs."""
-    g = MultiGraph(3)
-    for i in range(3):
-        g.add_edge(i, (i + 1) % 3)
-        g.add_edge(i, (i + 1) % 3)
-    return g.freeze()
+    return MultiGraph.from_edges(3, [(i, (i + 1) % 3) for i in range(3) for _ in range(2)])
 
 
 def two_loops_one_vertex() -> MultiGraph:
-    g = MultiGraph(1)
-    g.add_edge(0, 0)
-    g.add_edge(0, 0)
-    return g.freeze()
+    return MultiGraph.from_edges(1, [(0, 0), (0, 0)])
 
 
 def disjoint_union(*graphs: MultiGraph) -> MultiGraph:
-    out = MultiGraph(sum(g.vertex_count for g in graphs))
+    edges = []
     base = 0
     for g in graphs:
-        for u, v in g.edges:
-            out.add_edge(base + u, base + v)
+        edges.extend((base + u, base + v) for u, v in g.edges)
         base += g.vertex_count
-    return out.freeze()
+    return MultiGraph.from_edges(base, edges)
 
 
 def cayley_sl2(p: int) -> MultiGraph:
@@ -124,26 +95,25 @@ def cayley_sl2(p: int) -> MultiGraph:
             if z not in ids:
                 ids[z] = len(ids)
                 queue.append(z)
-    g = MultiGraph(len(ids))
-    for x in ids:
-        for y in gens:
-            g.add_edge(ids[x], ids[times(x, y)])
-    return g.freeze()
+    return MultiGraph.from_edges(len(ids), [(ids[x], ids[times(x, y)]) for x in ids for y in gens])
 
 
 def random_multigraph(seed: int, max_n: int = 16, max_m: int = 28) -> MultiGraph:
     """Arbitrary small multigraph with max degree 4, loops and parallels."""
     rng = random.Random(seed)
     n = rng.randint(1, max_n)
-    g = MultiGraph(n)
+    deg = [0] * n
+    edges = []
     for _ in range(rng.randint(0, max_m)):
         u = rng.randrange(n)
         v = rng.randrange(n)
         cost_u = 2 if u == v else 1
-        if g.degree(u) + cost_u > 4 or (u != v and g.degree(v) >= 4):
+        if deg[u] + cost_u > 4 or (u != v and deg[v] >= 4):
             continue
-        g.add_edge(u, v)
-    return g.freeze()
+        deg[u] += 1
+        deg[v] += 1
+        edges.append((u, v))
+    return MultiGraph.from_edges(n, edges)
 
 
 def components(g: MultiGraph) -> list[list[int]]:
@@ -188,7 +158,7 @@ def split_components(g: MultiGraph) -> list[tuple[MultiGraph, list[int]]]:
         buckets[cid[u]].append(e)
     return [
         (
-            MultiGraph.from_arrays(
+            MultiGraph(
                 len(group),
                 array("i", [local[g.eu[e]] for e in emap]),
                 array("i", [local[g.ev[e]] for e in emap]),
@@ -208,12 +178,25 @@ def greedy_phase(g: MultiGraph, anchor, held=(), plants=(), bounds=(20, 21), tel
     col = PartialColoring(g, 22)
     for e, c in plants:
         col.assign(e, c)
-    dist = metrics.bfs_distances(g, anchor)
+    dist = metrics.bfs_from_sources(g, anchor.vertices if isinstance(anchor, CycleDescriptor) else (anchor,))
     skip = set(held)
     order = [e for e in metrics.order_by_distance(g, dist) if e not in skip]
     conflicts, ceiling = bounds
     greedy_color(col, order, telemetry=telemetry, max_conflict_colors=conflicts, max_color=ceiling)
     return col, dist
+
+
+def bench_rows(sizes, seed: int = 0) -> list[tuple[int, int, int, int]]:
+    """(n, m, millis, colors) per size, sizes ascending. Used by the
+    wall-clock scaling checks in the test suite."""
+    rows = []
+    for n in sorted(sizes):
+        g = random_max4(n, seed=seed)
+        t0 = time.perf_counter()
+        _, report = solve(g)
+        millis = int((time.perf_counter() - t0) * 1000)
+        rows.append((n, g.edge_count, millis, report.colors_used))
+    return rows
 
 
 def run_plan(g: MultiGraph, anchor, plan, telemetry) -> PartialColoring:

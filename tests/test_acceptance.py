@@ -30,9 +30,9 @@ from strongcolor import (
     star_neighborhood,
     verify,
 )
-from strongcolor.cli import bench_rows
 from strongcolor.solver import solve_girth5
 from helpers import (
+    bench_rows,
     complete,
     complete_bipartite,
     components,

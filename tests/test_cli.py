@@ -143,29 +143,6 @@ def test_exact_bound_too_low(capsys, monkeypatch, tmp_path):
     assert "error:" in err
 
 
-def test_bench_csv_shape(capsys, monkeypatch):
-    code, out, _ = run_cli(capsys, monkeypatch, ["bench", "--sizes", "100,300"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,m,millis,colors"
-    assert len(lines) == 3
-    for line, n in zip(lines[1:], (100, 300)):
-        fields = line.split(",")
-        assert int(fields[0]) == n
-        assert int(fields[3]) <= 22
-
-
-def test_bench_deterministic_except_timing(capsys, monkeypatch):
-    argv = ["bench", "--sizes", "200", "--seed", "3"]
-    _, out1, _ = run_cli(capsys, monkeypatch, argv)
-    _, out2, _ = run_cli(capsys, monkeypatch, argv)
-    strip = lambda out: [
-        (f[0], f[1], f[3])
-        for f in (line.split(",") for line in out.strip().splitlines()[1:])
-    ]
-    assert strip(out1) == strip(out2)
-
-
 def test_malformed_graph_file_errors(capsys, monkeypatch):
     code, out, err = run_cli(capsys, monkeypatch, ["stats", "-"], stdin="junk\n")
     assert code == 1

@@ -327,6 +327,6 @@ def test_graph_and_coloring_comments_skipped():
 
 
 def test_emit_graph_empty():
-    g = MultiGraph(0).freeze()
+    g = MultiGraph(0)
     assert emit_graph(g) == "p sec 0 0\n"
     assert parse_graph(emit_graph(g)).vertex_count == 0

@@ -27,7 +27,7 @@ from strongcolor import (
 from strongcolor.metrics import (
     CycleDescriptor,
     DisconnectedGraphError,
-    bfs_distances,
+    bfs_from_sources,
     order_by_distance,
     shortest_cycles,
 )
@@ -35,39 +35,36 @@ from strongcolor.metrics import (
 
 def test_bfs_on_pentagon():
     g = cycle(5)
-    assert bfs_distances(g, 0) == [0, 1, 2, 2, 1]
+    assert bfs_from_sources(g, [0]) == [0, 1, 2, 2, 1]
 
 
 def test_bfs_anchored_on_whole_cycle():
     g = cycle(5)
     c = find_shortest_cycle(g)
-    assert bfs_distances(g, c) == [0] * 5
+    assert bfs_from_sources(g, c.vertices) == [0] * 5
 
 
 def test_bfs_on_star():
     g = star(4)
-    assert bfs_distances(g, 0) == [0, 1, 1, 1, 1]
+    assert bfs_from_sources(g, [0]) == [0, 1, 1, 1, 1]
 
 
 def test_bfs_tolerates_isolated_vertices():
-    g = MultiGraph(3)
-    g.add_edge(0, 1)
-    g.freeze()
-    assert bfs_distances(g, 0) == [0, 1, -1]
+    g = MultiGraph.from_edges(3, [(0, 1)])
+    assert bfs_from_sources(g, [0]) == [0, 1, -1]
+    assert compatible_order(g, 0) == [0]
 
 
 def test_bfs_rejects_unreachable_edges():
-    g = MultiGraph(4)
-    g.add_edge(0, 1)
-    g.add_edge(2, 3)
-    g.freeze()
+    g = MultiGraph.from_edges(4, [(0, 1), (2, 3)])
+    assert bfs_from_sources(g, [0]) == [0, 1, -1, -1]
     with pytest.raises(DisconnectedGraphError):
-        bfs_distances(g, 0)
+        compatible_order(g, 0)
 
 
 def test_edge_distance_class_is_min_of_endpoints():
     g = path(4)
-    dist = bfs_distances(g, 0)
+    dist = bfs_from_sources(g, [0])
     assert edge_distance_class(g, dist, 0) == 0
     assert edge_distance_class(g, dist, 1) == 1
     assert edge_distance_class(g, dist, 2) == 2
@@ -84,7 +81,7 @@ def test_compatible_order_cycle_anchor_in_k4():
     # class 0 and the ascending-id tie-break decides the whole order
     g = complete(4)
     c = find_shortest_cycle(g)
-    dist = bfs_distances(g, c)
+    dist = bfs_from_sources(g, c.vertices)
     assert [edge_distance_class(g, dist, e) for e in range(6)] == [0] * 6
     assert compatible_order(g, c) == [0, 1, 2, 3, 4, 5]
 
@@ -96,10 +93,10 @@ def test_compatible_order_classes_nonincreasing():
             if g.degree(v) == 0:
                 continue
             try:
-                dist = bfs_distances(g, v)
+                order = compatible_order(g, v)
             except DisconnectedGraphError:
                 continue
-            order = compatible_order(g, v)
+            dist = bfs_from_sources(g, [v])
             classes = [edge_distance_class(g, dist, e) for e in order]
             assert classes == sorted(classes, reverse=True)
             assert sorted(order) == list(range(g.edge_count))
@@ -130,18 +127,12 @@ def test_en_anchor_edges_come_last(en_graph):
 
 
 def test_girth_conventions_loop_and_parallel():
-    g = MultiGraph(2)
-    g.add_edge(0, 1)
-    g.add_edge(1, 1)
-    g.freeze()
+    g = MultiGraph.from_edges(2, [(0, 1), (1, 1)])
     c = find_shortest_cycle(g)
     assert girth(g) == 1
     assert tuple(c.vertices) == (1,) and tuple(c.edges) == (1,)
 
-    h = MultiGraph(2)
-    h.add_edge(0, 1)
-    h.add_edge(0, 1)
-    h.freeze()
+    h = MultiGraph.from_edges(2, [(0, 1), (0, 1)])
     c = find_shortest_cycle(h)
     assert girth(h) == 2
     assert sorted(c.edges) == [0, 1]
@@ -249,7 +240,7 @@ def cycle_search_graphs(draw):
                 root[find(u)] = find(v)
             edges.append((u, v))
         parts.append(MultiGraph.from_edges(n, edges))
-    parts.append(MultiGraph(draw(st.integers(0, 3))).freeze())
+    parts.append(MultiGraph(draw(st.integers(0, 3))))
     g = disjoint_union(*parts)
     perm = draw(st.permutations(range(g.vertex_count)))
     return MultiGraph.from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
@@ -296,7 +287,7 @@ def test_shortest_cycles_per_component_on_4regular_unions():
     graphs = [
         random_4regular(30 + 2 * seed, seed=seed, min_girth=g)[0] for seed in range(2) for g in (3, 4, 5)
     ]
-    graphs += [load_fixture("cage_4_6"), load_fixture("petersen"), path(3), MultiGraph(2).freeze()]
+    graphs += [load_fixture("cage_4_6"), load_fixture("petersen"), path(3), MultiGraph(2)]
     for seed in range(3):
         g = shuffled_union(graphs, seed)
         assert_component_cycles_match_reference(g, [True] * len(components(g)))

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,38 +8,35 @@ from helpers import brute_conflict_set, complete, path, random_multigraph
 from strongcolor import MultiGraph
 
 
-def test_add_edge_returns_dense_ids():
-    g = MultiGraph(3)
-    assert g.add_edge(0, 1) == 0
-    assert g.add_edge(1, 2) == 1
-    assert g.edge_count == 2
-    assert g.endpoints(1) == (1, 2)
-
-
 def test_loop_counts_two_toward_degree():
-    g = MultiGraph(3)
-    g.add_edge(2, 2)
+    g = MultiGraph.from_edges(3, [(2, 2)])
     assert g.degree(2) == 2
     assert g.degree(0) == 0
     assert g.is_loop(0)
 
 
 def test_vertex_id_out_of_range_rejected():
-    g = MultiGraph(2)
     with pytest.raises(IndexError):
-        g.add_edge(0, 2)
+        MultiGraph.from_edges(2, [(0, 2)])
     with pytest.raises(IndexError):
-        g.add_edge(-1, 0)
+        MultiGraph(2, array("i", [-1]), array("i", [0]))
     with pytest.raises(IndexError, match=r"\(1, 2\)"):
         MultiGraph.from_edges(2, [(0, 1), (1, 2), (-1, 0)])
 
 
-def test_frozen_graph_rejects_mutation():
-    g = MultiGraph(2)
-    g.add_edge(0, 1)
-    g.freeze()
-    with pytest.raises(RuntimeError):
-        g.add_edge(0, 1)
+def test_constructor_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="differ in length"):
+        MultiGraph(3, array("i", [0, 1]), array("i", [1]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        MultiGraph(-1)
+
+
+def test_constructor_takes_over_its_arrays():
+    eu = array("i", [0, 1])
+    ev = array("i", [1, 2])
+    g = MultiGraph(3, eu, ev)
+    assert g.eu is eu and g.ev is ev
+    assert MultiGraph(3).edge_count == 0
 
 
 def test_degree_sum_is_twice_edge_count():
@@ -82,10 +81,7 @@ def test_conflict_set_size_bounded_by_24():
 
 
 def test_parallel_edges_conflict():
-    g = MultiGraph(2)
-    g.add_edge(0, 1)
-    g.add_edge(0, 1)
-    g.freeze()
+    g = MultiGraph.from_edges(2, [(0, 1), (0, 1)])
     assert 1 in g.conflict_set(0)
     assert g.find_parallel_pair() == (0, 1)
 
@@ -97,19 +93,12 @@ def test_find_loop_and_parallel_absent_on_simple_graph():
 
 
 def test_find_loop_returns_first_by_id():
-    g = MultiGraph(3)
-    g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    g.add_edge(2, 2)
-    g.freeze()
+    g = MultiGraph.from_edges(3, [(0, 1), (1, 2), (2, 2)])
     assert g.find_loop() == 2
 
 
 def test_incident_edges_lists_loop_twice():
-    g = MultiGraph(2)
-    g.add_edge(0, 0)
-    g.add_edge(0, 1)
-    g.freeze()
+    g = MultiGraph.from_edges(2, [(0, 0), (0, 1)])
     assert g.incident_edges(0) == [0, 0, 1]
     assert g.incident_edges(1) == [1]
 
@@ -152,12 +141,8 @@ def test_flat_arrays_agree_with_edges_and_neighbors():
 
 
 def test_flat_arrays_cached_after_freeze():
-    g = MultiGraph(3)
-    g.add_edge(0, 1)
-    assert g.degree(2) == 0
-    g.add_edge(1, 2)  # a new edge drops the incidences built for the query
+    g = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
     assert g.degree(2) == 1 and g.incident_edges(1) == [0, 1]
-    g.freeze()
     assert all(a is b for a, b in zip(g.flat_arrays(), g.flat_arrays()))
 
 
@@ -170,19 +155,11 @@ def multigraphs(draw):
     return n + draw(st.integers(0, 3)), pairs
 
 
-@given(multigraphs(), st.booleans())
+@given(multigraphs())
 @settings(max_examples=150, deadline=None)
-def test_incidence_queries_equal_a_reference_from_the_edge_list(spec, one_by_one):
+def test_incidence_queries_equal_a_reference_from_the_edge_list(spec):
     n, pairs = spec
-    if one_by_one:
-        # queries between additions must see every edge added so far
-        g = MultiGraph(n)
-        for u, v in pairs:
-            g.add_edge(u, v)
-            assert g.degree(u) == naive_degree(g, u)
-        g.freeze()
-    else:
-        g = MultiGraph.from_edges(n, pairs)
+    g = MultiGraph.from_edges(n, pairs)
     assert g.edges == pairs
     assert [g.endpoints(e) for e in range(g.edge_count)] == pairs
     eu, ev, nbr_flat, off = g.flat_arrays()
@@ -204,17 +181,16 @@ def test_incidence_queries_equal_a_reference_from_the_edge_list(spec, one_by_one
 
 
 def test_max_min_degree():
-    g = MultiGraph(3)
-    g.add_edge(0, 1)
-    g.freeze()
+    g = MultiGraph.from_edges(3, [(0, 1)])
     assert g.max_degree() == 1
     assert g.min_degree() == 0
 
 
 def test_from_edges_builder():
     g = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
-    assert g.frozen
     assert g.edge_count == 2
+    assert g.endpoints(0) == (0, 1)
+    assert g.endpoints(1) == (1, 2)
 
 
 def test_en_graph_structure(en_graph):

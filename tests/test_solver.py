@@ -17,6 +17,7 @@ from strongcolor import (
     find_shortest_cycle,
     load_fixture,
     metrics,
+    random_4regular,
     solve,
     verify,
 )
@@ -31,6 +32,7 @@ from strongcolor.solver import (
     solve_loop,
     solve_low_degree,
 )
+from strongcolor.metrics import CycleDescriptor
 from helpers import (
     CountingSlices,
     cayley_sl2,
@@ -181,6 +183,22 @@ def test_girth4_strategy_hypercube():
     assert_total_valid(g, col)
 
 
+def test_girth4_strategy_reserves_diagonals():
+    """A 4-cycle with no adjacent pair and a pack with no free pair: the
+    four diagonals joining that pack's far ends are held back and colored
+    after the cycle."""
+    g, _ = random_4regular(12, seed=4, min_girth=4)
+    verts = (2, 5, 6, 7)
+    edges = tuple(metrics._edge_between(g, a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+    c = CycleDescriptor(verts, edges)
+    tel = Telemetry()
+    plan = solve_girth4(g, c, tel)
+    assert len(set(plan.held) - set(c.edges)) == 4
+    col = run_plan(g, c, plan, tel)
+    assert tel.labels["girth4.diagonal-neighborhood"] == 4
+    assert_total_valid(g, col)
+
+
 def test_girth5_strategy(robertson):
     c = find_shortest_cycle(robertson)
     assert len(c) == 5
@@ -296,14 +314,14 @@ def test_fallback_exact_unsatisfiable_carries_graph():
 
 
 def test_solve_empty_graph():
-    col, rep = solve(MultiGraph(0).freeze())
+    col, rep = solve(MultiGraph(0))
     assert col.is_total()
     assert rep.components == []
     assert rep.colors_used == 0
 
 
 def test_solve_isolated_vertices_only():
-    col, rep = solve(MultiGraph(6).freeze())
+    col, rep = solve(MultiGraph(6))
     assert col.is_total()
     assert rep.strategies() == []
 
@@ -534,16 +552,9 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
     counted(solver, "_label_components")
     counted(solver, "_plan_components")
     counted(solver, "greedy_color")
-    for name in ("shortest_cycles", "find_shortest_cycle", "bfs_from_sources", "bfs_distances"):
+    for name in ("shortest_cycles", "find_shortest_cycle", "bfs_from_sources", "order_by_distance"):
         counted(metrics, name)
-    counted(metrics, "order_by_distance")
-    real_from_arrays = MultiGraph.from_arrays.__func__
-
-    def from_arrays(cls, *args):
-        calls["from_arrays"] += 1
-        return real_from_arrays(cls, *args)
-
-    monkeypatch.setattr(MultiGraph, "from_arrays", classmethod(from_arrays))
+    counted(MultiGraph, "__init__")
     col, rep = solve(g)
     assert col.is_total() and rep.fallback_invocations == 0
     assert sorted(rep.strategies()) == sorted(
@@ -553,7 +564,7 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
     assert calls["shortest_cycles"] == 1
     assert calls["bfs_from_sources"] == 1
     assert calls["order_by_distance"] == 1
-    assert calls["find_shortest_cycle"] == calls["bfs_distances"] == calls["from_arrays"] == 0
+    assert calls["find_shortest_cycle"] == calls["__init__"] == 0
     assert sorted(bounds) == [(20, 21), (21, 22)]
     held = [set(p.plan.held) for p in planned]
     assert finishing and all(sum(edges <= h for h in held) == 1 for edges in finishing)
@@ -604,16 +615,11 @@ def test_report_labels_sum_to_assertions_checked(robertson, cage46, petersen):
         assert sum(rep.labels.values()) == rep.assertions_checked
 
 
-def test_solve_freezes_an_unfrozen_graph(cage46):
+def test_solve_leaves_its_input_graph_as_it_was(cage46):
     src = disjoint_union(path(5), cage46, triangle_with_loops())
-    g = MultiGraph(src.vertex_count)
-    for u, v in src.edges:
-        g.add_edge(u, v)
-    assert not g.frozen
+    g = MultiGraph.from_edges(src.vertex_count, src.edges)
     col, rep = solve(g)
-    assert g.frozen
-    with pytest.raises(RuntimeError):
-        g.add_edge(0, 1)
+    assert g.edges == src.edges
     assert_total_valid(g, col)
     want_col, want_rep = solve(src)
     assert col.as_dict() == want_col.as_dict()
@@ -621,10 +627,7 @@ def test_solve_freezes_an_unfrozen_graph(cage46):
 
 
 def test_label_components_order_and_content():
-    g = MultiGraph(6)
-    g.add_edge(4, 5)
-    g.add_edge(0, 1)
-    g.freeze()
+    g = MultiGraph.from_edges(6, [(4, 5), (0, 1)])
     assert components(g) == [[0, 1], [2], [3], [4, 5]]
     assert solver._label_components(g) == ([0, 0, 1, 2, 3, 3], 4)
     for seed in range(25):
