@@ -8,6 +8,14 @@ from helpers import brute_conflict_set, complete, path, random_multigraph
 from strongcolor import MultiGraph
 
 
+def test_add_edge_returns_dense_ids():
+    # Edges are numbered 0..m-1 in the order they are given.
+    g = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
+    assert g.edge_count == 2
+    assert [g.endpoints(e) for e in range(g.edge_count)] == [(0, 1), (1, 2)]
+    assert sorted(set(g.incident_edges(1))) == [0, 1]
+
+
 def test_loop_counts_two_toward_degree():
     g = MultiGraph.from_edges(3, [(2, 2)])
     assert g.degree(2) == 2
