@@ -7,44 +7,80 @@ assigned 0-based in order of appearance.
 
 Coloring files: one `<edge_id> <color>` pair per line, 0-based edge ids,
 colors >= 1, sorted by edge id.
+
+Both parsers read the text one slice of about SLICE characters at a
+time. A slice made only of canonical lines (single spaces, ASCII
+digits, `\\n` line ends: what emit_graph and emit_coloring write) is
+decoded in bulk, by one split of the whole slice and one int() per
+field, and its values are checked together; any other slice, and a
+canonical one whose values fail a check, is read line by line. The line
+reader is the only source of error messages, so messages and line
+numbers do not depend on the split, and an unusual slice costs only its
+own time. A coloring slice decodes in bulk when its edge ids run
+consecutively, as in every total coloring emit_coloring writes.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
 
 from .coloring import PartialColoring
 from .multigraph import MultiGraph
 
 
-# Text is split SLICE characters and built SLICE >> 4 lines at a time,
-# so no per-line object is held for the whole file.
-SLICE = 1 << 16
+# Text is read SLICE characters and written SLICE >> 1 lines at a time,
+# so no per-line object is held for the whole file. A slice decoded in
+# bulk holds one str per field at once, which is why slices are small.
+SLICE = 1 << 13
+
+_EDGE_LINES = re.compile(r"(?:e [0-9]+ [0-9]+\n)*")
+_PAIR_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 
 
 class GraphFormatError(ValueError):
     """Malformed graph or coloring text; message carries the line number."""
 
 
-def _content_lines(text: str):
+def _content_lines(text: str, bulk=None):
     """(line number, stripped line) of every line that is neither blank
     nor a comment. Each slice of about SLICE characters ends just after
-    a line feed, so splitting the slices gives the lines of the whole text."""
+    a line feed, so splitting the slices gives the lines of the whole text.
+    A slice for which bulk(slice) returns True has been stored by bulk
+    and yields no lines; bulk only accepts slices of `\\n`-ended lines."""
     ln = 0
     start = 0
     while start < len(text):
         stop = text.find("\n", start + SLICE) + 1 or len(text)
-        lines = text[start:stop].splitlines()
-        for i, raw in enumerate(lines, ln + 1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield i, line
-        ln += len(lines)
+        chunk = text[start:stop]
+        if bulk is not None and bulk(chunk):
+            ln += chunk.count("\n")
+        else:
+            lines = chunk.splitlines()
+            for i, raw in enumerate(lines, ln + 1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield i, line
+            ln += len(lines)
         start = stop
 
 
 def parse_graph(text: str) -> MultiGraph:
-    lines = _content_lines(text)
+    eu = array("i")
+    ev = array("i")
+    n = -1  # until the header is read, so no edge is in range
+
+    def bulk(chunk: str) -> bool:
+        if not _EDGE_LINES.fullmatch(chunk):
+            return False
+        ends = [int(x) - 1 for x in chunk.replace("e", "").split()]  # u, v, u, v, ...
+        if min(ends) < 0 or max(ends) >= min(n, 1 << 31):  # in range, and fits "i"
+            return False
+        eu.extend(ends[::2])
+        ev.extend(ends[1::2])
+        return True
+
+    lines = _content_lines(text, bulk)
     try:
         ln, header = next(lines)
     except StopIteration:
@@ -59,8 +95,6 @@ def parse_graph(text: str) -> MultiGraph:
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {ln}: negative vertex or edge count")
 
-    eu = array("i")
-    ev = array("i")
     for ln, line in lines:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "e":
@@ -80,7 +114,7 @@ def parse_graph(text: str) -> MultiGraph:
 
 def emit_graph(g: MultiGraph) -> str:
     """Canonical text: header plus edge lines in id order, no comments."""
-    eu, ev, step = g.eu, g.ev, SLICE >> 4
+    eu, ev, step = g.eu, g.ev, SLICE >> 1
     out = [f"p sec {g.vertex_count} {g.edge_count}\n"]
     for lo in range(0, g.edge_count, step):
         hi = lo + step
@@ -94,7 +128,26 @@ def parse_coloring(text: str, g: MultiGraph, palette_size: int = 22) -> PartialC
     col = PartialColoring(g, max(palette_size, 1))
     colors = col._colors
     max_color = 0
-    for ln, line in _content_lines(text):
+
+    def bulk(chunk: str) -> bool:
+        # in bulk: consecutive edge ids lo..hi-1, none colored yet
+        nonlocal max_color
+        if not _PAIR_LINES.fullmatch(chunk):
+            return False
+        fields = chunk.split()
+        ids = list(map(int, fields[::2]))
+        lo = ids[0]
+        hi = lo + len(ids)
+        if hi > m or ids != list(range(lo, hi)) or any(colors[lo:hi]):
+            return False
+        cs = list(map(int, fields[1::2]))
+        if min(cs) < 1:
+            return False
+        colors[lo:hi] = cs
+        max_color = max(max_color, max(cs))
+        return True
+
+    for ln, line in _content_lines(text, bulk):
         parts = line.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {ln}: expected '<edge_id> <color>', got {line!r}")
@@ -117,7 +170,7 @@ def parse_coloring(text: str, g: MultiGraph, palette_size: int = 22) -> PartialC
 
 def emit_coloring(col: PartialColoring) -> str:
     """One `<edge_id> <color>` line per colored edge, in id order."""
-    colors, step = col._colors, SLICE >> 4
+    colors, step = col._colors, SLICE >> 1
     out = []
     for lo in range(0, len(colors), step):
         out.append("".join([f"{e} {c}\n" for e, c in enumerate(colors[lo : lo + step], lo) if c]))

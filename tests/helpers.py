@@ -12,7 +12,7 @@ import time
 from array import array
 from collections import deque
 
-from strongcolor import MultiGraph, PartialColoring, greedy_color, metrics, random_max4, solve
+from strongcolor import GraphFormatError, MultiGraph, PartialColoring, greedy_color, metrics, random_max4, solve
 from strongcolor.metrics import CycleDescriptor
 
 
@@ -300,6 +300,71 @@ def ref_content_lines(text: str):
         if not line or line.startswith("#"):
             continue
         yield ln, line
+
+
+def ref_parse_graph(text: str) -> MultiGraph:
+    """graphio.parse_graph as a line-by-line reader only, over
+    ref_content_lines: the reference for its bulk-decoded slices."""
+    lines = ref_content_lines(text)
+    try:
+        ln, header = next(lines)
+    except StopIteration:
+        raise GraphFormatError("empty graph file: missing 'p sec <n> <m>' header")
+    parts = header.split()
+    if len(parts) != 4 or parts[0] != "p" or parts[1] != "sec":
+        raise GraphFormatError(f"line {ln}: expected 'p sec <n> <m>', got {header!r}")
+    try:
+        n, m = int(parts[2]), int(parts[3])
+    except ValueError:
+        raise GraphFormatError(f"line {ln}: non-integer vertex or edge count")
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"line {ln}: negative vertex or edge count")
+
+    eu = array("i")
+    ev = array("i")
+    for ln, line in lines:
+        parts = line.split()
+        if len(parts) != 3 or parts[0] != "e":
+            raise GraphFormatError(f"line {ln}: expected 'e <u> <v>', got {line!r}")
+        try:
+            u, v = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise GraphFormatError(f"line {ln}: non-integer endpoint")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise GraphFormatError(f"line {ln}: endpoint out of range 1..{n}")
+        eu.append(u - 1)
+        ev.append(v - 1)
+    if len(eu) != m:
+        raise GraphFormatError(f"header declares {m} edges, file has {len(eu)}")
+    return MultiGraph(n, eu, ev)
+
+
+def ref_parse_coloring(text: str, g: MultiGraph, palette_size: int = 22) -> PartialColoring:
+    """graphio.parse_coloring as a line-by-line reader only, over
+    ref_content_lines: the reference for its bulk-decoded slices."""
+    m = g.edge_count
+    col = PartialColoring(g, max(palette_size, 1))
+    colors = col._colors
+    max_color = 0
+    for ln, line in ref_content_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {ln}: expected '<edge_id> <color>', got {line!r}")
+        try:
+            e, c = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {ln}: non-integer field")
+        if not (0 <= e < m):
+            raise GraphFormatError(f"line {ln}: edge id {e} out of range 0..{m - 1}")
+        if c < 1:
+            raise GraphFormatError(f"line {ln}: color must be >= 1")
+        if colors[e]:
+            raise GraphFormatError(f"line {ln}: duplicate edge id {e}")
+        colors[e] = c
+        if c > max_color:
+            max_color = c
+    col.palette_size = max(col.palette_size, max_color)
+    return col
 
 
 def ref_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:

@@ -232,13 +232,15 @@ def test_verify_empty_means_induced_matchings():
                     assert f not in g.conflict_set(e)
 
 
-@pytest.mark.parametrize("c", [63, 64, 1000, 10**9])
+@pytest.mark.parametrize("c", [62, 63, 64, 1000, 10**9])
 def test_verify_colors_above_62(c):
+    """62 is the last color with a mask bit of its own: with c = 62 every
+    color fits a direct bit, above it the colors are numbered."""
     g = path(5)
     col = PartialColoring(g, c)
     col._set_unchecked(0, c)
     col._set_unchecked(3, c)
-    col._set_unchecked(1, 10**9 + 7)
+    col._set_unchecked(1, 10**9 + 7 if c > 62 else 61)
     assert verify(col) == []
     col._set_unchecked(2, c)
     assert verify(col) == [(0, 2, c), (2, 3, c)]
@@ -344,7 +346,7 @@ def test_greedy_property_valid_and_at_most_25(g, rng):
 @given(
     small_graphs(),
     st.randoms(use_true_random=False),
-    st.sampled_from([1, 20, 63, 10**9]),
+    st.sampled_from([1, 20, 59, 62, 63, 10**9]),
 )
 @settings(max_examples=300, deadline=None)
 def test_verify_equals_reference_listing(g, rng, base):

@@ -16,7 +16,7 @@ from strongcolor import (
     solve,
 )
 from strongcolor import graphio
-from helpers import random_multigraph, ref_content_lines
+from helpers import random_multigraph, ref_content_lines, ref_parse_coloring, ref_parse_graph
 
 
 def test_parse_simple_triangle():
@@ -201,6 +201,114 @@ def test_content_lines_equal_whole_text_reader_at_any_slice_size(text, size):
         assert list(graphio._content_lines(text)) == list(ref_content_lines(text))
 
 
+# Edits to one line of a canonical text. Each takes the line's fields,
+# the graph's vertex count n and edge count m, and a Random; it returns
+# the replacement lines, each with its line end.
+LINE_EDITS = {
+    "comment": lambda f, n, m, r: ["# " + " ".join(f) + "\n", " ".join(f) + "\n"],
+    "blank": lambda f, n, m, r: [r.choice(["", "  ", "\t"]) + "\n", " ".join(f) + "\n"],
+    "crlf": lambda f, n, m, r: [" ".join(f) + "\r\n"],
+    "tab": lambda f, n, m, r: ["\t".join(f) + "\n"],
+    "leading zero": lambda f, n, m, r: [" ".join(f[:-1] + ["0" + f[-1]]) + "\n"],
+    "plus sign": lambda f, n, m, r: [" ".join(f[:-1] + ["+" + f[-1]]) + "\n"],
+    "missing field": lambda f, n, m, r: [" ".join(f[:-1]) + "\n"],
+    "extra field": lambda f, n, m, r: [" ".join(f + ["7"]) + "\n"],
+    "zero": lambda f, n, m, r: [" ".join(f[:-1] + ["0"]) + "\n"],
+    "out of range": lambda f, n, m, r: [" ".join(f[:-2] + [str(r.choice([n + 1, m])), f[-1]]) + "\n"],
+    "at least 2**31": lambda f, n, m, r: [" ".join(f[:-1] + [str(2**31 + r.randrange(3))]) + "\n"],
+    "dropped": lambda f, n, m, r: [],
+    "repeated": lambda f, n, m, r: [" ".join(f) + "\n"] * 2,
+}
+
+
+def edited(lines: list[str], edits, n: int, m: int, rng) -> str:
+    """The canonical `lines` (no line ends) with each (kind, position)
+    edit applied; kind "swap" exchanges two lines, "no final newline"
+    drops the last line end."""
+    lines = list(lines)
+    for kind, at in edits:
+        i = at % len(lines)
+        if kind == "swap":
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+    out = [[line + "\n"] for line in lines]
+    for kind, at in edits:
+        i = at % len(lines)
+        if kind in LINE_EDITS and out[i] == [lines[i] + "\n"]:
+            out[i] = LINE_EDITS[kind](lines[i].split(), n, m, rng)
+    text = "".join(line for group in out for line in group)
+    if any(kind == "no final newline" for kind, _ in edits):
+        text = text.rstrip("\n")
+    return text
+
+
+def outcome(parse, *args):
+    """What a parser returns, as comparable values, or its error message."""
+    try:
+        res = parse(*args)
+    except GraphFormatError as exc:
+        return "error", str(exc)
+    if isinstance(res, MultiGraph):
+        return "graph", res.vertex_count, res.eu, res.ev
+    return "coloring", res._colors, res.palette_size
+
+
+EDIT_KINDS = sorted(LINE_EDITS) + ["swap", "no final newline"]
+
+
+@given(
+    st.integers(0, 10**6),
+    st.lists(st.tuples(st.sampled_from(EDIT_KINDS), st.integers(0, 10**4)), max_size=4),
+    st.integers(8, 96),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=500, deadline=None)
+def test_bulk_decoding_equals_line_reader(seed, edits, size, rng):
+    """Canonical graph and coloring texts of random multigraphs, with
+    edits at random lines and a slice size of one to a dozen lines, so
+    that edits land in every slice position: each parser returns what
+    the line-by-line reference returns, or raises the same message."""
+    g = random_multigraph(seed, max_n=24, max_m=44)
+    n, m = g.vertex_count, g.edge_count
+    col = PartialColoring(g, 22)
+    rare = [0, 1, 5, 22, 62, 63, 10**9]  # 0 leaves a gap in the edge ids
+    col._colors[:] = [rng.choice(rare) if rng.random() < 0.1 else rng.randint(1, 22) for _ in range(m)]
+    graph_text = emit_graph(g)
+    coloring_text = emit_coloring(col)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "SLICE", size)
+        text = edited(graph_text.splitlines(), edits, n, m, rng)
+        assert outcome(parse_graph, text) == outcome(ref_parse_graph, text)
+        if coloring_text:
+            text = edited(coloring_text.splitlines(), edits, n, m, rng)
+            assert outcome(parse_coloring, text, g) == outcome(ref_parse_coloring, text, g)
+
+
+def test_canonical_slices_are_decoded_in_bulk(monkeypatch):
+    """On the texts the writers emit, every slice is decoded in bulk,
+    bar the graph's first, which holds the header."""
+    g = random_max4(3000, seed=2)
+    col, _ = solve(g)
+    accepted = []
+    real = graphio._content_lines
+
+    def spy(text, bulk=None):
+        def recorded(chunk):
+            accepted.append(bulk(chunk))
+            return accepted[-1]
+
+        return real(text, recorded)
+
+    monkeypatch.setattr(graphio, "_content_lines", spy)
+    monkeypatch.setattr(graphio, "SLICE", 1024)
+    h = parse_graph(emit_graph(g))
+    assert (h.eu, h.ev) == (g.eu, g.ev)
+    assert len(accepted) > 10 and not accepted[0] and all(accepted[1:])
+    accepted.clear()
+    assert parse_coloring(emit_coloring(col), g)._colors == col._colors
+    assert len(accepted) > 10 and all(accepted)
+
+
 def ref_emit_coloring(col: PartialColoring) -> str:
     """emit_coloring by a dict of the colored edges, sorted."""
     out = [f"{e} {c}" for e, c in sorted(col.as_dict().items())]
@@ -222,15 +330,17 @@ def test_emit_coloring_equals_dict_sort_version(colors, size):
 
 def test_text_io_peak_memory_is_a_small_multiple_of_the_text():
     """Neither writer builds a per-line object for the whole graph, and
-    the reader splits one slice at a time: the traced peak of each stays
-    within three times the text's size."""
+    the readers split and decode one slice at a time: the traced peak of
+    each stays within three times the text's size."""
     g = random_max4(20000, seed=0)
     col, _ = solve(g)
     graph_text = emit_graph(g)
+    coloring_text = emit_coloring(col)
     for call, args, size in (
         (emit_graph, (g,), len(graph_text)),
-        (emit_coloring, (col,), len(emit_coloring(col))),
+        (emit_coloring, (col,), len(coloring_text)),
         (parse_graph, (graph_text,), len(graph_text)),
+        (parse_coloring, (coloring_text, g), len(coloring_text)),
     ):
         tracemalloc.start()
         try:
