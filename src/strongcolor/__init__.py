@@ -19,9 +19,9 @@ from .gen import (
 )
 from .graphio import GraphFormatError, emit_coloring, emit_graph, parse_coloring, parse_graph
 from .hall import DiscrepancyResult, common_color, find_sdr, max_discrepancy_subset
-from .metrics import CycleDescriptor, compatible_order, find_shortest_cycle, girth
+from .metrics import CycleDescriptor, find_shortest_cycle, girth
 from .multigraph import MultiGraph
-from .oracle import BoundTooLow, ExactResult, exact_strong_index, greedy_upper_bound
+from .oracle import BoundTooLow, ExactResult, exact_strong_index
 from .solver import (
     LemmaAssertionError,
     MaxDegreeExceeded,
@@ -51,7 +51,6 @@ __all__ = [
     "Telemetry",
     "Unsatisfiable",
     "common_color",
-    "compatible_order",
     "emit_coloring",
     "emit_graph",
     "erdos_nesetril_5",
@@ -62,7 +61,6 @@ __all__ = [
     "generate",
     "girth",
     "greedy_color",
-    "greedy_upper_bound",
     "load_fixture",
     "max_discrepancy_subset",
     "parse_coloring",

@@ -10,7 +10,7 @@ import sys
 
 from .coloring import verify as verify_coloring
 from .gen import GenSpec, RejectionBudgetExhausted, generate
-from .graphio import GraphFormatError, emit_coloring, emit_graph, parse_coloring, parse_graph
+from .graphio import emit_coloring, emit_graph, parse_coloring, parse_graph
 from .metrics import girth
 from .multigraph import MultiGraph
 from .oracle import BoundTooLow, exact_strong_index
@@ -142,13 +142,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (MaxDegreeExceeded, Unsatisfiable, BoundTooLow, RejectionBudgetExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, MaxDegreeExceeded, Unsatisfiable, BoundTooLow, RejectionBudgetExhausted, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

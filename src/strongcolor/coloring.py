@@ -57,10 +57,6 @@ class PartialColoring:
         dup._colors = list(self._colors)
         return dup
 
-    def color_of(self, e: int) -> int | None:
-        c = self._colors[e]
-        return c if c else None
-
     def is_colored(self, e: int) -> bool:
         return self._colors[e] != 0
 
@@ -69,12 +65,6 @@ class PartialColoring:
 
     def uncolored_edges(self) -> list[int]:
         return [e for e, c in enumerate(self._colors) if c == 0]
-
-    def colors_used(self) -> int:
-        mask = 0
-        for c in self._colors:
-            mask |= 1 << c
-        return (mask >> 1).bit_count()
 
     def colored_conflicts(self, e: int) -> set[int]:
         """Colored members of e's conflict set."""
@@ -139,9 +129,6 @@ class PartialColoring:
                     mask |= 1 << colors[f]
                 self._at[x] = mask & ~1  # bit 0 would be the uncolored edges
 
-    def as_dict(self) -> dict[int, int]:
-        return {e: c for e, c in enumerate(self._colors) if c}
-
 
 def greedy_color(
     col: PartialColoring,
@@ -166,7 +153,8 @@ def greedy_color(
 
     Args:
         col: coloring to extend in place (also returned).
-        order: edge ids, typically from metrics.compatible_order.
+        order: edge ids, typically a distance order from
+            metrics.order_by_distance.
     """
     g = col.graph
     colors = col._colors

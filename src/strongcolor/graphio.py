@@ -42,7 +42,7 @@ class GraphFormatError(ValueError):
     """Malformed graph or coloring text; message carries the line number."""
 
 
-def _content_lines(text: str, bulk=None):
+def _content_lines(text: str, bulk):
     """(line number, stripped line) of every line that is neither blank
     nor a comment. Each slice of about SLICE characters ends just after
     a line feed, so splitting the slices gives the lines of the whole text.
@@ -53,7 +53,7 @@ def _content_lines(text: str, bulk=None):
     while start < len(text):
         stop = text.find("\n", start + SLICE) + 1 or len(text)
         chunk = text[start:stop]
-        if bulk is not None and bulk(chunk):
+        if bulk(chunk):
             ln += chunk.count("\n")
         else:
             lines = chunk.splitlines()
@@ -122,10 +122,11 @@ def emit_graph(g: MultiGraph) -> str:
     return "".join(out)
 
 
-def parse_coloring(text: str, g: MultiGraph, palette_size: int = 22) -> PartialColoring:
-    """Read an assignment and bind it to g, enforcing validity per line."""
+def parse_coloring(text: str, g: MultiGraph) -> PartialColoring:
+    """Read an assignment and bind it to g, enforcing validity per line.
+    The palette is the solver's 22 colors, or up to the largest color read."""
     m = g.edge_count
-    col = PartialColoring(g, max(palette_size, 1))
+    col = PartialColoring(g, 22)
     colors = col._colors
     max_color = 0
 

@@ -50,20 +50,6 @@ def bfs_from_sources(g: MultiGraph, starts) -> list[int]:
     return dist
 
 
-def compatible_order(g: MultiGraph, anchor: Anchor) -> list[int]:
-    """All edge ids sorted by nonincreasing distance class from the anchor.
-
-    Ties break by ascending edge id, so the order is fully deterministic.
-    Coloring edges in this order guarantees that whenever an edge is
-    reached, everything strictly closer to the anchor is still uncolored.
-    Bucket sort keeps this linear in the graph size. An edge the anchor
-    cannot reach raises DisconnectedGraphError, since coloring logic
-    anchored here would silently mis-order it.
-    """
-    starts = anchor.vertices if isinstance(anchor, CycleDescriptor) else (anchor,)
-    return order_by_distance(g, bfs_from_sources(g, starts)).tolist()
-
-
 def order_by_distance(g: MultiGraph, dist: list[int]) -> array:
     """Edge ids sorted by nonincreasing distance class (the distance of
     the closer endpoint), given BFS distances, as a compact array. An

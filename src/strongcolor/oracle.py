@@ -1,4 +1,4 @@
-"""Exact strong chromatic index for small graphs, plus the greedy bound.
+"""Exact strong chromatic index for small graphs.
 
 Exponential-time reference machinery: used to validate the constructive
 solver on small instances, never on large ones.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import PartialColoring, greedy_color
+from .coloring import PartialColoring
 from .multigraph import MultiGraph
 
 EDGE_LIMIT = 40
@@ -72,14 +72,3 @@ def exact_strong_index(g: MultiGraph, upper_bound: int = 22) -> ExactResult:
                 witness._set_unchecked(e, assignment[e])
             return ExactResult(k, witness)
     raise BoundTooLow(f"no strong edge-coloring with <= {upper_bound} colors")
-
-
-def greedy_upper_bound(g: MultiGraph, palette_size: int = 25) -> int:
-    """Colors used by least-color greedy over edges in id order.
-
-    With max degree 4 every conflict set has at most 24 members, so a
-    25-color palette never runs dry whatever the order.
-    """
-    col = PartialColoring(g, palette_size)
-    greedy_color(col, list(range(g.edge_count)))
-    return col.colors_used()

@@ -209,10 +209,7 @@ class CycleContext:
         return sorted(list(self.a.values()) + list(self.b.values()))
 
 
-def label_cycle_context(
-    g: MultiGraph, cycle: CycleDescriptor, telemetry: Telemetry | None = None
-) -> CycleContext:
-    tel = telemetry if telemetry is not None else Telemetry()
+def label_cycle_context(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> CycleContext:
     k = len(cycle)
     tel.check(k in (4, 5), "cycle-context.length")
     cset = set(cycle.edges)
@@ -689,42 +686,62 @@ def _greedy_pass(
                 todo = [e for e in todo[at + 1 :] if comp[eu[e]] != c]
 
 
-def _rescue_component(
-    g: MultiGraph, comp: list[int], part: _Part, order: Sequence[int], col: PartialColoring, tel: Telemetry
+def _rescue_components(
+    g: MultiGraph, comp: list[int], parts: list[_Part], order: Sequence[int], col: PartialColoring, tel: Telemetry
 ) -> None:
-    """Recolor one component from scratch: the guaranteed greedy phase
-    over its share of the order, then backtracking over the edges at the
-    anchor. It runs on the component extracted as a graph of its own, so
-    Unsatisfiable carries only that component, and then overwrites all of
-    the component's edges in col."""
-    tel.fallbacks += 1
-    c = part.comp
+    """Recolor each failed component from scratch: the guaranteed greedy
+    phase over its share of the order, then backtracking over the edges at
+    the anchor. Each runs on its component extracted as a graph of its
+    own, so Unsatisfiable carries only that component, and then overwrites
+    all of the component's edges in col. The vertices, edges and order
+    shares of all failed components are grouped first, in one ascending
+    pass each, so the rescues cost O(n + m) however many there are."""
+    failed = [p for p in parts if p.failure is not None]
+    if not failed:
+        return
+    slot = {p.comp: i for i, p in enumerate(failed)}
+    vslot = [slot.get(c, -1) for c in comp]
+    eslot = [vslot[u] for u in g.eu]
+
+    def grouped(items, slots):
+        out: list[list[int]] = [[] for _ in failed]
+        for x, i in zip(items, slots):
+            if i >= 0:
+                out[i].append(x)
+        return out
+
     eu = g.eu
     ev = g.ev
-    local = {v: i for i, v in enumerate(v for v in range(g.vertex_count) if comp[v] == c)}
-    edges = [e for e in range(g.edge_count) if comp[eu[e]] == c]
-    eid = {e: i for i, e in enumerate(edges)}
-    sub = MultiGraph(
-        len(local), array("i", [local[eu[e]] for e in edges]), array("i", [local[ev[e]] for e in edges])
-    )
-    anchor = part.anchor
-    if isinstance(anchor, CycleDescriptor):
-        skip = set(anchor.edges)
-        if len(anchor) > 3:
-            for v in anchor.vertices:
-                skip.update(g.incident_edges(v))
-    else:
-        skip = set(g.incident_edges(anchor))
-    sub_col = PartialColoring(sub, PALETTE)
-    try:
-        greedy_color(sub_col, [eid[e] for e in order if e in eid and e not in skip])
-    except PaletteExhausted:
-        raise Unsatisfiable("guaranteed greedy phase ran out of colors", sub)
-    sub_col = fallback_exact(sub, sub_col, [eid[e] for e in skip])
-    for e in edges:
-        col.unassign(e)
-    for e, color in zip(edges, sub_col._colors):
-        col.assign(e, color)
+    for part, verts, edges, share in zip(
+        failed,
+        grouped(range(g.vertex_count), vslot),
+        grouped(range(g.edge_count), eslot),
+        grouped(order, map(eslot.__getitem__, order)),
+    ):
+        tel.fallbacks += 1
+        local = {v: i for i, v in enumerate(verts)}
+        eid = {e: i for i, e in enumerate(edges)}
+        sub = MultiGraph(
+            len(local), array("i", [local[eu[e]] for e in edges]), array("i", [local[ev[e]] for e in edges])
+        )
+        anchor = part.anchor
+        if isinstance(anchor, CycleDescriptor):
+            skip = set(anchor.edges)
+            if len(anchor) > 3:
+                for v in anchor.vertices:
+                    skip.update(g.incident_edges(v))
+        else:
+            skip = set(g.incident_edges(anchor))
+        sub_col = PartialColoring(sub, PALETTE)
+        try:
+            greedy_color(sub_col, [eid[e] for e in share if e not in skip])
+        except PaletteExhausted:
+            raise Unsatisfiable("guaranteed greedy phase ran out of colors", sub)
+        sub_col = fallback_exact(sub, sub_col, [eid[e] for e in skip])
+        for e in edges:
+            col.unassign(e)
+        for e, color in zip(edges, sub_col._colors):
+            col.assign(e, color)
 
 
 def _solve_report(
@@ -790,8 +807,6 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
                 p.plan.finish(col, dist)
             except _RESCUABLE as exc:
                 p.fail(exc)
-    for p in parts:
-        if p.failure is not None:
-            _rescue_component(g, comp, p, order, col, tel)
+    _rescue_components(g, comp, parts, order, col, tel)
     col._at = None  # the masks served the pass; a caller's first query rebuilds them
     return col, _solve_report(g, comp, k, parts, col, tel)

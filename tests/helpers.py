@@ -207,6 +207,39 @@ def run_plan(g: MultiGraph, anchor, plan, telemetry) -> PartialColoring:
     return col
 
 
+def color_of(col: PartialColoring, e: int) -> int | None:
+    """Color of edge e, or None while it is uncolored."""
+    return col._colors[e] or None
+
+
+def as_dict(col: PartialColoring) -> dict[int, int]:
+    """{edge id: color} over the colored edges."""
+    return {e: c for e, c in enumerate(col._colors) if c}
+
+
+def colors_used(col: PartialColoring) -> int:
+    """Number of distinct colors on the colored edges."""
+    return len(set(col._colors) - {0})
+
+
+def compatible_order(g: MultiGraph, anchor) -> list[int]:
+    """All edge ids by nonincreasing distance class from the anchor (a
+    vertex or a CycleDescriptor), ties by ascending id, as solve orders a
+    component. An edge the anchor cannot reach raises
+    DisconnectedGraphError."""
+    starts = anchor.vertices if isinstance(anchor, CycleDescriptor) else (anchor,)
+    return metrics.order_by_distance(g, metrics.bfs_from_sources(g, starts)).tolist()
+
+
+def greedy_upper_bound(g: MultiGraph) -> int:
+    """Colors used by least-color greedy over edges in id order. With max
+    degree 4 every conflict set has at most 24 members, so 25 colors
+    never run dry whatever the order."""
+    col = PartialColoring(g, 25)
+    greedy_color(col, list(range(g.edge_count)))
+    return colors_used(col)
+
+
 def shuffled_union(graphs, seed: int) -> MultiGraph:
     """Disjoint union with vertex ids permuted and edge order shuffled."""
     rng = random.Random(seed)
@@ -339,11 +372,11 @@ def ref_parse_graph(text: str) -> MultiGraph:
     return MultiGraph(n, eu, ev)
 
 
-def ref_parse_coloring(text: str, g: MultiGraph, palette_size: int = 22) -> PartialColoring:
+def ref_parse_coloring(text: str, g: MultiGraph) -> PartialColoring:
     """graphio.parse_coloring as a line-by-line reader only, over
     ref_content_lines: the reference for its bulk-decoded slices."""
     m = g.edge_count
-    col = PartialColoring(g, max(palette_size, 1))
+    col = PartialColoring(g, 22)
     colors = col._colors
     max_color = 0
     for ln, line in ref_content_lines(text):

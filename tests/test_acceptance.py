@@ -33,6 +33,7 @@ from strongcolor import (
 from strongcolor.solver import solve_girth5
 from helpers import (
     bench_rows,
+    colors_used,
     complete,
     complete_bipartite,
     components,
@@ -189,7 +190,7 @@ def test_criterion_4_greedy_bound(corpus, star_graph):
         greedy_color(col, order)
         assert col.is_total()
         assert verify(col) == []
-        worst_colors = max(worst_colors, col.colors_used())
+        worst_colors = max(worst_colors, colors_used(col))
         runs += 1
 
     biggest = 0

@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_conflict_set, cycle, disjoint_union, path, random_multigraph, ref_verify, ref_violations
+from helpers import (
+    as_dict,
+    brute_conflict_set,
+    color_of,
+    colors_used,
+    cycle,
+    disjoint_union,
+    path,
+    random_multigraph,
+    ref_verify,
+    ref_violations,
+)
 from strongcolor import (
     ConflictError,
     MultiGraph,
@@ -111,14 +122,14 @@ def test_greedy_on_c5_uses_five_distinct_colors():
         random.Random(seed).shuffle(order)
         col = PartialColoring(g, 22)
         greedy_color(col, order)
-        assert col.colors_used() == 5
+        assert colors_used(col) == 5
         assert verify(col) == []
 
 
 def test_greedy_en_graph_uses_exactly_20(en_graph):
     col = PartialColoring(en_graph, 25)
     greedy_color(col, list(range(20)))
-    assert col.colors_used() == 20
+    assert colors_used(col) == 20
     assert verify(col) == []
 
 
@@ -127,7 +138,7 @@ def test_greedy_respects_precolored_edges():
     col = PartialColoring(g, 22)
     col.assign(1, 5)
     greedy_color(col, [0, 2])
-    assert col.color_of(1) == 5
+    assert color_of(col, 1) == 5
     assert verify(col) == []
 
 
@@ -186,7 +197,7 @@ def test_greedy_minimality_replay():
         greedy_color(col, order)
         replay = PartialColoring(g, 25)
         for e in order:
-            c = col.color_of(e)
+            c = color_of(col, e)
             for lower in range(1, c):
                 assert lower not in replay.available_colors(e) or any(
                     replay._colors[f] == lower for f in g.conflict_set(e)
@@ -286,7 +297,7 @@ def test_verify_queries_conflict_sets_only_near_a_recolored_edge(monkeypatch, lo
     e = 1234
     near = conflict_set(g, e) | {e}
     f = min(near - {e})
-    col._set_unchecked(e, col.color_of(f))
+    col._set_unchecked(e, color_of(col, f))
     bad = verify(col)
     assert bad and all(e in (x, y) for x, y, _ in bad)
     assert e in calls and set(calls) <= near
@@ -302,10 +313,10 @@ def test_copy_unassign_and_queries():
     assert not col.is_colored(3)
     assert dup.is_total() is False
     dup.unassign(0)
-    assert dup.color_of(0) is None
-    assert col.color_of(0) == 1
+    assert color_of(dup, 0) is None
+    assert color_of(col, 0) == 1
     assert col.uncolored_edges() == [1, 2, 3]
-    assert dup.as_dict() == {3: 1}
+    assert as_dict(dup) == {3: 1}
 
 
 @st.composite
@@ -339,7 +350,7 @@ def test_greedy_property_valid_and_at_most_25(g, rng):
     col = PartialColoring(g, 25)
     greedy_color(col, order)
     assert col.is_total()
-    assert col.colors_used() <= 25
+    assert colors_used(col) <= 25
     assert verify(col) == []
 
 

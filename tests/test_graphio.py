@@ -16,7 +16,7 @@ from strongcolor import (
     solve,
 )
 from strongcolor import graphio
-from helpers import random_multigraph, ref_content_lines, ref_parse_coloring, ref_parse_graph
+from helpers import as_dict, color_of, random_multigraph, ref_content_lines, ref_parse_coloring, ref_parse_graph
 
 
 def test_parse_simple_triangle():
@@ -144,7 +144,7 @@ def test_content_lines_of_many_slices_equal_whole_text_reader(large):
     for lines in (graph_lines, coloring_lines):
         text = messy(lines)
         assert len(text) > 3 * graphio.SLICE
-        assert list(graphio._content_lines(text)) == list(ref_content_lines(text))
+        assert list(graphio._content_lines(text, lambda chunk: False)) == list(ref_content_lines(text))
     text = messy(graph_lines)
     h = parse_graph(text)
     assert (h.vertex_count, h.eu, h.ev) == (g.vertex_count, g.eu, g.ev)
@@ -198,7 +198,7 @@ def test_parse_coloring_error_past_the_first_slices(large, bad, message):
 def test_content_lines_equal_whole_text_reader_at_any_slice_size(text, size):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphio, "SLICE", size)
-        assert list(graphio._content_lines(text)) == list(ref_content_lines(text))
+        assert list(graphio._content_lines(text, lambda chunk: False)) == list(ref_content_lines(text))
 
 
 # Edits to one line of a canonical text. Each takes the line's fields,
@@ -292,7 +292,7 @@ def test_canonical_slices_are_decoded_in_bulk(monkeypatch):
     accepted = []
     real = graphio._content_lines
 
-    def spy(text, bulk=None):
+    def spy(text, bulk):
         def recorded(chunk):
             accepted.append(bulk(chunk))
             return accepted[-1]
@@ -311,7 +311,7 @@ def test_canonical_slices_are_decoded_in_bulk(monkeypatch):
 
 def ref_emit_coloring(col: PartialColoring) -> str:
     """emit_coloring by a dict of the colored edges, sorted."""
-    out = [f"{e} {c}" for e, c in sorted(col.as_dict().items())]
+    out = [f"{e} {c}" for e, c in sorted(as_dict(col).items())]
     return "\n".join(out) + ("\n" if out else "")
 
 
@@ -364,7 +364,7 @@ def test_coloring_round_trip():
     text = emit_coloring(col)
     assert text == "0 1\n2 2\n"
     back = parse_coloring(text, g)
-    assert back.as_dict() == {0: 1, 2: 2}
+    assert as_dict(back) == {0: 1, 2: 2}
     assert not back.is_total()
 
 
@@ -380,7 +380,7 @@ def test_coloring_emit_sorted_and_empty():
 def test_parse_coloring_grows_palette():
     g = parse_graph("p sec 2 1\ne 1 2\n")
     col = parse_coloring("0 30\n", g)
-    assert col.color_of(0) == 30
+    assert color_of(col, 0) == 30
     assert col.palette_size >= 30
 
 
@@ -427,13 +427,13 @@ def test_parse_coloring_does_not_validate_conflicts():
     # io layer stores what the file says; verification is a separate step
     g = parse_graph("p sec 3 2\ne 1 2\ne 2 3\n")
     col = parse_coloring("0 1\n1 1\n", g)
-    assert col.as_dict() == {0: 1, 1: 1}
+    assert as_dict(col) == {0: 1, 1: 1}
 
 
 def test_graph_and_coloring_comments_skipped():
     g = parse_graph("p sec 2 1\n# hi\ne 1 2\n")
     col = parse_coloring("# note\n0 4\n\n", g)
-    assert col.as_dict() == {0: 4}
+    assert as_dict(col) == {0: 4}
 
 
 def test_emit_graph_empty():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     CountingSlices,
+    compatible_order,
     complete,
     components,
     cycle,
@@ -18,7 +19,6 @@ from helpers import (
 )
 from strongcolor import (
     MultiGraph,
-    compatible_order,
     find_shortest_cycle,
     girth,
     load_fixture,

@@ -5,13 +5,14 @@ import pytest
 from strongcolor import (
     BoundTooLow,
     exact_strong_index,
-    greedy_upper_bound,
     verify,
 )
 from helpers import (
+    as_dict,
     complete,
     complete_bipartite,
     cycle,
+    greedy_upper_bound,
     naive_exact,
     path,
     random_multigraph,
@@ -50,7 +51,7 @@ def test_exact_path():
 def test_exact_empty_and_single_edge():
     res = exact_strong_index(path(1))
     assert res.chi == 0
-    assert res.witness.as_dict() == {}
+    assert as_dict(res.witness) == {}
     assert exact_strong_index(path(2)).chi == 1
 
 
@@ -58,7 +59,7 @@ def test_witness_is_valid_and_tight():
     g = complete_bipartite(3, 3)
     res = exact_strong_index(g)
     assert verify(res.witness) == []
-    got = res.witness.as_dict()
+    got = as_dict(res.witness)
     assert sorted(got) == list(range(g.edge_count))
     assert len(set(got.values())) == res.chi
 

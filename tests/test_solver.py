@@ -35,7 +35,10 @@ from strongcolor.solver import (
 from strongcolor.metrics import CycleDescriptor
 from helpers import (
     CountingSlices,
+    as_dict,
     cayley_sl2,
+    color_of,
+    colors_used,
     complete,
     complete_bipartite,
     components,
@@ -58,7 +61,7 @@ from helpers import (
 def assert_total_valid(g, col, max_colors=22):
     assert col.is_total()
     assert verify(col) == []
-    assert col.colors_used() <= max_colors
+    assert colors_used(col) <= max_colors
 
 
 # --- greedy phases ---------------------------------------------------------
@@ -77,7 +80,7 @@ def test_color_except_vertex_pentagon():
     col, _ = greedy_phase(g, 0, held=g.incident_edges(0), telemetry=Telemetry())
     assert len(col.uncolored_edges()) == 2
     assert verify(col) == []
-    assert col.colors_used() <= 21
+    assert colors_used(col) <= 21
 
 
 def test_color_except_vertex_4regular(robertson):
@@ -115,7 +118,7 @@ def run_strategy(strategy, g, arg, anchor):
 def test_low_degree_path_is_optimal():
     col = run_strategy(solve_low_degree, path(4), 0, 0)
     assert_total_valid(path(4), col, max_colors=21)
-    assert col.colors_used() == 3
+    assert colors_used(col) == 3
 
 
 def test_low_degree_petersen(petersen):
@@ -129,7 +132,7 @@ def test_low_degree_star():
         solve_low_degree(g, 0, Telemetry())  # center has degree 4
     col = run_strategy(solve_low_degree, g, 1, 1)
     assert_total_valid(g, col, max_colors=21)
-    assert col.colors_used() == 4
+    assert colors_used(col) == 4
 
 
 def test_loop_strategy():
@@ -149,7 +152,7 @@ def test_two_loops_need_two_colors():
     g = two_loops_one_vertex()
     col = run_strategy(solve_loop, g, 0, 0)
     assert_total_valid(g, col, max_colors=21)
-    assert col.colors_used() == 2
+    assert colors_used(col) == 2
 
 
 def test_double_edge_strategy():
@@ -164,7 +167,7 @@ def test_girth3_strategy():
     c = find_shortest_cycle(g)
     col = run_strategy(solve_girth3, g, c, c)
     assert_total_valid(g, col, max_colors=21)
-    assert col.colors_used() == 10
+    assert colors_used(col) == 10
 
 
 def test_girth4_strategy_k44():
@@ -173,7 +176,7 @@ def test_girth4_strategy_k44():
     assert len(c) == 4
     col = run_strategy(solve_girth4, g, c, c)
     assert_total_valid(g, col)
-    assert col.colors_used() == 16
+    assert colors_used(col) == 16
 
 
 def test_girth4_strategy_hypercube():
@@ -199,6 +202,28 @@ def test_girth4_strategy_reserves_diagonals():
     assert_total_valid(g, col)
 
 
+@pytest.mark.parametrize("n, seed, colors", [(12, 24, 13), (14, 31, 17)])
+def test_solve_dispatches_girth4_to_the_diagonals(monkeypatch, n, seed, colors):
+    """The first shortest cycle of these graphs has no adjacent pair and
+    no free pair between corners 1 and 3, so solve_girth4 reserves the
+    diagonals of that pack."""
+    real = solver._girth4_with_diagonals
+    packs = []
+
+    def spy(g, ctx, tel, i, j):
+        packs.append((i, j))
+        return real(g, ctx, tel, i, j)
+
+    monkeypatch.setattr(solver, "_girth4_with_diagonals", spy)
+    g, _ = random_4regular(n, seed=seed, min_girth=4)
+    col, rep = solve(g)
+    assert packs == [(1, 3)]
+    assert rep.strategies() == ["girth4"] and rep.fallback_invocations == 0
+    assert col.is_total() and verify(col) == [] and rep.colors_used == colors
+    assert rep.labels["girth4.diagonal-neighborhood"] == 4
+    assert rep.labels["girth4.diagonals-distinct"] == 1
+
+
 def test_girth5_strategy(robertson):
     c = find_shortest_cycle(robertson)
     assert len(c) == 5
@@ -209,7 +234,7 @@ def test_girth5_strategy(robertson):
 def test_girth6_strategy(cage46):
     col = run_strategy(solve_girth6, cage46, 0, 0)
     assert_total_valid(cage46, col)
-    assert 22 in {col.color_of(e) for e in range(cage46.edge_count)}
+    assert 22 in {color_of(col, e) for e in range(cage46.edge_count)}
 
 
 # --- cycle context labeling ------------------------------------------------
@@ -218,7 +243,7 @@ def test_girth6_strategy(cage46):
 def test_cycle_context_k44():
     g = complete_bipartite(4, 4)
     c = find_shortest_cycle(g)
-    ctx = label_cycle_context(g, c)
+    ctx = label_cycle_context(g, c, Telemetry())
     assert sorted(ctx.c) == [1, 2, 3, 4]
     incident = ctx.incident_edges()
     assert len(incident) == 8
@@ -230,7 +255,7 @@ def test_cycle_context_k44():
 
 def test_cycle_context_girth5_separation(robertson):
     c = find_shortest_cycle(robertson)
-    ctx = label_cycle_context(robertson, c)
+    ctx = label_cycle_context(robertson, c, Telemetry())
     assert len(ctx.incident_edges()) == 10
     for s, t in ((1, 3), (3, 5), (5, 2), (2, 4)):
         assert ctx.b[t] not in robertson.conflict_set(ctx.a[s])
@@ -240,7 +265,7 @@ def test_cycle_context_rejects_wrong_length():
     g = complete(5)
     c = find_shortest_cycle(g)
     with pytest.raises(LemmaAssertionError):
-        label_cycle_context(g, c)
+        label_cycle_context(g, c, Telemetry())
 
 
 # --- instrumentation -------------------------------------------------------
@@ -272,14 +297,14 @@ def test_fallback_exact_nothing_to_do():
     col.assign(0, 1)
     col.assign(1, 2)
     out = fallback_exact(g, col, [])
-    assert out.as_dict() == {0: 1, 1: 2}
+    assert as_dict(out) == {0: 1, 1: 2}
 
 
 def test_fallback_exact_single_edge():
     g = path(2)
     col = PartialColoring(g, 22)
     out = fallback_exact(g, col, [0])
-    assert out.color_of(0) == 1
+    assert color_of(out, 0) == 1
 
 
 def test_fallback_exact_completes_stripped_k5():
@@ -387,7 +412,7 @@ def test_solve_rejects_degree_5():
 def test_solve_deterministic(robertson):
     a, _ = solve(robertson)
     b, _ = solve(robertson)
-    assert a.as_dict() == b.as_dict()
+    assert as_dict(a) == as_dict(b)
 
 
 def test_rescue_path_counts_fallback(monkeypatch):
@@ -404,6 +429,47 @@ def test_rescue_path_counts_fallback(monkeypatch):
     assert rep.fallback_invocations == 1
     assert rep.components[0].failure == "girth3.cycle-length"
     assert rep.labels == {"girth3.cycle-length": 1} and rep.assertions_checked == 1
+
+
+class CountingList(list):
+    """A list that counts the items read from it, by index or by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for x in super().__iter__():
+            self.reads += 1
+            yield x
+
+
+@pytest.mark.parametrize("copies", [50, 400])
+def test_rescues_read_the_component_ids_a_bounded_number_of_times(monkeypatch, copies):
+    """Every K5 fails its girth3 plan and is rescued; grouping the failed
+    components first keeps the reads of the component ids within a fixed
+    multiple of n + m, however many components fail."""
+
+    def boom(g, cycle, tel):
+        tel.check(False, "girth3.cycle-length")
+
+    comps = []
+
+    def labelled(g):
+        comp, k = real(g)
+        comps.append(CountingList(comp))
+        return comps[-1], k
+
+    real = solver._label_components
+    monkeypatch.setattr(solver, "solve_girth3", boom)
+    monkeypatch.setattr(solver, "_label_components", labelled)
+    g = disjoint_union(*[complete(5)] * copies)
+    col, rep = solve(g)
+    assert col.is_total() and verify(col) == []
+    assert rep.strategies() == ["fallback_exact"] * copies and rep.fallback_invocations == copies
+    assert comps[0].reads <= 6 * (g.vertex_count + g.edge_count)
 
 
 def _failing_greedy(monkeypatch, graph, target, exc_factory):
@@ -466,7 +532,7 @@ def test_shared_greedy_failure_rescues_only_its_component(
         else:
             assert comp == clean
     others = [e for _, em in subs if em is not emap for e in em]
-    assert [col.color_of(e) for e in others] == [clean_col.color_of(e) for e in others]
+    assert [color_of(col, e) for e in others] == [color_of(clean_col, e) for e in others]
     assert sum(rep.labels.values()) == rep.assertions_checked
 
     # every check is counted once: the labels are the sum over the
@@ -519,8 +585,8 @@ def test_finish_failure_is_rescued(monkeypatch, cage46):
     assert col.is_total() and verify(col) == []
     assert rep.strategies() == ["fallback_exact", "girth6"]
     assert rep.components[0].failure == "girth3.final-neighborhood"
-    assert [col.color_of(e) for e in range(10, g.edge_count)] == [
-        clean_col.color_of(e) for e in range(10, g.edge_count)
+    assert [color_of(col, e) for e in range(10, g.edge_count)] == [
+        color_of(clean_col, e) for e in range(10, g.edge_count)
     ]
 
 
@@ -622,7 +688,7 @@ def test_solve_leaves_its_input_graph_as_it_was(cage46):
     assert g.edges == src.edges
     assert_total_valid(g, col)
     want_col, want_rep = solve(src)
-    assert col.as_dict() == want_col.as_dict()
+    assert as_dict(col) == as_dict(want_col)
     assert rep == want_rep
 
 
@@ -684,7 +750,7 @@ def test_solve_equals_solving_each_component_alone(graphs, seed):
     fallbacks = 0
     for (sub, emap), comp in zip(subs, rep.components):
         sub_col, sub_rep = solve(sub)
-        assert [col.color_of(e) for e in emap] == [sub_col.color_of(e) for e in range(sub.edge_count)]
+        assert [color_of(col, e) for e in emap] == [color_of(sub_col, e) for e in range(sub.edge_count)]
         assert sub_rep.components == [comp]
         labels.update(sub_rep.labels)
         fallbacks += sub_rep.fallback_invocations
