@@ -37,9 +37,11 @@ class PartialColoring:
     Conflict queries (available_colors, assign, greedy_color) read one
     per-vertex mask array, _at[x] holding bit c when an edge at x has
     color c. It is built on the first query, which raises ValueError if a
-    color above 62 is present, and every write keeps it exact: assign,
-    unassign and _set_unchecked recompute it at the edge's ends,
-    greedy_color ORs in each new bit, and a write above 62 drops it.
+    color above 62 is present, and every write keeps it exact: a color
+    given to an uncolored edge ORs its bit in at the edge's ends (assign,
+    greedy_color, the solver's tail routine), any other write through
+    unassign or _set_unchecked recomputes the ends' masks, and a write
+    above 62 drops the array.
     """
 
     __slots__ = ("graph", "palette_size", "_colors", "_at")
@@ -65,11 +67,6 @@ class PartialColoring:
 
     def uncolored_edges(self) -> list[int]:
         return [e for e, c in enumerate(self._colors) if c == 0]
-
-    def colored_conflicts(self, e: int) -> set[int]:
-        """Colored members of e's conflict set."""
-        colors = self._colors
-        return {f for f in self.graph.conflict_set(e) if colors[f]}
 
     def _masks(self) -> array:
         at = self._at
@@ -108,7 +105,7 @@ class PartialColoring:
         if self._colors[e]:
             raise ValueError(f"edge {e} is already colored")
         if self._conflict_colors(e) >> c & 1:
-            f = min(f for f in self.colored_conflicts(e) if self._colors[f] == c)
+            f = min(f for f in self.graph.conflict_set(e) if self._colors[f] == c)
             raise ConflictError(f"color {c} already on conflicting edge {f} (assigning edge {e})")
         self._set_unchecked(e, c)
 
@@ -117,17 +114,24 @@ class PartialColoring:
 
     def _set_unchecked(self, e: int, c: int) -> None:
         colors = self._colors
+        old = colors[e]
         colors[e] = c
+        at = self._at
         if c > 62:
             self._at = None
-        elif self._at is not None:
+        elif at is not None:
             g = self.graph
+            if not old:  # coloring an uncolored edge only adds its bit
+                if c:
+                    at[g.eu[e]] |= 1 << c
+                    at[g.ev[e]] |= 1 << c
+                return
             off, inc_flat, _ = g.csr()
             for x in (g.eu[e], g.ev[e]):
                 mask = 0
                 for f in inc_flat[off[x] : off[x + 1]]:
                     mask |= 1 << colors[f]
-                self._at[x] = mask & ~1  # bit 0 would be the uncolored edges
+                at[x] = mask & ~1  # bit 0 would be the uncolored edges
 
 
 def greedy_color(
@@ -236,8 +240,7 @@ def verify(col: PartialColoring) -> list[tuple[int, int, int]]:
     only for colored edges at a flagged vertex, in ascending edge order,
     so a valid coloring with at most 63 colors makes no conflict-set
     query at all. On `random_max4` at n = 1e5 (m = 1.75e5) a valid
-    coloring takes about 0.09 s, against about 0.6 s for `solve`
-    (Python 3.11 on a shared 2-core Xeon VM).
+    coloring takes about 0.09 s (Python 3.11 on a shared 2-core Xeon VM).
     """
     g = col.graph
     colors = col._colors

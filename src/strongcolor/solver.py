@@ -6,18 +6,23 @@ vertex of degree at most 3, a loop, a parallel pair, or (for simple
 small anchor by a greedy pass over a distance-compatible order, then
 finishes the few held-back edges with whatever bookkeeping makes the
 counting work. `solve` runs all components in one pass over the whole
-graph: each strategy returns a Plan (held-back edges, planted colors,
-greedy bounds, finish), and one BFS, one edge order and one greedy call
-per bound class serve every component; the finishes call greedy_color
-too. Counting claims are asserted at runtime; a component whose claim
-fails is recolored by a backtracking fallback and counted, never ignored.
+graph and keeps what they ask of it in flat lists indexed by component
+id, not in an object per component. The low_degree, loop, double_edge
+and girth3 strategies return a tail (held-back edges, each with a cap on
+its colored conflicting edges), and one loop colors every component's
+tail after the shared greedy pass. The girth 4, 5 and 6 strategies
+return held-back edges, planted colors, a bound class and a finish of
+their own. One BFS, one edge order and one greedy call per bound class
+serve every component. Counting claims are asserted at runtime; a
+component whose claim fails is recolored by a backtracking fallback and
+counted, never ignored.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from itertools import compress
 from operator import or_
 from typing import Callable, Sequence
@@ -26,7 +31,7 @@ from . import metrics
 from .coloring import ConflictError, PaletteExhausted, PartialColoring, greedy_color
 from .graphio import emit_graph
 from .hall import common_color, find_sdr, max_discrepancy_subset
-from .metrics import Anchor, CycleDescriptor
+from .metrics import CycleDescriptor
 from .multigraph import MultiGraph
 
 PALETTE = 22
@@ -98,69 +103,109 @@ class SolveReport:
         return [c.strategy for c in self.components]
 
 
-# ---------------------------------------------------------------------------
-# the part of one component in the shared pass
-
-
-@dataclass(slots=True)
-class Plan:
-    """What a strategy asks of the shared pass over its component.
-
-    The pass colors `plants` first, then every other edge of the
-    component except `held`, greedily along the distance order from the
-    anchor and checking `bounds` (distinct colors among an edge's colored
-    conflicts, and its color) on each; `finish(col, dist)` then colors the
-    held-back edges, given the BFS distances to the anchor.
-    """
-
-    held: Sequence[int]
-    finish: Callable[[PartialColoring, list[int]], None]
-    plants: Sequence[tuple[int, int]] = ()
-    bounds: tuple[int, int] = (20, 21)
+# A strategy's plan is a plain tuple. The tail strategies (low_degree,
+# loop, double_edge, girth3) return a TailPlan (tail, caps, label): the
+# held-back edges in coloring order, the cap on each one's colored
+# conflicting edges, and the lemma those caps check. The girth 4, 5 and 6
+# strategies return a HeldPlan (held, plants, bounds, finish): the pass
+# colors `plants` first, then every other edge of the component except
+# `held`, greedily along the distance order from the anchor and checking
+# `bounds` (distinct colors among an edge's colored conflicts, and its
+# color) on each; finish(col, dist) then colors the held-back edges,
+# given the BFS distances to the anchor.
+Finish = Callable[[PartialColoring, list[int]], None]
+TailPlan = tuple[list[int], tuple[int, ...], str]
+HeldPlan = tuple[list[int], Sequence[tuple[int, int]], tuple[int, int], Finish]
 
 
 # ---------------------------------------------------------------------------
-# strategies for components that are not simple 4-regular, and girth 3
+# the tail routine, and the strategies that end in one tail
 
 
-def _finish_tail(
-    tail: list[int],
-    bounds: tuple[int, ...],
-    label: str,
-    tel: Telemetry,
+def _color_tail(
     col: PartialColoring,
-    dist: list[int] | None = None,
-    ceiling: int = 21,
+    tail: Sequence[int],
+    caps: Sequence[int],
+    labels: Sequence[str],
+    tel: Telemetry,
+    ceiling: int,
+    start: int = 0,
 ) -> None:
-    """Color the held-back `tail` last, in order, each edge within
-    `ceiling` colors once the lemma `label` caps its colored conflicting
-    edges at its bound. Plans bind the first four arguments with partial,
-    which keeps a plan small when every component holds one at once."""
-    for bound, e in zip(bounds, tail):
-        tel.check(len(col.colored_conflicts(e)) <= bound, label)
-        greedy_color(col, [e], telemetry=tel, max_color=ceiling)
+    """Color tail[start:] in order. Edge tail[i] first checks its lemma
+    labels[i]: at most caps[i] colored edges conflict with it, counted
+    exactly over its conflict set (a popcount of the color masks would
+    count colors, a weaker claim). It then takes the least color free of
+    its conflicts, which must not exceed `ceiling` ("greedy.color-ceiling").
+    Raises at the first failing edge, with the edges before it colored
+    and every check made so far counted."""
+    g = col.graph
+    off, inc_flat, nbr_flat = g.csr()
+    eu = g.eu
+    ev = g.ev
+    colors = col._colors
+    color_of = colors.__getitem__
+    at = col._masks()
+    palette = col.palette_size
+    full = (1 << (palette + 1)) - 2  # bits 1..palette
+    passed: dict[str, int] = {}
+    ceiling_hits = 0
+    try:
+        for i in range(start, len(tail)):
+            e = tail[i]
+            if colors[e]:
+                raise ValueError(f"edge {e} in a tail is already colored")
+            u = eu[e]
+            v = ev[e]
+            near: set[int] = set()  # e's conflict set, and e
+            used = 0  # colors on it
+            for y in set(nbr_flat[off[u] : off[u + 1]] + nbr_flat[off[v] : off[v + 1]]):
+                used |= at[y]
+                near.update(inc_flat[off[y] : off[y + 1]])
+            label = labels[i]
+            if len(near) - list(map(color_of, near)).count(0) > caps[i]:
+                tel.check(False, label)
+            passed[label] = passed.get(label, 0) + 1
+            free = full & ~used
+            if not free:
+                raise PaletteExhausted(e, palette)
+            c = (free & -free).bit_length() - 1
+            if c > ceiling:
+                tel.check(False, "greedy.color-ceiling")
+            ceiling_hits += 1
+            colors[e] = c
+            bit = 1 << c
+            at[u] |= bit
+            at[v] |= bit
+    finally:
+        # passed checks are recorded in bulk; a failing one is counted by
+        # telemetry.check itself
+        if ceiling_hits:
+            passed["greedy.color-ceiling"] = ceiling_hits
+        lab = tel.labels
+        for label, count in passed.items():
+            tel.checks += count
+            lab[label] = lab.get(label, 0) + count
 
 
-def solve_low_degree(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
+def solve_low_degree(g: MultiGraph, v: int, tel: Telemetry) -> TailPlan:
     """Component with a vertex of degree at most 3: color everything else
     first, then v's edges. Their conflict neighborhoods are capped at
     18/19/20 colored edges respectively, so 21 colors suffice."""
     tel.check(g.degree(v) <= 3, "low-degree.anchor-degree")
-    tail = sorted(set(g.incident_edges(v)))
-    return Plan(tail, partial(_finish_tail, tail, (18, 19, 20), "low-degree.final-neighborhood", tel))
+    return sorted(set(g.incident_edges(v))), (18, 19, 20), "low-degree.final-neighborhood"
 
 
-def solve_loop(g: MultiGraph, loop_edge: int, tel: Telemetry) -> Plan:
+def solve_loop(g: MultiGraph, loop_edge: int, tel: Telemetry) -> TailPlan:
     """4-regular component with a loop: anchor at the loop's vertex, which
     carries at most three distinct edges, and finish there last."""
     tel.check(g.is_loop(loop_edge), "loop.anchor-is-loop")
     v = g.endpoints(loop_edge)[0]
     vedges = sorted(set(g.incident_edges(v)))
     tail = [e for e in vedges if not g.is_loop(e)] + [e for e in vedges if g.is_loop(e)]
-    return Plan(tail, partial(_finish_tail, tail, (20, 20, 20), "loop.final-neighborhood", tel))
+    return tail, (20, 20, 20), "loop.final-neighborhood"
 
 
-def solve_double_edge(g: MultiGraph, pair: tuple[int, int], tel: Telemetry) -> Plan:
+def solve_double_edge(g: MultiGraph, pair: tuple[int, int], tel: Telemetry) -> TailPlan:
     """4-regular component with parallel edges: anchor at the smaller
     endpoint. Coloring its other two edges first and the pair last keeps
     the colored neighborhoods at 17/18 then 16/17 edges."""
@@ -172,16 +217,26 @@ def solve_double_edge(g: MultiGraph, pair: tuple[int, int], tel: Telemetry) -> P
     v = min(g.endpoints(p))
     tail = sorted(set(g.incident_edges(v)) - {p, q}) + [p, q]
     tel.check(len(tail) == 4, "double-edge.vertex-shape")
-    return Plan(tail, partial(_finish_tail, tail, (17, 18, 16, 17), "double-edge.final-neighborhood", tel))
+    return tail, (17, 18, 16, 17), "double-edge.final-neighborhood"
 
 
-def solve_girth3(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
+def solve_girth3(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> TailPlan:
     """Simple 4-regular with a triangle: a triangle edge only has about 20
     conflicting edges to begin with, so finishing the triangle last stays
     within 21 colors."""
     tel.check(len(cycle) == 3, "girth3.cycle-length")
-    tail = sorted(cycle.edges)
-    return Plan(tail, partial(_finish_tail, tail, (18, 19, 20), "girth3.final-neighborhood", tel))
+    return sorted(cycle.edges), (18, 19, 20), "girth3.final-neighborhood"
+
+
+def _conflicting(g: MultiGraph, p: int, q: int) -> bool:
+    """Whether the distinct edges p and q conflict: they share an end or
+    an edge joins their ends, i.e. an end of q is a neighbor of an end of
+    p (each end of p is a neighbor of the other)."""
+    off, _, nbr_flat = g.csr()
+    a = g.eu[p]
+    b = g.ev[p]
+    near = nbr_flat[off[a] : off[a + 1]] + nbr_flat[off[b] : off[b + 1]]
+    return p != q and (g.eu[q] in near or g.ev[q] in near)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +281,9 @@ def label_cycle_context(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -
     tel.check(len(set(all_incident)) == 2 * k, "cycle-context.incident-distinct")
     if k == 5:
         for s, t in ((1, 3), (3, 5), (5, 2), (2, 4)):
-            if b[t] in g.conflict_set(a[s]):
+            if _conflicting(g, a[s], b[t]):
                 a[t], b[t] = b[t], a[t]
-            tel.check(b[t] not in g.conflict_set(a[s]), "cycle-context.separation")
+            tel.check(not _conflicting(g, a[s], b[t]), "cycle-context.separation")
     return CycleContext(cycle, c, a, b)
 
 
@@ -240,7 +295,7 @@ def _free_cross_pair(g: MultiGraph, ctx: CycleContext, i: int, j: int) -> tuple[
     """First conflict-free pair with one edge at corner i, one at corner j."""
     for p in (ctx.a[i], ctx.b[i]):
         for q in (ctx.a[j], ctx.b[j]):
-            if q not in g.conflict_set(p):
+            if not _conflicting(g, p, q):
                 return (p, q)
     return None
 
@@ -270,7 +325,7 @@ def _girth4_cycle(col: PartialColoring, ctx: CycleContext, tel: Telemetry) -> No
     greedy_color(col, sorted(ctx.c.values()), telemetry=tel, max_color=PALETTE)
 
 
-def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: int, j: int) -> Plan:
+def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: int, j: int) -> HeldPlan:
     """No two edges of the (i, j) pack can share a color, which forces an
     edge between the far ends of each non-adjacent pack pair. Reserving
     those four diagonals until after the cycle keeps the cycle colorable:
@@ -287,20 +342,20 @@ def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: 
 
     def finish(col, dist):
         _girth4_cycle(col, ctx, tel)
-        _finish_tail(diagonals, (21,) * 4, "girth4.diagonal-neighborhood", tel, col, ceiling=PALETTE)
+        _color_tail(col, diagonals, (21,) * 4, ("girth4.diagonal-neighborhood",) * 4, tel, PALETTE)
 
-    return Plan(list(ctx.c.values()) + diagonals, finish)
+    return list(ctx.c.values()) + diagonals, (), (20, 21), finish
 
 
-def _girth4_with_precolor(ctx: CycleContext, tel: Telemetry, plants: list[tuple[int, int]]) -> Plan:
+def _girth4_with_precolor(ctx: CycleContext, tel: Telemetry, plants: list[tuple[int, int]]) -> HeldPlan:
     """Plant repeated colors on conflict-free incident pairs, color all
     remaining non-cycle edges greedily, then the cycle: each cycle edge
     sees every planted edge, so the repeats leave it at least 4 colors."""
     held = list(ctx.c.values()) + [e for e, _ in plants]
-    return Plan(held, lambda col, dist: _girth4_cycle(col, ctx, tel), plants, (21, 22))
+    return held, plants, (21, 22), lambda col, dist: _girth4_cycle(col, ctx, tel)
 
 
-def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
+def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> HeldPlan:
     """Simple 4-regular, shortest cycle of length 4.
 
     The eight non-cycle edges at the cycle's corners steer the case split:
@@ -311,30 +366,31 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     """
     ctx = label_cycle_context(g, cycle, tel)
     cyc_verts = set(cycle.vertices)
+    # the labeling admits no chord, so each incident edge has one end off
+    # the cycle, and two of them share an end off the cycle iff those match
+    far = {e: _off_cycle_end(g, e, cyc_verts) for e in ctx.incident_edges()}
 
     adjacent_pairs = []
     for i, j in ((1, 3), (2, 4)):
         for p in (ctx.a[i], ctx.b[i]):
             for q in (ctx.a[j], ctx.b[j]):
-                if (set(g.endpoints(p)) & set(g.endpoints(q))) - cyc_verts:
+                if far[p] == far[q]:
                     adjacent_pairs.append(((i, j), p, q))
     # sharing with a neighboring corner would be a triangle
     for i, j in ((1, 2), (2, 3), (3, 4), (1, 4)):
         for p in (ctx.a[i], ctx.b[i]):
             for q in (ctx.a[j], ctx.b[j]):
-                tel.check(
-                    not ((set(g.endpoints(p)) & set(g.endpoints(q))) - cyc_verts),
-                    "girth4.no-skew-pairs",
-                )
+                tel.check(far[p] != far[q], "girth4.no-skew-pairs")
 
     if len(adjacent_pairs) >= 2:
         incident = ctx.incident_edges()
 
         def finish(col, dist):
-            _finish_tail(incident, (20,) * len(incident), "girth4.incident-neighborhood", tel, col)
+            n = len(incident)
+            _color_tail(col, incident, (20,) * n, ("girth4.incident-neighborhood",) * n, tel, 21)
             _girth4_cycle(col, ctx, tel)
 
-        return Plan(list(ctx.c.values()) + incident, finish)
+        return list(ctx.c.values()) + incident, (), (20, 21), finish
 
     if len(adjacent_pairs) == 1:
         taken = adjacent_pairs[0][0]
@@ -360,7 +416,7 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
 # girth 5
 
 
-def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
+def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> HeldPlan:
     """Simple 4-regular, shortest cycle of length 5.
 
     Two conflict-free pairs get planted colors (21 on b1 and the opposite
@@ -369,13 +425,13 @@ def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     distinct-representative argument on their availability sets.
     """
     ctx = label_cycle_context(g, cycle, tel)
-    tel.check(ctx.c[3] not in g.conflict_set(ctx.b[1]), "girth5.planted-pair-free")
+    tel.check(not _conflicting(g, ctx.b[1], ctx.c[3]), "girth5.planted-pair-free")
     planted = (ctx.b[1], ctx.c[3], ctx.a[5], ctx.b[2])
     ends = {w for e in planted for w in g.endpoints(e)}
     tel.check(len(ends) == 8, "girth5.planted-endpoints-distinct")
     held = list(ctx.c.values()) + ctx.incident_edges()
     plants = tuple(zip(planted, (21, 21, 22, 22)))
-    return Plan(held, lambda col, dist: _complete_girth5(g, ctx, col, tel), plants, (21, 22))
+    return held, plants, (21, 22), lambda col, dist: _complete_girth5(g, ctx, col, tel)
 
 
 def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel: Telemetry) -> None:
@@ -412,7 +468,8 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
         # edges, so a straight greedy pass works, and coloring a maximum
         # discrepancy subfamily first makes the rest extendable
         first = sorted(subset)
-        _finish_tail(first, (21,) * len(first), "girth5.subset-neighborhood", tel, col, ceiling=PALETTE)
+        n = len(first)
+        _color_tail(col, first, (21,) * n, ("girth5.subset-neighborhood",) * n, tel, PALETTE)
         rest = [e for e in uncolored if not col.is_colored(e)]
         fam2 = {e: frozenset(col.available_colors(e)) for e in rest}
         sdr2 = find_sdr(fam2)
@@ -444,7 +501,8 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
         col.assign(p, x)
         col.assign(q, x)
         rest = [e for e in incident if not col.is_colored(e)]
-        _finish_tail(rest, (21,) * len(rest), "girth5.incident-neighborhood", tel, col, ceiling=PALETTE)
+        n = len(rest)
+        _color_tail(col, rest, (21,) * n, ("girth5.incident-neighborhood",) * n, tel, PALETTE)
         if (p, q) == pairs[1]:
             tail = [ctx.c[2], ctx.c[4], ctx.c[1], ctx.c[5]]
         else:
@@ -481,7 +539,7 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
 # girth 6 and beyond
 
 
-def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
+def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> HeldPlan:
     """Simple 4-regular with girth at least 6: color everything except
     v's edges, then recolor one edge per neighbor (heading to a
     distance-2 vertex) with the single color 22 -- the girth makes those
@@ -507,14 +565,14 @@ def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
             recolored.append(min(cands))
         for idx, e in enumerate(recolored):
             for f in recolored[:idx]:
-                tel.check(f not in g.conflict_set(e), "girth6.recolor-independent")
+                tel.check(not _conflicting(g, e, f), "girth6.recolor-independent")
         for e in recolored:
             col.unassign(e)
         for e in recolored:
             col.assign(e, 22)
         greedy_color(col, vedges, telemetry=tel, max_color=PALETTE)
 
-    return Plan(vedges, finish)
+    return vedges, (), (20, 21), finish
 
 
 # ---------------------------------------------------------------------------
@@ -555,22 +613,39 @@ def fallback_exact(g: MultiGraph, col: PartialColoring, uncolored) -> PartialCol
 
 
 _RESCUABLE = (PaletteExhausted, LemmaAssertionError, ConflictError)
+_RESUME_CHUNK = 1024
 
 
-@dataclass(slots=True)
-class _Part:
-    """One edge-bearing component in the pass: its id, strategy and
-    anchor (BFS source), the strategy's plan, and why it failed, if it did
-    (the failing lemma's label, or the exception's name)."""
+def _reason(exc: Exception) -> str:
+    """Why a component failed: the failing lemma's label, or the
+    exception's name."""
+    return str(exc) if isinstance(exc, LemmaAssertionError) else type(exc).__name__
 
-    comp: int
-    strategy: str
-    anchor: Anchor
-    plan: Plan | None = None
-    failure: str | None = None
 
-    def fail(self, exc: Exception) -> None:
-        self.failure = str(exc) if isinstance(exc, LemmaAssertionError) else type(exc).__name__
+class _Plans:
+    """What the components ask of one solve, kept flat: per component id
+    c, strategy[c] (None without edges), anchor[c] (its BFS source, a
+    vertex or a cycle), cls[c] (1 + its bound class; 0 without edges or
+    once its plan failed) and failure[c] for a failed c (see _reason);
+    the BFS sources in component order; the tails of all tail strategies
+    in component order, with each edge's cap and lemma label; the edges
+    the other strategies hold back, and their finishes as (c, finish)."""
+
+    __slots__ = (
+        "strategy", "anchor", "cls", "failure", "sources", "tail", "caps", "labels", "held", "finishes"
+    )
+
+    def __init__(self, k: int):
+        self.strategy: list[str | None] = [None] * k
+        self.anchor: list = [None] * k
+        self.cls = bytearray(k)
+        self.failure: dict[int, str] = {}
+        self.sources: list[int] = []
+        self.tail = array("i")
+        self.caps = bytearray()
+        self.labels: list[str] = []
+        self.held = array("i")
+        self.finishes: list[tuple[int, Finish]] = []
 
 
 def _label_components(g: MultiGraph) -> tuple[list[int], int]:
@@ -594,9 +669,7 @@ def _label_components(g: MultiGraph) -> tuple[list[int], int]:
     return comp, k
 
 
-def _plan_components(
-    g: MultiGraph, comp: list[int], k: int, col: PartialColoring, tel: Telemetry
-) -> list[_Part]:
+def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColoring, tel: Telemetry) -> _Plans:
     """Strategy, anchor and plan for every component with edges, in
     component order, with the plants placed in col.
 
@@ -621,73 +694,124 @@ def _plan_components(
     regular = [f != -1 and lo == -1 for f, lo in zip(first, low)]
     cycles = metrics.shortest_cycles(g, comp, regular, longest=5)
 
-    parts = []
+    plans = _Plans(k)
+    strategy = plans.strategy
+    anchor = plans.anchor
+    sources = plans.sources
+    tail = plans.tail
+    caps = plans.caps
+    labels = plans.labels
     for c in range(k):
         if first[c] == -1:
             continue
         cycle = cycles[c]
         if low[c] != -1:
-            strategy, anchor, run, arg = "low_degree", low[c], solve_low_degree, low[c]
+            name, a, run, arg = "low_degree", low[c], solve_low_degree, low[c]
         elif cycle is None:
-            strategy, anchor, run, arg = "girth6", first[c], solve_girth6, first[c]
+            name, a, run, arg = "girth6", first[c], solve_girth6, first[c]
         elif len(cycle) == 1:
-            strategy, anchor, run, arg = "loop", cycle.vertices[0], solve_loop, cycle.edges[0]
+            name, a, run, arg = "loop", cycle.vertices[0], solve_loop, cycle.edges[0]
         elif len(cycle) == 2:
-            strategy, anchor, run, arg = "double_edge", min(cycle.vertices), solve_double_edge, cycle.edges
+            name, a, run, arg = "double_edge", min(cycle.vertices), solve_double_edge, cycle.edges
         else:
-            strategy, anchor, arg = ("girth3", "girth4", "girth5")[len(cycle) - 3], cycle, cycle
+            name, a, arg = ("girth3", "girth4", "girth5")[len(cycle) - 3], cycle, cycle
             run = (solve_girth3, solve_girth4, solve_girth5)[len(cycle) - 3]
-        part = _Part(c, strategy, anchor)
-        parts.append(part)
+        strategy[c] = name
+        anchor[c] = a
+        sources.extend(a.vertices if isinstance(a, CycleDescriptor) else (a,))
         try:
-            part.plan = run(g, arg, tel)
-            for e, color in part.plan.plants:
-                col.assign(e, color)
+            plan = run(g, arg, tel)
+            if name in ("low_degree", "loop", "double_edge", "girth3"):
+                edges, edge_caps, label = plan
+                for e, cap in zip(edges, edge_caps):
+                    tail.append(e)
+                    caps.append(cap)
+                    labels.append(label)
+                plans.cls[c] = 1  # the (20, 21) class
+            else:
+                held, plants, bounds, finish = plan
+                for e, color in plants:
+                    col.assign(e, color)
+                plans.held.extend(held)
+                plans.finishes.append((c, finish))
+                plans.cls[c] = 1 + BOUND_CLASSES.index(bounds)
         except _RESCUABLE as exc:
-            part.fail(exc)
-    return parts
+            plans.failure[c] = _reason(exc)
+    return plans
 
 
 def _greedy_pass(
-    g: MultiGraph,
-    comp: list[int],
-    k: int,
-    parts: list[_Part],
-    order: Sequence[int],
-    col: PartialColoring,
-    tel: Telemetry,
+    g: MultiGraph, comp: list[int], plans: _Plans, order: Sequence[int], col: PartialColoring, tel: Telemetry
 ) -> None:
     """One greedy_color call per bound class over the shared order,
     leaving out held-back edges and failed components. When a call
     raises, the failing edge is the first uncolored one in its order: its
-    component is marked failed and the call resumes after that edge
-    without the component's edges."""
-    cls = bytearray(k)  # component -> 1 + its bound class, 0 for none
-    for p in parts:
-        if p.failure is None:
-            cls[p.comp] = 1 + BOUND_CLASSES.index(p.plan.bounds)
+    component is marked failed, and the pass resumes after that edge
+    without the failed components' edges, in calls over _RESUME_CHUNK
+    edges of the order at a time, so that k failures cost
+    O(m + k * _RESUME_CHUNK) rather than a rebuilt order each."""
+    cls = plans.cls
     ecls = bytearray(map(cls.__getitem__, map(comp.__getitem__, g.eu)))
-    for p in parts:
-        if p.failure is None:
-            for e in p.plan.held:
-                ecls[e] = 0
+    for held in (plans.tail, plans.held):
+        for e in held:
+            ecls[e] = 0
     eu = g.eu
     colors = col._colors
     for i, (conflicts, ceiling) in enumerate(BOUND_CLASSES, start=1):
-        todo = array("i", compress(order, map(i.__eq__, map(ecls.__getitem__, order)))) if i in cls else []
-        while todo:
+        if i not in cls:
+            continue
+        todo = array("i", compress(order, map(i.__eq__, map(ecls.__getitem__, order))))
+        dead: set[int] = set()  # components failed in this class
+        lo = 0
+        size = len(todo)
+        while lo < len(todo):
+            batch = todo[lo : lo + size] if lo else todo
+            if dead:
+                batch = [e for e in batch if comp[eu[e]] not in dead]
             try:
-                greedy_color(col, todo, telemetry=tel, max_conflict_colors=conflicts, max_color=ceiling)
-                break
+                greedy_color(col, batch, telemetry=tel, max_conflict_colors=conflicts, max_color=ceiling)
+                lo += size
             except _RESCUABLE as exc:
-                at = next(idx for idx, e in enumerate(todo) if not colors[e])
-                c = comp[eu[todo[at]]]
-                next(p for p in parts if p.comp == c).fail(exc)
-                todo = [e for e in todo[at + 1 :] if comp[eu[e]] != c]
+                e = next(e for e in batch if not colors[e])
+                c = comp[eu[e]]
+                plans.failure[c] = _reason(exc)
+                dead.add(c)
+                lo = todo.index(e, lo) + 1
+                size = _RESUME_CHUNK
+
+
+def _finish_tails(
+    g: MultiGraph, comp: list[int], plans: _Plans, col: PartialColoring, tel: Telemetry
+) -> None:
+    """Color the tails of all low_degree, loop, double_edge and girth3
+    components in one _color_tail loop, in component order, within 21
+    colors. Components never conflict, so each tail gets the colors and
+    the checks it would get alone. A failing check marks only its own
+    component failed, and the loop resumes after that component's tail,
+    whose edges are consecutive."""
+    tail, caps, labels = plans.tail, plans.caps, plans.labels
+    failure = plans.failure
+    eu = g.eu
+    if failure:  # leave out the components the greedy pass failed
+        live = [comp[eu[e]] not in failure for e in tail]
+        tail, caps, labels = (list(compress(seq, live)) for seq in (tail, caps, labels))
+    colors = col._colors
+    i = 0
+    while i < len(tail):
+        try:
+            _color_tail(col, tail, caps, labels, tel, 21, i)
+            return
+        except _RESCUABLE as exc:
+            while colors[tail[i]]:
+                i += 1
+            c = comp[eu[tail[i]]]
+            failure[c] = _reason(exc)
+            while i < len(tail) and comp[eu[tail[i]]] == c:
+                i += 1
 
 
 def _rescue_components(
-    g: MultiGraph, comp: list[int], parts: list[_Part], order: Sequence[int], col: PartialColoring, tel: Telemetry
+    g: MultiGraph, comp: list[int], plans: _Plans, order: Sequence[int], col: PartialColoring, tel: Telemetry
 ) -> None:
     """Recolor each failed component from scratch: the guaranteed greedy
     phase over its share of the order, then backtracking over the edges at
@@ -696,10 +820,10 @@ def _rescue_components(
     all of the component's edges in col. The vertices, edges and order
     shares of all failed components are grouped first, in one ascending
     pass each, so the rescues cost O(n + m) however many there are."""
-    failed = [p for p in parts if p.failure is not None]
+    failed = sorted(plans.failure)
     if not failed:
         return
-    slot = {p.comp: i for i, p in enumerate(failed)}
+    slot = {c: i for i, c in enumerate(failed)}
     vslot = [slot.get(c, -1) for c in comp]
     eslot = [vslot[u] for u in g.eu]
 
@@ -712,7 +836,7 @@ def _rescue_components(
 
     eu = g.eu
     ev = g.ev
-    for part, verts, edges, share in zip(
+    for c, verts, edges, share in zip(
         failed,
         grouped(range(g.vertex_count), vslot),
         grouped(range(g.edge_count), eslot),
@@ -724,7 +848,7 @@ def _rescue_components(
         sub = MultiGraph(
             len(local), array("i", [local[eu[e]] for e in edges]), array("i", [local[ev[e]] for e in edges])
         )
-        anchor = part.anchor
+        anchor = plans.anchor[c]
         if isinstance(anchor, CycleDescriptor):
             skip = set(anchor.edges)
             if len(anchor) > 3:
@@ -745,25 +869,28 @@ def _rescue_components(
 
 
 def _solve_report(
-    g: MultiGraph, comp: list[int], k: int, parts: list[_Part], col: PartialColoring, tel: Telemetry
+    g: MultiGraph, comp: list[int], k: int, plans: _Plans, col: PartialColoring, tel: Telemetry
 ) -> SolveReport:
-    """The SolveReport: per part, strategy (fallback_exact if rescued), edge
-    count and colors used, and the colors used overall, from one pass."""
+    """The SolveReport: per component with edges, strategy (fallback_exact
+    if rescued), edge count and colors used, and the colors used overall,
+    from one pass."""
     counts = array("i", bytes(4 * k))
     masks = array("q", bytes(8 * k))
     for u, color in zip(g.eu, col._colors):
         c = comp[u]
         counts[c] += 1
         masks[c] |= 1 << color
+    failure = plans.failure
     return SolveReport(
         components=[
             ComponentReport(
-                strategy=p.strategy if p.failure is None else "fallback_exact",
-                edge_count=counts[p.comp],
-                colors_used=(masks[p.comp] >> 1).bit_count(),
-                failure=p.failure,
+                strategy=name if c not in failure else "fallback_exact",
+                edge_count=counts[c],
+                colors_used=(masks[c] >> 1).bit_count(),
+                failure=failure.get(c),
             )
-            for p in parts
+            for c, name in enumerate(plans.strategy)
+            if name is not None
         ],
         colors_used=(reduce(or_, masks, 0) >> 1).bit_count(),
         assertions_checked=tel.checks,
@@ -779,9 +906,10 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
     once; plan every component with edges (strategy, anchor, held-back
     edges, planted colors, bound class) and place its planted colors; run
     one BFS from all anchors and one distance order; make one greedy_color
-    call per bound class; then run each component's finish. Conflicts never cross
+    call per bound class; color every tail in one loop; then run the
+    finishes of the girth 4, 5 and 6 components. Conflicts never cross
     components, so every component gets the coloring it would get alone.
-    A component whose plan, greedy share or finish fails a check is
+    A component whose plan, greedy share, tail or finish fails a check is
     recolored alone by the backtracking fallback; the others keep theirs.
 
     The report lists the strategy used for each component with edges, the
@@ -794,19 +922,17 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
     tel = Telemetry()
     col = PartialColoring(g, PALETTE)
     comp, k = _label_components(g)
-    parts = _plan_components(g, comp, k, col, tel)
-    sources = []
-    for p in parts:
-        sources.extend(p.anchor.vertices if isinstance(p.anchor, CycleDescriptor) else (p.anchor,))
-    dist = metrics.bfs_from_sources(g, sources)
+    plans = _plan_components(g, comp, k, col, tel)
+    dist = metrics.bfs_from_sources(g, plans.sources)
     order = metrics.order_by_distance(g, dist)
-    _greedy_pass(g, comp, k, parts, order, col, tel)
-    for p in parts:
-        if p.failure is None:
+    _greedy_pass(g, comp, plans, order, col, tel)
+    _finish_tails(g, comp, plans, col, tel)
+    for c, finish in plans.finishes:
+        if c not in plans.failure:
             try:
-                p.plan.finish(col, dist)
+                finish(col, dist)
             except _RESCUABLE as exc:
-                p.fail(exc)
-    _rescue_components(g, comp, parts, order, col, tel)
+                plans.failure[c] = _reason(exc)
+    _rescue_components(g, comp, plans, order, col, tel)
     col._at = None  # the masks served the pass; a caller's first query rebuilds them
-    return col, _solve_report(g, comp, k, parts, col, tel)
+    return col, _solve_report(g, comp, k, plans, col, tel)

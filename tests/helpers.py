@@ -11,8 +11,9 @@ import random
 import time
 from array import array
 from collections import deque
+from operator import eq
 
-from strongcolor import GraphFormatError, MultiGraph, PartialColoring, greedy_color, metrics, random_max4, solve
+from strongcolor import GraphFormatError, MultiGraph, PartialColoring, greedy_color, metrics, random_max4, solve, solver
 from strongcolor.metrics import CycleDescriptor
 
 
@@ -200,11 +201,30 @@ def bench_rows(sizes, seed: int = 0) -> list[tuple[int, int, int, int]]:
 
 
 def run_plan(g: MultiGraph, anchor, plan, telemetry) -> PartialColoring:
-    """One strategy's plan run on its own: the greedy phase, then the
-    finish."""
-    col, dist = greedy_phase(g, anchor, plan.held, plan.plants, plan.bounds, telemetry)
-    plan.finish(col, dist)
+    """One strategy's plan run on its own, as solve runs it: the greedy
+    phase, then the tail of a (tail, caps, label) plan within 21 colors,
+    or the finish of a (held, plants, bounds, finish) plan."""
+    if len(plan) == 3:
+        tail, caps, label = plan
+        tail = tail[: len(caps)]
+        col, _ = greedy_phase(g, anchor, tail, telemetry=telemetry)
+        solver._color_tail(col, tail, caps, [label] * len(tail), telemetry, 21)
+        return col
+    held, plants, bounds, finish = plan
+    col, dist = greedy_phase(g, anchor, held, plants, bounds, telemetry)
+    finish(col, dist)
     return col
+
+
+def ref_color_tail(col: PartialColoring, tail, caps, label: str, telemetry, ceiling: int) -> None:
+    """solver._color_tail with one lemma label, as the solver's finishes
+    colored a tail before its tails ran in one loop: per edge, the colored
+    members of its conflict set counted against the cap, then a one-edge
+    greedy_color call."""
+    colors = col._colors
+    for cap, e in zip(caps, tail):
+        telemetry.check(sum(1 for f in col.graph.conflict_set(e) if colors[f]) <= cap, label)
+        greedy_color(col, [e], telemetry=telemetry, max_color=ceiling)
 
 
 def color_of(col: PartialColoring, e: int) -> int | None:
@@ -398,6 +418,99 @@ def ref_parse_coloring(text: str, g: MultiGraph) -> PartialColoring:
             max_color = c
     col.palette_size = max(col.palette_size, max_color)
     return col
+
+
+def ref_shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[CycleDescriptor | None]:
+    """metrics.shortest_cycles as it was before each start's BFS was
+    restricted to the vertices above the start: every BFS runs over the
+    whole component, and the witness is the walk of the closing edge that
+    last improved the component's best. The reference for the restricted
+    scan."""
+    found: list[CycleDescriptor | None] = [None] * len(wanted)
+    if not any(wanted):
+        return found
+    n = g.vertex_count
+    eu = g.eu
+    ev = g.ev
+    loops = bytes(map(eq, eu, ev))
+    e = loops.find(1)
+    while e >= 0:
+        c = comp[eu[e]]
+        if wanted[c] and found[c] is None:
+            found[c] = CycleDescriptor((eu[e],), (e,))
+        e = loops.find(1, e + 1)
+    # a parallel pair shows as a repeated neighbor in the CSR; per
+    # component keep the pair whose later edge id is smallest
+    off, inc_flat, nbr_flat = g.csr()
+    pairs: dict[int, tuple[int, int]] = {}
+    for x in range(n):
+        c = comp[x]
+        if not wanted[c] or found[c] is not None:
+            continue
+        lo = off[x]
+        nbrs = nbr_flat[lo : off[x + 1]]
+        if len(set(nbrs)) == len(nbrs):
+            continue
+        for w in set(nbrs):
+            if w > x and nbrs.count(w) > 1:
+                i, j = [inc_flat[lo + t] for t, y in enumerate(nbrs) if y == w][:2]
+                if c not in pairs or j < pairs[c][1]:
+                    pairs[c] = (i, j)
+    for c, (i, j) in pairs.items():
+        found[c] = CycleDescriptor((eu[i], ev[i]), (i, j))
+
+    bests = [(n if longest is None else longest) + 1] * len(wanted)  # longer than any cycle sought
+    walks: list[list[int] | None] = [None] * len(wanted)  # closed walk of length bests[c]
+    searching = [w and f is None for w, f in zip(wanted, found)]
+    dist = [-1] * n
+    par = [-1] * n  # BFS parent; the components searched here are simple
+    for s in range(n):
+        c = comp[s]
+        if not searching[c]:
+            continue
+        best = bests[c]
+        dist[s] = 0
+        par[s] = -1
+        closing = None
+        reached = [s]  # the BFS queue, and the slots to reset afterwards
+        for x in reached:
+            dx = dist[x]
+            if 2 * dx + 1 >= best:
+                break  # no closing edge from here on can improve on best
+            # a vertex first seen on level dx + 1 closes walks of length
+            # >= 2 * dx + 2 and is never expanded, so that level is only
+            # grown while it can still improve on best
+            grow = 2 * dx + 2 < best
+            px = par[x]
+            for y in nbr_flat[off[x] : off[x + 1]]:
+                if dist[y] == -1:
+                    if grow:
+                        dist[y] = dx + 1
+                        par[y] = x
+                        reached.append(y)
+                elif y != px and par[y] != x:
+                    cand = dx + dist[y] + 1
+                    if cand < best:
+                        best = cand
+                        closing = (x, y)
+        if closing is not None:
+            bests[c] = best
+            f = metrics._edge_between(g, *closing)
+            walks[c] = metrics._splice(par, s, eu[f], ev[f])
+            searching[c] = best > 3  # girth cannot beat 3 in a simple graph
+        for x in reached:
+            dist[x] = -1
+
+    for c, walk in enumerate(walks):
+        if walk is None:
+            continue
+        # A closed walk found earlier can repeat vertices (its two tree
+        # paths may share a prefix); the shortest one never does.
+        if len(set(walk)) != len(walk) or len(walk) != bests[c]:
+            raise RuntimeError("shortest-cycle search produced a non-simple walk")
+        edges = tuple(metrics._edge_between(g, a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
+        found[c] = CycleDescriptor(tuple(walk), edges)
+    return found
 
 
 def ref_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:

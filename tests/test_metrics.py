@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from helpers import (
     CountingSlices,
     compatible_order,
     complete,
+    complete_bipartite,
     components,
     cycle,
     disjoint_union,
@@ -13,6 +16,7 @@ from helpers import (
     path,
     random_multigraph,
     ref_shortest_cycle,
+    ref_shortest_cycles,
     shuffled_union,
     split_components,
     star,
@@ -156,13 +160,14 @@ def test_fixture_girths(petersen, robertson, cage46):
 
 
 def test_cycle_scan_stops_where_no_closing_edge_can_improve(petersen, robertson, cage46):
-    """Each BFS stops at the first level dx with 2 * dx + 1 >= best, so
-    the scan reads few neighbor slices (one per vertex for parallel
-    pairs, plus the BFS levels it expands); the witness is the same."""
+    """Each BFS stops at the first level dx with 2 * dx + 1 >= best and
+    visits only the vertices above its start, so the scan reads few
+    neighbor slices (one per vertex for parallel pairs, plus the BFS
+    levels it expands); the witness is the same."""
     for g, reads, want in (
-        (petersen, 57, ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4))),
-        (robertson, 121, ((0, 4, 18, 5, 11), (13, 6, 4, 20, 30))),
-        (cage46, 475, ((0, 17, 1, 13, 4, 14), (1, 5, 4, 16, 17, 0))),
+        (petersen, 42, ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4))),
+        (robertson, 83, ((0, 4, 18, 5, 11), (13, 6, 4, 20, 30))),
+        (cage46, 189, ((0, 17, 1, 13, 4, 14), (1, 5, 4, 16, 17, 0))),
     ):
         csr = g.csr()
         nbr = CountingSlices(csr[2])
@@ -315,3 +320,44 @@ def test_find_shortest_cycle_after_a_non_simple_walk():
     want = CycleDescriptor((1, 2, 3), (1, 3, 2))
     assert find_shortest_cycle(g) == want
     assert ref_shortest_cycle(g) == want
+
+
+@functools.cache
+def scan_pool() -> tuple[MultiGraph, ...]:
+    """Parts for the scan reference test: random 4-regular graphs of
+    girth 3 to 6, K5, K4,4, the fixtures, and small multigraphs with
+    loops and parallel edges."""
+    parts = [
+        random_4regular(n + 4 * seed, seed=seed, min_girth=girth)[0]
+        for girth, n in ((3, 30), (4, 30), (5, 40), (6, 200))
+        for seed in (0, 1)
+    ]
+    parts += [complete(5), complete_bipartite(4, 4), cycle(7), path(4), MultiGraph(1)]
+    parts += [load_fixture(name) for name in ("petersen", "robertson", "cage_4_6")]
+    multi = (random_multigraph(seed, max_n=9) for seed in range(40))
+    parts += [h for h in multi if h.find_loop() is not None or h.find_parallel_pair() is not None][:12]
+    return tuple(parts)
+
+
+@given(
+    st.lists(st.integers(0, 27), min_size=1, max_size=6),
+    st.integers(0, 10_000),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=120, deadline=None)
+def test_restricted_scan_equals_the_unrestricted_one(picks, seed, rnd):
+    """Each start's BFS visits only the vertices above it, and the
+    witness comes from the smallest start that reaches the girth: the
+    whole result list equals the unrestricted scan's, capped at 5 as
+    dispatch runs it and uncapped, for all components wanted and for a
+    random subset."""
+    pool = scan_pool()
+    g = shuffled_union([pool[i % len(pool)] for i in picks], seed)
+    groups = components(g)
+    comp = [0] * g.vertex_count
+    for c, group in enumerate(groups):
+        for v in group:
+            comp[v] = c
+    for wanted in ([True] * len(groups), [rnd.random() < 0.5 for _ in groups]):
+        for longest in (5, None):
+            assert shortest_cycles(g, comp, wanted, longest) == ref_shortest_cycles(g, comp, wanted, longest)

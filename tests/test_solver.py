@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from strongcolor import (
     Unsatisfiable,
     erdos_nesetril_5,
     find_shortest_cycle,
+    greedy_color,
     load_fixture,
     metrics,
     random_4regular,
@@ -49,6 +51,7 @@ from helpers import (
     hypercube4,
     path,
     random_multigraph,
+    ref_color_tail,
     run_plan,
     shuffled_union,
     split_components,
@@ -107,7 +110,7 @@ def test_color_except_cycle_k5():
 
 
 # --- per-shape strategies --------------------------------------------------
-# Each strategy returns a Plan; run_plan runs it alone, as solve runs it.
+# Each strategy returns a plan tuple; run_plan runs it alone, as solve runs it.
 
 
 def run_strategy(strategy, g, arg, anchor):
@@ -196,7 +199,8 @@ def test_girth4_strategy_reserves_diagonals():
     c = CycleDescriptor(verts, edges)
     tel = Telemetry()
     plan = solve_girth4(g, c, tel)
-    assert len(set(plan.held) - set(c.edges)) == 4
+    held = plan[0]
+    assert len(set(held) - set(c.edges)) == 4
     col = run_plan(g, c, plan, tel)
     assert tel.labels["girth4.diagonal-neighborhood"] == 4
     assert_total_valid(g, col)
@@ -235,6 +239,37 @@ def test_girth6_strategy(cage46):
     col = run_strategy(solve_girth6, cage46, 0, 0)
     assert_total_valid(cage46, col)
     assert 22 in {color_of(col, e) for e in range(cage46.edge_count)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 100_000))
+def test_color_tail_equals_one_greedy_call_per_edge(seed):
+    """The tail routine counts each edge's colored conflicting edges and
+    colors it as a conflict-set count and a one-edge greedy_color call
+    did: same colors, same checks per label, and the same failure at the
+    same edge, on multigraphs with loops and parallel edges."""
+    rng = random.Random(seed)
+    g = random_multigraph(seed, max_n=12, max_m=24)
+    base = PartialColoring(g, 22)
+    greedy_color(base, rng.sample(range(g.edge_count), rng.randint(0, g.edge_count)))
+    tail = [e for e in range(g.edge_count) if not base._colors[e]]
+    rng.shuffle(tail)
+    caps = [rng.randint(0, 24) for _ in tail]
+    ceiling = rng.randint(1, 22)
+
+    def outcome(color_tail):
+        col = base.copy()
+        tel = Telemetry()
+        try:
+            color_tail(col, tel)
+            failure = None
+        except (LemmaAssertionError, PaletteExhausted) as exc:
+            failure = (type(exc), str(exc))
+        return failure, col._colors, tel.checks, tel.labels
+
+    assert outcome(lambda col, tel: solver._color_tail(col, tail, caps, ["lemma"] * len(tail), tel, ceiling)) == (
+        outcome(lambda col, tel: ref_color_tail(col, tail, caps, "lemma", tel, ceiling))
+    )
 
 
 # --- cycle context labeling ------------------------------------------------
@@ -547,15 +582,39 @@ def test_shared_greedy_failure_rescues_only_its_component(
     assert Counter(rep.labels) == want
 
 
+def test_shared_pass_failures_cost_linear_time(monkeypatch):
+    """A stand-in greedy_color fails at the first edge of every
+    bound-checked call, so the K5s fail in the shared pass one after the
+    other; the resumed calls take the order a chunk at a time, so the
+    orders handed over total O(m + k * chunk), not a rebuilt order per
+    failure (about k * m / 2)."""
+    real = solver.greedy_color
+    handed = []
+
+    def first_edge_fails(col, order, **kwargs):
+        if kwargs.get("max_conflict_colors") is not None and len(order):
+            handed.append(len(order))
+            kwargs["telemetry"].check(False, "greedy.conflict-color-bound")
+        return real(col, order, **kwargs)
+
+    monkeypatch.setattr(solver, "greedy_color", first_edge_fails)
+    copies = 2000
+    g = disjoint_union(*[complete(5)] * copies)
+    col, rep = solve(g)
+    assert col.is_total() and verify(col) == []
+    assert rep.fallback_invocations == copies == len(handed)
+    assert {c.failure for c in rep.components} == {"greedy.conflict-color-bound"}
+    assert sum(handed) <= g.edge_count + copies * solver._RESUME_CHUNK
+
+
 def test_planting_conflict_is_rescued_and_named(monkeypatch, robertson, petersen):
     real = solver.solve_girth5
 
     def clash(g, cycle, tel):
-        plan = real(g, cycle, tel)
-        e = plan.plants[0][0]
+        held, plants, bounds, finish = real(g, cycle, tel)
+        e = plants[0][0]
         f = min(g.conflict_set(e))
-        plan.plants = ((e, 21), (f, 21))
-        return plan
+        return held, ((e, 21), (f, 21)), bounds, finish
 
     monkeypatch.setattr(solver, "solve_girth5", clash)
     g = disjoint_union(petersen, robertson)
@@ -572,13 +631,8 @@ def test_finish_failure_is_rescued(monkeypatch, cage46):
     real = solver.solve_girth3
 
     def late(g, cycle, tel):
-        plan = real(g, cycle, tel)
-
-        def finish(col, dist):
-            tel.check(False, "girth3.final-neighborhood")
-
-        plan.finish = finish
-        return plan
+        tail, caps, label = real(g, cycle, tel)
+        return tail, (0,) * len(caps), label  # the tail's first check fails
 
     monkeypatch.setattr(solver, "solve_girth3", late)
     col, rep = solve(g)
@@ -590,13 +644,65 @@ def test_finish_failure_is_rescued(monkeypatch, cage46):
     ]
 
 
+def _failing_tail(monkeypatch, fail_at):
+    """Patch solver.solve_girth3 so that its fail_at-th call from now on
+    (1-based; 0 for none) plans caps of 0, and that tail's first edge
+    fails the lemma check. Returns the cycles it is called with."""
+    real = solver.solve_girth3
+    calls = []
+
+    def capped(g, cycle, tel):
+        tail, caps, label = real(g, cycle, tel)
+        calls.append(cycle)
+        return tail, (0,) * len(caps) if len(calls) == fail_at else caps, label
+
+    monkeypatch.setattr(solver, "solve_girth3", capped)
+    return calls
+
+
+def test_tail_failure_rescues_only_its_component(monkeypatch, petersen, cage46):
+    """One K5's tail lemma fails inside the one tail loop: only that
+    component is rescued, the loop goes on with the tails after it, and
+    every other component gets the colors and checks it gets alone."""
+    parts = [complete(5), petersen, complete(5), triangle_with_loops(), complete(5), doubled_triangle(), cage46]
+    g = shuffled_union(parts, seed=7)
+    clean_col, clean_rep = solve(g)
+    victim = [i for i, c in enumerate(clean_rep.components) if c.strategy == "girth3"][1]
+    tails = ("low_degree", "loop", "double_edge", "girth3")
+    assert any(c.strategy in tails for c in clean_rep.components[victim + 1 :])
+
+    calls = _failing_tail(monkeypatch, 2)
+    col, rep = solve(g)
+    assert len(calls) == 3
+    assert col.is_total() and verify(col) == []
+    assert rep.fallback_invocations == 1
+    subs = split_components(g)
+    want = Counter()
+    for idx, ((sub, emap), comp, clean) in enumerate(zip(subs, rep.components, clean_rep.components)):
+        if idx == victim:
+            assert comp.strategy == "fallback_exact"
+            assert comp.failure == "girth3.final-neighborhood"
+            _failing_tail(monkeypatch, 1)
+        else:
+            assert comp == clean
+            assert [color_of(col, e) for e in emap] == [color_of(clean_col, e) for e in emap]
+            _failing_tail(monkeypatch, 0)
+        sub_col, sub_rep = solve(sub)
+        assert sub_rep.components == [comp]
+        if idx != victim:
+            assert [color_of(col, e) for e in emap] == [color_of(sub_col, e) for e in range(sub.edge_count)]
+        want.update(sub_rep.labels)
+    assert Counter(rep.labels) == want
+    assert rep.assertions_checked == sum(want.values())
+
+
 def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson, cage46, petersen):
     parts = [complete(5), en_graph, robertson, cage46, petersen]
     g = shuffled_union(parts + [triangle_with_loops(), doubled_triangle(), path(7)], seed=11)
     calls = Counter()
     bounds = []
     finishing = []  # edges of each greedy_color call without a bound class
-    planned = []
+    held = []  # held-back edges of each plan: a tail, or the held edges
 
     def counted(owner, name):
         real = getattr(owner, name)
@@ -609,15 +715,18 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
                 else:
                     finishing.append(set(args[1]))
             out = real(*args, **kwargs)
-            if name == "_plan_components":
-                planned.extend(out)
+            if name.startswith("solve_"):
+                held.append(set(out[0]))
             return out
 
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(solver, "_label_components")
     counted(solver, "_plan_components")
+    counted(solver, "_finish_tails")
     counted(solver, "greedy_color")
+    for name in ("low_degree", "loop", "double_edge", "girth3", "girth4", "girth5", "girth6"):
+        counted(solver, "solve_" + name)
     for name in ("shortest_cycles", "find_shortest_cycle", "bfs_from_sources", "order_by_distance"):
         counted(metrics, name)
     counted(MultiGraph, "__init__")
@@ -631,8 +740,9 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
     assert calls["bfs_from_sources"] == 1
     assert calls["order_by_distance"] == 1
     assert calls["find_shortest_cycle"] == calls["__init__"] == 0
+    assert calls["_plan_components"] == calls["_finish_tails"] == 1
     assert sorted(bounds) == [(20, 21), (21, 22)]
-    held = [set(p.plan.held) for p in planned]
+    assert len(held) == len(rep.components)
     assert finishing and all(sum(edges <= h for h in held) == 1 for edges in finishing)
 
 
