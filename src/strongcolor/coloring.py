@@ -39,9 +39,8 @@ class PartialColoring:
     color c. It is built on the first query, which raises ValueError if a
     color above 62 is present, and every write keeps it exact: a color
     given to an uncolored edge ORs its bit in at the edge's ends (assign,
-    greedy_color, the solver's tail routine), any other write through
-    unassign or _set_unchecked recomputes the ends' masks, and a write
-    above 62 drops the array.
+    greedy_color), any other write through unassign or _set_unchecked
+    recomputes the ends' masks, and a write above 62 drops the array.
     """
 
     __slots__ = ("graph", "palette_size", "_colors", "_at")

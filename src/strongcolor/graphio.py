@@ -74,7 +74,7 @@ def parse_graph(text: str) -> MultiGraph:
         if not _EDGE_LINES.fullmatch(chunk):
             return False
         ends = [int(x) - 1 for x in chunk.replace("e", "").split()]  # u, v, u, v, ...
-        if min(ends) < 0 or max(ends) >= min(n, 1 << 31):  # in range, and fits "i"
+        if min(ends) < 0 or max(ends) >= n:
             return False
         eu.extend(ends[::2])
         ev.extend(ends[1::2])
@@ -94,6 +94,8 @@ def parse_graph(text: str) -> MultiGraph:
         raise GraphFormatError(f"line {ln}: non-integer vertex or edge count")
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {ln}: negative vertex or edge count")
+    if n > 1 << 31:  # vertex ids 0..n-1 are stored as 32-bit ints
+        raise GraphFormatError(f"line {ln}: vertex count {n} above 2**31")
 
     for ln, line in lines:
         parts = line.split()

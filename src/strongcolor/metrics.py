@@ -144,6 +144,11 @@ def shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[CycleDesc
     searching = [w and f is None for w, f in zip(wanted, found)]
     dist = [-1] * n
     par = [-1] * n  # BFS parent; the components searched here are simple
+
+    def edge_between(a: int, b: int) -> int:  # the one edge joining a and b
+        lo = off[a]
+        return inc_flat[lo + nbr_flat[lo : off[a + 1]].index(b)]
+
     for s in range(n):
         c = comp[s]
         if not searching[c]:
@@ -175,7 +180,7 @@ def shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[CycleDesc
                         closing = (x, y)
         if closing is not None:
             bests[c] = best
-            f = _edge_between(g, *closing)
+            f = edge_between(*closing)
             walks[c] = _splice(par, s, eu[f], ev[f])
             searching[c] = best > 3  # girth cannot beat 3 in a simple graph
         for x in reached:
@@ -188,16 +193,9 @@ def shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[CycleDesc
         # paths may share a prefix); the shortest one never does.
         if len(set(walk)) != len(walk) or len(walk) != bests[c]:
             raise RuntimeError("shortest-cycle search produced a non-simple walk")
-        edges = tuple(_edge_between(g, a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
+        edges = tuple(map(edge_between, walk, walk[1:] + walk[:1]))
         found[c] = CycleDescriptor(tuple(walk), edges)
     return found
-
-
-def _edge_between(g: MultiGraph, a: int, b: int) -> int:
-    """The edge joining a and b in a simple graph."""
-    off, inc_flat, nbr_flat = g.csr()
-    lo = off[a]
-    return inc_flat[lo + nbr_flat[lo : off[a + 1]].index(b)]
 
 
 def _splice(par, s: int, x: int, y: int) -> list[int]:

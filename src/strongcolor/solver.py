@@ -7,15 +7,17 @@ small anchor by a greedy pass over a distance-compatible order, then
 finishes the few held-back edges with whatever bookkeeping makes the
 counting work. `solve` runs all components in one pass over the whole
 graph and keeps what they ask of it in flat lists indexed by component
-id, not in an object per component. The low_degree, loop, double_edge
-and girth3 strategies return a tail (held-back edges, each with a cap on
-its colored conflicting edges), and one loop colors every component's
-tail after the shared greedy pass. The girth 4, 5 and 6 strategies
-return held-back edges, planted colors, a bound class and a finish of
-their own. One BFS, one edge order and one greedy call per bound class
-serve every component. Counting claims are asserted at runtime; a
-component whose claim fails is recolored by a backtracking fallback and
-counted, never ignored.
+id, not in an object per component. Every strategy returns one plan
+shape: held-back edges, planted colors, a bound class and a finish. The
+low_degree, loop, double_edge and girth3 strategies have no finish:
+their held-back edges are a tail whose lemma caps (at most so many
+colored edges conflict with each tail edge at its turn) are read from
+the structure while planning, and one greedy_color call colors every
+component's tail after the shared pass. One BFS, one edge order and one
+greedy_color call per bound class serve every component, and every
+coloring step goes through greedy_color. Counting claims are asserted at
+runtime; a component whose claim fails is recolored by a backtracking
+fallback and counted, never ignored.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
 from typing import Callable, Sequence
 
@@ -103,109 +105,71 @@ class SolveReport:
         return [c.strategy for c in self.components]
 
 
-# A strategy's plan is a plain tuple. The tail strategies (low_degree,
-# loop, double_edge, girth3) return a TailPlan (tail, caps, label): the
-# held-back edges in coloring order, the cap on each one's colored
-# conflicting edges, and the lemma those caps check. The girth 4, 5 and 6
-# strategies return a HeldPlan (held, plants, bounds, finish): the pass
-# colors `plants` first, then every other edge of the component except
-# `held`, greedily along the distance order from the anchor and checking
-# `bounds` (distinct colors among an edge's colored conflicts, and its
-# color) on each; finish(col, dist) then colors the held-back edges,
-# given the BFS distances to the anchor.
+# A strategy's plan is a plain tuple (held, plants, bounds, finish): the
+# pass colors `plants` first, then every other edge of the component
+# except `held`, greedily along the distance order from the anchor and
+# checking `bounds` (distinct colors among an edge's colored conflicts,
+# and its color) on each; finish(col, dist) then colors the held-back
+# edges, given the BFS distances to the anchor. The low_degree, loop,
+# double_edge and girth3 strategies have no finish (None): their
+# held-back edges are a tail, whose lemma caps they check when planning,
+# and the pass colors it greedily within 21 colors last.
 Finish = Callable[[PartialColoring, list[int]], None]
-TailPlan = tuple[list[int], tuple[int, ...], str]
-HeldPlan = tuple[list[int], Sequence[tuple[int, int]], tuple[int, int], Finish]
+Plan = tuple[list[int], Sequence[tuple[int, int]], tuple[int, int], Finish | None]
 
 
 # ---------------------------------------------------------------------------
-# the tail routine, and the strategies that end in one tail
+# tail lemmas, and the strategies that end in a tail
 
 
-def _color_tail(
-    col: PartialColoring,
-    tail: Sequence[int],
-    caps: Sequence[int],
-    labels: Sequence[str],
-    tel: Telemetry,
-    ceiling: int,
-    start: int = 0,
+def _check_caps(
+    g: MultiGraph, tail: Sequence[int], caps: Sequence[int], label: str, pending: Sequence[int], tel: Telemetry
 ) -> None:
-    """Color tail[start:] in order. Edge tail[i] first checks its lemma
-    labels[i]: at most caps[i] colored edges conflict with it, counted
-    exactly over its conflict set (a popcount of the color masks would
-    count colors, a weaker claim). It then takes the least color free of
-    its conflicts, which must not exceed `ceiling` ("greedy.color-ceiling").
-    Raises at the first failing edge, with the edges before it colored
-    and every check made so far counted."""
-    g = col.graph
-    off, inc_flat, nbr_flat = g.csr()
-    eu = g.eu
-    ev = g.ev
-    colors = col._colors
-    color_of = colors.__getitem__
-    at = col._masks()
-    palette = col.palette_size
-    full = (1 << (palette + 1)) - 2  # bits 1..palette
-    passed: dict[str, int] = {}
-    ceiling_hits = 0
+    """Check lemma `label` for a tail colored in order: at most caps[i]
+    colored edges conflict with tail[i] at its turn. Then every edge of
+    its component is colored except the edges of `pending` (the held-back
+    edges still uncolored when the tail starts) not yet reached, so the
+    count is read from the structure, exactly over tail[i]'s conflict set
+    (a popcount of the color masks would count colors, a weaker claim).
+    Raises at the first failing cap, with the checks before it counted."""
+    later = set(pending)
+    passed = 0
     try:
-        for i in range(start, len(tail)):
-            e = tail[i]
-            if colors[e]:
-                raise ValueError(f"edge {e} in a tail is already colored")
-            u = eu[e]
-            v = ev[e]
-            near: set[int] = set()  # e's conflict set, and e
-            used = 0  # colors on it
-            for y in set(nbr_flat[off[u] : off[u + 1]] + nbr_flat[off[v] : off[v + 1]]):
-                used |= at[y]
-                near.update(inc_flat[off[y] : off[y + 1]])
-            label = labels[i]
-            if len(near) - list(map(color_of, near)).count(0) > caps[i]:
+        for e, cap in zip(tail, caps):
+            later.discard(e)
+            if len(g.conflict_set(e) - later) > cap:
                 tel.check(False, label)
-            passed[label] = passed.get(label, 0) + 1
-            free = full & ~used
-            if not free:
-                raise PaletteExhausted(e, palette)
-            c = (free & -free).bit_length() - 1
-            if c > ceiling:
-                tel.check(False, "greedy.color-ceiling")
-            ceiling_hits += 1
-            colors[e] = c
-            bit = 1 << c
-            at[u] |= bit
-            at[v] |= bit
+            passed += 1
     finally:
         # passed checks are recorded in bulk; a failing one is counted by
         # telemetry.check itself
-        if ceiling_hits:
-            passed["greedy.color-ceiling"] = ceiling_hits
-        lab = tel.labels
-        for label, count in passed.items():
-            tel.checks += count
-            lab[label] = lab.get(label, 0) + count
+        if passed:
+            tel.checks += passed
+            tel.labels[label] = tel.labels.get(label, 0) + passed
 
 
-def solve_low_degree(g: MultiGraph, v: int, tel: Telemetry) -> TailPlan:
+def solve_low_degree(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
     """Component with a vertex of degree at most 3: color everything else
     first, then v's edges. Their conflict neighborhoods are capped at
     18/19/20 colored edges respectively, so 21 colors suffice."""
     tel.check(g.degree(v) <= 3, "low-degree.anchor-degree")
-    return sorted(set(g.incident_edges(v))), (18, 19, 20), "low-degree.final-neighborhood"
+    tail = sorted(set(g.incident_edges(v)))
+    _check_caps(g, tail, (18, 19, 20), "low-degree.final-neighborhood", tail, tel)
+    return tail, (), (20, 21), None
 
 
-def solve_loop(g: MultiGraph, loop_edge: int, tel: Telemetry) -> TailPlan:
+def solve_loop(g: MultiGraph, loop_edge: int, tel: Telemetry) -> Plan:
     """4-regular component with a loop: anchor at the loop's vertex, which
     carries at most three distinct edges, and finish there last."""
     tel.check(g.is_loop(loop_edge), "loop.anchor-is-loop")
     v = g.endpoints(loop_edge)[0]
     vedges = sorted(set(g.incident_edges(v)))
     tail = [e for e in vedges if not g.is_loop(e)] + [e for e in vedges if g.is_loop(e)]
-    return tail, (20, 20, 20), "loop.final-neighborhood"
+    _check_caps(g, tail, (20, 20, 20), "loop.final-neighborhood", tail, tel)
+    return tail, (), (20, 21), None
 
 
-def solve_double_edge(g: MultiGraph, pair: tuple[int, int], tel: Telemetry) -> TailPlan:
+def solve_double_edge(g: MultiGraph, pair: tuple[int, int], tel: Telemetry) -> Plan:
     """4-regular component with parallel edges: anchor at the smaller
     endpoint. Coloring its other two edges first and the pair last keeps
     the colored neighborhoods at 17/18 then 16/17 edges."""
@@ -217,15 +181,18 @@ def solve_double_edge(g: MultiGraph, pair: tuple[int, int], tel: Telemetry) -> T
     v = min(g.endpoints(p))
     tail = sorted(set(g.incident_edges(v)) - {p, q}) + [p, q]
     tel.check(len(tail) == 4, "double-edge.vertex-shape")
-    return tail, (17, 18, 16, 17), "double-edge.final-neighborhood"
+    _check_caps(g, tail, (17, 18, 16, 17), "double-edge.final-neighborhood", tail, tel)
+    return tail, (), (20, 21), None
 
 
-def solve_girth3(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> TailPlan:
+def solve_girth3(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     """Simple 4-regular with a triangle: a triangle edge only has about 20
     conflicting edges to begin with, so finishing the triangle last stays
     within 21 colors."""
     tel.check(len(cycle) == 3, "girth3.cycle-length")
-    return sorted(cycle.edges), (18, 19, 20), "girth3.final-neighborhood"
+    tail = sorted(cycle.edges)
+    _check_caps(g, tail, (18, 19, 20), "girth3.final-neighborhood", tail, tel)
+    return tail, (), (20, 21), None
 
 
 def _conflicting(g: MultiGraph, p: int, q: int) -> bool:
@@ -325,7 +292,7 @@ def _girth4_cycle(col: PartialColoring, ctx: CycleContext, tel: Telemetry) -> No
     greedy_color(col, sorted(ctx.c.values()), telemetry=tel, max_color=PALETTE)
 
 
-def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: int, j: int) -> HeldPlan:
+def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: int, j: int) -> Plan:
     """No two edges of the (i, j) pack can share a color, which forces an
     edge between the far ends of each non-adjacent pack pair. Reserving
     those four diagonals until after the cycle keeps the cycle colorable:
@@ -342,12 +309,13 @@ def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: 
 
     def finish(col, dist):
         _girth4_cycle(col, ctx, tel)
-        _color_tail(col, diagonals, (21,) * 4, ("girth4.diagonal-neighborhood",) * 4, tel, PALETTE)
+        _check_caps(g, diagonals, (21,) * 4, "girth4.diagonal-neighborhood", diagonals, tel)
+        greedy_color(col, diagonals, telemetry=tel, max_color=PALETTE)
 
     return list(ctx.c.values()) + diagonals, (), (20, 21), finish
 
 
-def _girth4_with_precolor(ctx: CycleContext, tel: Telemetry, plants: list[tuple[int, int]]) -> HeldPlan:
+def _girth4_with_precolor(ctx: CycleContext, tel: Telemetry, plants: list[tuple[int, int]]) -> Plan:
     """Plant repeated colors on conflict-free incident pairs, color all
     remaining non-cycle edges greedily, then the cycle: each cycle edge
     sees every planted edge, so the repeats leave it at least 4 colors."""
@@ -355,7 +323,7 @@ def _girth4_with_precolor(ctx: CycleContext, tel: Telemetry, plants: list[tuple[
     return held, plants, (21, 22), lambda col, dist: _girth4_cycle(col, ctx, tel)
 
 
-def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> HeldPlan:
+def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     """Simple 4-regular, shortest cycle of length 4.
 
     The eight non-cycle edges at the cycle's corners steer the case split:
@@ -384,13 +352,14 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> HeldP
 
     if len(adjacent_pairs) >= 2:
         incident = ctx.incident_edges()
+        held = list(ctx.c.values()) + incident
 
         def finish(col, dist):
-            n = len(incident)
-            _color_tail(col, incident, (20,) * n, ("girth4.incident-neighborhood",) * n, tel, 21)
+            _check_caps(g, incident, (20,) * len(incident), "girth4.incident-neighborhood", held, tel)
+            greedy_color(col, incident, telemetry=tel, max_color=21)
             _girth4_cycle(col, ctx, tel)
 
-        return list(ctx.c.values()) + incident, (), (20, 21), finish
+        return held, (), (20, 21), finish
 
     if len(adjacent_pairs) == 1:
         taken = adjacent_pairs[0][0]
@@ -416,7 +385,7 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> HeldP
 # girth 5
 
 
-def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> HeldPlan:
+def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     """Simple 4-regular, shortest cycle of length 5.
 
     Two conflict-free pairs get planted colors (21 on b1 and the opposite
@@ -468,8 +437,8 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
         # edges, so a straight greedy pass works, and coloring a maximum
         # discrepancy subfamily first makes the rest extendable
         first = sorted(subset)
-        n = len(first)
-        _color_tail(col, first, (21,) * n, ("girth5.subset-neighborhood",) * n, tel, PALETTE)
+        _check_caps(g, first, (21,) * len(first), "girth5.subset-neighborhood", uncolored, tel)
+        greedy_color(col, first, telemetry=tel, max_color=PALETTE)
         rest = [e for e in uncolored if not col.is_colored(e)]
         fam2 = {e: frozenset(col.available_colors(e)) for e in rest}
         sdr2 = find_sdr(fam2)
@@ -501,8 +470,9 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
         col.assign(p, x)
         col.assign(q, x)
         rest = [e for e in incident if not col.is_colored(e)]
-        n = len(rest)
-        _color_tail(col, rest, (21,) * n, ("girth5.incident-neighborhood",) * n, tel, PALETTE)
+        pending = [e for e in uncolored if not col.is_colored(e)]
+        _check_caps(g, rest, (21,) * len(rest), "girth5.incident-neighborhood", pending, tel)
+        greedy_color(col, rest, telemetry=tel, max_color=PALETTE)
         if (p, q) == pairs[1]:
             tail = [ctx.c[2], ctx.c[4], ctx.c[1], ctx.c[5]]
         else:
@@ -539,7 +509,7 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
 # girth 6 and beyond
 
 
-def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> HeldPlan:
+def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
     """Simple 4-regular with girth at least 6: color everything except
     v's edges, then recolor one edge per neighbor (heading to a
     distance-2 vertex) with the single color 22 -- the girth makes those
@@ -627,13 +597,11 @@ class _Plans:
     c, strategy[c] (None without edges), anchor[c] (its BFS source, a
     vertex or a cycle), cls[c] (1 + its bound class; 0 without edges or
     once its plan failed) and failure[c] for a failed c (see _reason);
-    the BFS sources in component order; the tails of all tail strategies
-    in component order, with each edge's cap and lemma label; the edges
-    the other strategies hold back, and their finishes as (c, finish)."""
+    the BFS sources in component order; the held-back edges of the plans
+    without a finish (the tails, in component order) and of those with
+    one, and those finishes as (c, finish)."""
 
-    __slots__ = (
-        "strategy", "anchor", "cls", "failure", "sources", "tail", "caps", "labels", "held", "finishes"
-    )
+    __slots__ = ("strategy", "anchor", "cls", "failure", "sources", "tail", "held", "finishes")
 
     def __init__(self, k: int):
         self.strategy: list[str | None] = [None] * k
@@ -642,8 +610,6 @@ class _Plans:
         self.failure: dict[int, str] = {}
         self.sources: list[int] = []
         self.tail = array("i")
-        self.caps = bytearray()
-        self.labels: list[str] = []
         self.held = array("i")
         self.finishes: list[tuple[int, Finish]] = []
 
@@ -698,9 +664,6 @@ def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColorin
     strategy = plans.strategy
     anchor = plans.anchor
     sources = plans.sources
-    tail = plans.tail
-    caps = plans.caps
-    labels = plans.labels
     for c in range(k):
         if first[c] == -1:
             continue
@@ -720,21 +683,15 @@ def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColorin
         anchor[c] = a
         sources.extend(a.vertices if isinstance(a, CycleDescriptor) else (a,))
         try:
-            plan = run(g, arg, tel)
-            if name in ("low_degree", "loop", "double_edge", "girth3"):
-                edges, edge_caps, label = plan
-                for e, cap in zip(edges, edge_caps):
-                    tail.append(e)
-                    caps.append(cap)
-                    labels.append(label)
-                plans.cls[c] = 1  # the (20, 21) class
+            held, plants, bounds, finish = run(g, arg, tel)
+            for e, color in plants:
+                col.assign(e, color)
+            if finish is None:
+                plans.tail.extend(held)
             else:
-                held, plants, bounds, finish = plan
-                for e, color in plants:
-                    col.assign(e, color)
                 plans.held.extend(held)
                 plans.finishes.append((c, finish))
-                plans.cls[c] = 1 + BOUND_CLASSES.index(bounds)
+            plans.cls[c] = 1 + BOUND_CLASSES.index(bounds)
         except _RESCUABLE as exc:
             plans.failure[c] = _reason(exc)
     return plans
@@ -744,70 +701,43 @@ def _greedy_pass(
     g: MultiGraph, comp: list[int], plans: _Plans, order: Sequence[int], col: PartialColoring, tel: Telemetry
 ) -> None:
     """One greedy_color call per bound class over the shared order,
-    leaving out held-back edges and failed components. When a call
-    raises, the failing edge is the first uncolored one in its order: its
-    component is marked failed, and the pass resumes after that edge
-    without the failed components' edges, in calls over _RESUME_CHUNK
-    edges of the order at a time, so that k failures cost
-    O(m + k * _RESUME_CHUNK) rather than a rebuilt order each."""
+    leaving out held-back edges, then one over the tails in component
+    order within 21 colors (their caps were checked when planning), all
+    leaving out failed components. Components never conflict, so each
+    tail gets the colors and the checks it would get alone. When a call
+    raises, the failing edge is the first uncolored one in its order:
+    its component is marked failed, and the call resumes after that edge
+    without the failed components' edges, over _RESUME_CHUNK edges of
+    its order at a time, so that k failures cost O(m + k * _RESUME_CHUNK)
+    rather than a rebuilt order each."""
     cls = plans.cls
     ecls = bytearray(map(cls.__getitem__, map(comp.__getitem__, g.eu)))
     for held in (plans.tail, plans.held):
         for e in held:
             ecls[e] = 0
+    classes = (
+        (array("i", compress(order, map(i.__eq__, map(ecls.__getitem__, order)))), conflicts, ceiling)
+        for i, (conflicts, ceiling) in enumerate(BOUND_CLASSES, start=1)
+        if i in cls
+    )
     eu = g.eu
     colors = col._colors
-    for i, (conflicts, ceiling) in enumerate(BOUND_CLASSES, start=1):
-        if i not in cls:
-            continue
-        todo = array("i", compress(order, map(i.__eq__, map(ecls.__getitem__, order))))
-        dead: set[int] = set()  # components failed in this class
+    failure = plans.failure
+    for todo, conflicts, ceiling in chain(classes, [(plans.tail, None, 21)]):
         lo = 0
         size = len(todo)
         while lo < len(todo):
             batch = todo[lo : lo + size] if lo else todo
-            if dead:
-                batch = [e for e in batch if comp[eu[e]] not in dead]
+            if failure:
+                batch = [e for e in batch if comp[eu[e]] not in failure]
             try:
                 greedy_color(col, batch, telemetry=tel, max_conflict_colors=conflicts, max_color=ceiling)
                 lo += size
             except _RESCUABLE as exc:
                 e = next(e for e in batch if not colors[e])
-                c = comp[eu[e]]
-                plans.failure[c] = _reason(exc)
-                dead.add(c)
+                failure[comp[eu[e]]] = _reason(exc)
                 lo = todo.index(e, lo) + 1
                 size = _RESUME_CHUNK
-
-
-def _finish_tails(
-    g: MultiGraph, comp: list[int], plans: _Plans, col: PartialColoring, tel: Telemetry
-) -> None:
-    """Color the tails of all low_degree, loop, double_edge and girth3
-    components in one _color_tail loop, in component order, within 21
-    colors. Components never conflict, so each tail gets the colors and
-    the checks it would get alone. A failing check marks only its own
-    component failed, and the loop resumes after that component's tail,
-    whose edges are consecutive."""
-    tail, caps, labels = plans.tail, plans.caps, plans.labels
-    failure = plans.failure
-    eu = g.eu
-    if failure:  # leave out the components the greedy pass failed
-        live = [comp[eu[e]] not in failure for e in tail]
-        tail, caps, labels = (list(compress(seq, live)) for seq in (tail, caps, labels))
-    colors = col._colors
-    i = 0
-    while i < len(tail):
-        try:
-            _color_tail(col, tail, caps, labels, tel, 21, i)
-            return
-        except _RESCUABLE as exc:
-            while colors[tail[i]]:
-                i += 1
-            c = comp[eu[tail[i]]]
-            failure[c] = _reason(exc)
-            while i < len(tail) and comp[eu[tail[i]]] == c:
-                i += 1
 
 
 def _rescue_components(
@@ -904,13 +834,15 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
 
     One pass over the whole graph and its edge ids: label the components
     once; plan every component with edges (strategy, anchor, held-back
-    edges, planted colors, bound class) and place its planted colors; run
-    one BFS from all anchors and one distance order; make one greedy_color
-    call per bound class; color every tail in one loop; then run the
-    finishes of the girth 4, 5 and 6 components. Conflicts never cross
-    components, so every component gets the coloring it would get alone.
-    A component whose plan, greedy share, tail or finish fails a check is
-    recolored alone by the backtracking fallback; the others keep theirs.
+    edges, planted colors, bound class, finish), checking the tail
+    strategies' lemma caps from the structure, and place its planted
+    colors; run one BFS from all anchors and one distance order; make one
+    greedy_color call per bound class and one over all tails; then run
+    the finishes of the girth 4, 5 and 6 components. Conflicts never
+    cross components, so every component gets the coloring it would get
+    alone. A component whose plan, greedy share, tail or finish fails a
+    check is recolored alone by the backtracking fallback; the others
+    keep theirs.
 
     The report lists the strategy used for each component with edges, the
     assertions exercised, per label and in total, and how often the
@@ -926,7 +858,6 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
     dist = metrics.bfs_from_sources(g, plans.sources)
     order = metrics.order_by_distance(g, dist)
     _greedy_pass(g, comp, plans, order, col, tel)
-    _finish_tails(g, comp, plans, col, tel)
     for c, finish in plans.finishes:
         if c not in plans.failure:
             try:

@@ -13,7 +13,7 @@ from array import array
 from collections import deque
 from operator import eq
 
-from strongcolor import GraphFormatError, MultiGraph, PartialColoring, greedy_color, metrics, random_max4, solve, solver
+from strongcolor import GraphFormatError, MultiGraph, PartialColoring, greedy_color, metrics, random_max4, solve
 from strongcolor.metrics import CycleDescriptor
 
 
@@ -202,25 +202,23 @@ def bench_rows(sizes, seed: int = 0) -> list[tuple[int, int, int, int]]:
 
 def run_plan(g: MultiGraph, anchor, plan, telemetry) -> PartialColoring:
     """One strategy's plan run on its own, as solve runs it: the greedy
-    phase, then the tail of a (tail, caps, label) plan within 21 colors,
-    or the finish of a (held, plants, bounds, finish) plan."""
-    if len(plan) == 3:
-        tail, caps, label = plan
-        tail = tail[: len(caps)]
-        col, _ = greedy_phase(g, anchor, tail, telemetry=telemetry)
-        solver._color_tail(col, tail, caps, [label] * len(tail), telemetry, 21)
-        return col
+    phase, then the finish, or for a plan without one (a tail) one
+    greedy_color call over the held-back edges within 21 colors."""
     held, plants, bounds, finish = plan
     col, dist = greedy_phase(g, anchor, held, plants, bounds, telemetry)
-    finish(col, dist)
+    if finish is None:
+        greedy_color(col, held, telemetry=telemetry, max_color=21)
+    else:
+        finish(col, dist)
     return col
 
 
 def ref_color_tail(col: PartialColoring, tail, caps, label: str, telemetry, ceiling: int) -> None:
-    """solver._color_tail with one lemma label, as the solver's finishes
-    colored a tail before its tails ran in one loop: per edge, the colored
-    members of its conflict set counted against the cap, then a one-edge
-    greedy_color call."""
+    """A tail colored with its lemma checked edge by edge on the coloring
+    itself: per edge, the colored members of its conflict set counted
+    against its cap, then a one-edge greedy_color call. The reference for
+    solver._check_caps, which reads those counts from the structure, and
+    one greedy_color call over the tail."""
     colors = col._colors
     for cap, e in zip(caps, tail):
         telemetry.check(sum(1 for f in col.graph.conflict_set(e) if colors[f]) <= cap, label)
@@ -372,6 +370,8 @@ def ref_parse_graph(text: str) -> MultiGraph:
         raise GraphFormatError(f"line {ln}: non-integer vertex or edge count")
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {ln}: negative vertex or edge count")
+    if n > 1 << 31:  # vertex ids 0..n-1 are stored as 32-bit ints
+        raise GraphFormatError(f"line {ln}: vertex count {n} above 2**31")
 
     eu = array("i")
     ev = array("i")
@@ -495,7 +495,7 @@ def ref_shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[Cycle
                         closing = (x, y)
         if closing is not None:
             bests[c] = best
-            f = metrics._edge_between(g, *closing)
+            f = edge_between(g, *closing)
             walks[c] = metrics._splice(par, s, eu[f], ev[f])
             searching[c] = best > 3  # girth cannot beat 3 in a simple graph
         for x in reached:
@@ -508,9 +508,16 @@ def ref_shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[Cycle
         # paths may share a prefix); the shortest one never does.
         if len(set(walk)) != len(walk) or len(walk) != bests[c]:
             raise RuntimeError("shortest-cycle search produced a non-simple walk")
-        edges = tuple(metrics._edge_between(g, a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
+        edges = tuple(edge_between(g, a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
         found[c] = CycleDescriptor(tuple(walk), edges)
     return found
+
+
+def edge_between(g: MultiGraph, a: int, b: int) -> int:
+    """The edge joining a and b in a simple graph."""
+    off, inc_flat, nbr_flat = g.csr()
+    lo = off[a]
+    return inc_flat[lo + nbr_flat[lo : off[a + 1]].index(b)]
 
 
 def ref_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:

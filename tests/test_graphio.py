@@ -94,6 +94,8 @@ def test_parse_graph_rejects_malformed(text):
         ("# c\r\n\x0c q sec 3 1\n", "line 3: expected 'p sec <n> <m>', got 'q sec 3 1'"),
         ("# c\np sec x 1\n", "line 2: non-integer vertex or edge count"),
         ("p sec 3 -1\n", "line 1: negative vertex or edge count"),
+        ("# c\np sec 3000000000 1\ne 2500000000 1\n", "line 2: vertex count 3000000000 above 2**31"),
+        ("p sec 2147483649 0\n", "line 1: vertex count 2147483649 above 2**31"),
         ("p sec 3 2\n# c\ne 1 2\ne 1\n", "line 4: expected 'e <u> <v>', got 'e 1'"),
         ("p sec 3 1\n\n  v 1 2  \n", "line 3: expected 'e <u> <v>', got 'v 1 2'"),
         ("p sec 3 1\r\n\x0b\ne 1 two\n", "line 4: non-integer endpoint"),
@@ -107,6 +109,12 @@ def test_parse_graph_error_messages(text, message):
     with pytest.raises(GraphFormatError) as info:
         parse_graph(text)
     assert str(info.value) == message
+
+
+def test_parse_graph_takes_vertex_ids_up_to_2_to_the_31():
+    for parse in (parse_graph, ref_parse_graph):
+        g = parse("p sec 2147483648 1\ne 2147483648 1\n")
+        assert g.vertex_count == 2**31 and g.edges == [(2**31 - 1, 0)]
 
 
 # line breaks that str.splitlines splits on, "\n" and "\r\n" most often

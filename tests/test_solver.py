@@ -47,6 +47,7 @@ from helpers import (
     cycle,
     disjoint_union,
     doubled_triangle,
+    edge_between,
     greedy_phase,
     hypercube4,
     path,
@@ -195,7 +196,7 @@ def test_girth4_strategy_reserves_diagonals():
     after the cycle."""
     g, _ = random_4regular(12, seed=4, min_girth=4)
     verts = (2, 5, 6, 7)
-    edges = tuple(metrics._edge_between(g, a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+    edges = tuple(edge_between(g, a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
     c = CycleDescriptor(verts, edges)
     tel = Telemetry()
     plan = solve_girth4(g, c, tel)
@@ -244,10 +245,15 @@ def test_girth6_strategy(cage46):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 100_000))
 def test_color_tail_equals_one_greedy_call_per_edge(seed):
-    """The tail routine counts each edge's colored conflicting edges and
-    colors it as a conflict-set count and a one-edge greedy_color call
-    did: same colors, same checks per label, and the same failure at the
-    same edge, on multigraphs with loops and parallel edges."""
+    """A tail's caps checked from the structure (_check_caps, with every
+    edge outside the tail colored) and one greedy_color call over it do
+    what a conflict-set count on the coloring and a one-edge greedy_color
+    call per edge did: where that succeeds, the same colors and the same
+    checks per label; where it fails, a rescuable failure too. A cap
+    failure colors no tail edge and, where the reference also failed a
+    cap, counts the same lemma checks; without one, the failure is the
+    same, at the same edge, after every cap was checked. On multigraphs
+    with loops and parallel edges."""
     rng = random.Random(seed)
     g = random_multigraph(seed, max_n=12, max_m=24)
     base = PartialColoring(g, 22)
@@ -265,11 +271,24 @@ def test_color_tail_equals_one_greedy_call_per_edge(seed):
             failure = None
         except (LemmaAssertionError, PaletteExhausted) as exc:
             failure = (type(exc), str(exc))
+        assert sum(tel.labels.values()) == tel.checks
         return failure, col._colors, tel.checks, tel.labels
 
-    assert outcome(lambda col, tel: solver._color_tail(col, tail, caps, ["lemma"] * len(tail), tel, ceiling)) == (
-        outcome(lambda col, tel: ref_color_tail(col, tail, caps, "lemma", tel, ceiling))
-    )
+    def checked_then_greedy(col, tel):
+        solver._check_caps(g, tail, caps, "lemma", tail, tel)
+        greedy_color(col, tail, telemetry=tel, max_color=ceiling)
+
+    got = outcome(checked_then_greedy)
+    want = outcome(lambda col, tel: ref_color_tail(col, tail, caps, "lemma", tel, ceiling))
+    if want[0] is None:
+        assert got == want
+    elif got[0] == (LemmaAssertionError, "lemma"):
+        assert got[1] == base._colors and got[3] == {"lemma": got[2]}
+        if want[0] == got[0]:
+            assert got[3] == {"lemma": want[3]["lemma"]}
+    else:  # every cap holds: the same greedy failure at the same edge
+        assert got[:2] == want[:2]
+        assert got[3] == {**want[3], "lemma": len(tail)}
 
 
 # --- cycle context labeling ------------------------------------------------
@@ -628,72 +647,98 @@ def test_planting_conflict_is_rescued_and_named(monkeypatch, robertson, petersen
 def test_finish_failure_is_rescued(monkeypatch, cage46):
     g = disjoint_union(complete(5), cage46)
     clean_col, _ = solve(g)
-    real = solver.solve_girth3
+    real = solver.solve_girth6
 
-    def late(g, cycle, tel):
-        tail, caps, label = real(g, cycle, tel)
-        return tail, (0,) * len(caps), label  # the tail's first check fails
+    def late(g, v, tel):
+        held, plants, bounds, finish = real(g, v, tel)
 
-    monkeypatch.setattr(solver, "solve_girth3", late)
+        def failing(col, dist):
+            finish(col, dist)  # the component ends up colored, and still fails
+            tel.check(False, "girth6.anchor-degree")
+
+        return held, plants, bounds, failing
+
+    monkeypatch.setattr(solver, "solve_girth6", late)
     col, rep = solve(g)
     assert col.is_total() and verify(col) == []
-    assert rep.strategies() == ["fallback_exact", "girth6"]
-    assert rep.components[0].failure == "girth3.final-neighborhood"
-    assert [color_of(col, e) for e in range(10, g.edge_count)] == [
-        color_of(clean_col, e) for e in range(10, g.edge_count)
-    ]
+    assert rep.strategies() == ["girth3", "fallback_exact"]
+    assert rep.components[1].failure == "girth6.anchor-degree"
+    assert [color_of(col, e) for e in range(10)] == [color_of(clean_col, e) for e in range(10)]
 
 
-def _failing_tail(monkeypatch, fail_at):
-    """Patch solver.solve_girth3 so that its fail_at-th call from now on
-    (1-based; 0 for none) plans caps of 0, and that tail's first edge
-    fails the lemma check. Returns the cycles it is called with."""
-    real = solver.solve_girth3
+def _failing_cap(monkeypatch, fail_at):
+    """Patch solver._check_caps so that its fail_at-th call for a girth3
+    tail from now on (1-based; 0 for none) checks caps of 0, so the first
+    cap of that K5's tail fails while it is planned."""
+    real = solver._check_caps
     calls = []
 
-    def capped(g, cycle, tel):
-        tail, caps, label = real(g, cycle, tel)
-        calls.append(cycle)
-        return tail, (0,) * len(caps) if len(calls) == fail_at else caps, label
+    def capped(g, tail, caps, label, pending, tel):
+        if label == "girth3.final-neighborhood":
+            calls.append(tail)
+            if len(calls) == fail_at:
+                caps = (0,) * len(caps)
+        real(g, tail, caps, label, pending, tel)
 
-    monkeypatch.setattr(solver, "solve_girth3", capped)
-    return calls
+    monkeypatch.setattr(solver, "_check_caps", capped)
+
+
+def _ceiling_failure(tel, e):
+    tel.check(False, "greedy.color-ceiling")
 
 
 def test_tail_failure_rescues_only_its_component(monkeypatch, petersen, cage46):
-    """One K5's tail lemma fails inside the one tail loop: only that
-    component is rescued, the loop goes on with the tails after it, and
-    every other component gets the colors and checks it gets alone."""
+    """One K5 fails its tail: a cap while it is planned, or the color
+    ceiling at its second tail edge inside the one greedy_color call over
+    all tails. Either way only that component is rescued, the tails after
+    it are still colored, and every other component gets the colors and
+    checks it gets alone."""
     parts = [complete(5), petersen, complete(5), triangle_with_loops(), complete(5), doubled_triangle(), cage46]
     g = shuffled_union(parts, seed=7)
     clean_col, clean_rep = solve(g)
     victim = [i for i, c in enumerate(clean_rep.components) if c.strategy == "girth3"][1]
     tails = ("low_degree", "loop", "double_edge", "girth3")
     assert any(c.strategy in tails for c in clean_rep.components[victim + 1 :])
-
-    calls = _failing_tail(monkeypatch, 2)
-    col, rep = solve(g)
-    assert len(calls) == 3
-    assert col.is_total() and verify(col) == []
-    assert rep.fallback_invocations == 1
     subs = split_components(g)
-    want = Counter()
-    for idx, ((sub, emap), comp, clean) in enumerate(zip(subs, rep.components, clean_rep.components)):
-        if idx == victim:
-            assert comp.strategy == "fallback_exact"
-            assert comp.failure == "girth3.final-neighborhood"
-            _failing_tail(monkeypatch, 1)
+    emap = subs[victim][1]
+    for where in ("planning", "tail call"):
+        monkeypatch.undo()
+        if where == "planning":
+            failure = "girth3.final-neighborhood"
+            _failing_cap(monkeypatch, 2)
         else:
-            assert comp == clean
-            assert [color_of(col, e) for e in emap] == [color_of(clean_col, e) for e in emap]
-            _failing_tail(monkeypatch, 0)
-        sub_col, sub_rep = solve(sub)
-        assert sub_rep.components == [comp]
-        if idx != victim:
-            assert [color_of(col, e) for e in emap] == [color_of(sub_col, e) for e in range(sub.edge_count)]
-        want.update(sub_rep.labels)
-    assert Counter(rep.labels) == want
-    assert rep.assertions_checked == sum(want.values())
+            failure = "greedy.color-ceiling"
+            seen = _failing_greedy(monkeypatch, g, None, _ceiling_failure)
+            solve(g)  # only records the calls
+            shared = max(seen, key=len)
+            target = [e for e in emap if e not in shared][1]  # the K5's tail is its held-back edges, ascending
+            tail_call = next(order for order in seen if target in order)
+            assert any(e not in emap for e in tail_call[tail_call.index(target) + 1 :])
+            _failing_greedy(monkeypatch, g, target, _ceiling_failure)
+        col, rep = solve(g)
+        assert col.is_total() and verify(col) == []
+        assert rep.fallback_invocations == 1
+        want = Counter()
+        for idx, ((sub, em), comp, clean) in enumerate(zip(subs, rep.components, clean_rep.components)):
+            if idx == victim:
+                assert comp.strategy == "fallback_exact"
+                assert comp.failure == failure
+                if where == "planning":
+                    _failing_cap(monkeypatch, 1)
+                else:
+                    _failing_greedy(monkeypatch, sub, em.index(target), _ceiling_failure)
+            else:
+                assert comp == clean
+                assert [color_of(col, e) for e in em] == [color_of(clean_col, e) for e in em]
+                _failing_cap(monkeypatch, 0)
+                _failing_greedy(monkeypatch, sub, None, _ceiling_failure)
+            sub_col, sub_rep = solve(sub)
+            assert sub_rep.components == [comp]
+            if idx != victim:
+                assert [color_of(col, e) for e in em] == [color_of(sub_col, e) for e in range(sub.edge_count)]
+            want.update(sub_rep.labels)
+        assert Counter(rep.labels) == want
+        assert rep.assertions_checked == sum(want.values())
 
 
 def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson, cage46, petersen):
@@ -702,7 +747,8 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
     calls = Counter()
     bounds = []
     finishing = []  # edges of each greedy_color call without a bound class
-    held = []  # held-back edges of each plan: a tail, or the held edges
+    held = []  # held-back edges of each plan
+    tails = set()  # held-back edges of the plans without a finish
 
     def counted(owner, name):
         real = getattr(owner, name)
@@ -711,19 +757,21 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
             calls[name] += 1
             if name == "greedy_color":
                 if "max_conflict_colors" in kwargs:
-                    bounds.append((kwargs["max_conflict_colors"], kwargs["max_color"]))
+                    bounds.append((kwargs["max_conflict_colors"], kwargs["max_color"], set(args[1])))
                 else:
                     finishing.append(set(args[1]))
             out = real(*args, **kwargs)
             if name.startswith("solve_"):
                 held.append(set(out[0]))
+                if out[3] is None:
+                    tails.update(out[0])
             return out
 
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(solver, "_label_components")
     counted(solver, "_plan_components")
-    counted(solver, "_finish_tails")
+    counted(solver, "_greedy_pass")
     counted(solver, "greedy_color")
     for name in ("low_degree", "loop", "double_edge", "girth3", "girth4", "girth5", "girth6"):
         counted(solver, "solve_" + name)
@@ -740,8 +788,9 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
     assert calls["bfs_from_sources"] == 1
     assert calls["order_by_distance"] == 1
     assert calls["find_shortest_cycle"] == calls["__init__"] == 0
-    assert calls["_plan_components"] == calls["_finish_tails"] == 1
-    assert sorted(bounds) == [(20, 21), (21, 22)]
+    assert calls["_plan_components"] == calls["_greedy_pass"] == 1
+    assert [b[:2] for b in bounds] == [(20, 21), (21, 22), (None, 21)]
+    assert bounds[-1][2] == tails and len(tails) == 3 + 3 + 3 + 4 + 1  # K5, petersen, loops, pairs, path
     assert len(held) == len(rep.components)
     assert finishing and all(sum(edges <= h for h in held) == 1 for edges in finishing)
 
