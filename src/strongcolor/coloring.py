@@ -147,7 +147,9 @@ def greedy_color(
     edge has no free color. The two optional bounds turn counting claims
     into checks: max_conflict_colors caps the number of distinct colors
     seen among colored conflicting edges, max_color caps the assigned
-    color; violations raise through telemetry.check.
+    color; violations raise through telemetry.check, and the passed
+    checks are recorded per label with one telemetry.passed call each
+    when the call ends, also when it raises.
 
     Conflict colors come from col's per-vertex masks, into which each new
     color is ORed. Palettes are capped at 62 colors so the masks fit
@@ -205,13 +207,8 @@ def greedy_color(
         # passed checks are recorded in bulk instead of one call per edge;
         # a failing check above is counted by telemetry.check itself
         if telemetry is not None:
-            lab = telemetry.labels
-            if bound_hits:
-                telemetry.checks += bound_hits
-                lab["greedy.conflict-color-bound"] = lab.get("greedy.conflict-color-bound", 0) + bound_hits
-            if ceiling_hits:
-                telemetry.checks += ceiling_hits
-                lab["greedy.color-ceiling"] = lab.get("greedy.color-ceiling", 0) + ceiling_hits
+            telemetry.passed("greedy.conflict-color-bound", bound_hits)
+            telemetry.passed("greedy.color-ceiling", ceiling_hits)
     return col
 
 

@@ -78,10 +78,11 @@ def shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[CycleDesc
     of the graph; None for the other components, for forests and for
     girths above `longest`.
 
-    comp[v] is the component id of vertex v. Conventions, per component:
-    the loop with the smallest edge id is a 1-cycle, else the first
-    parallel pair (by smallest later edge id) a 2-cycle; both are found
-    before any BFS. A simple component gets one BFS per start vertex, in
+    comp[v] is the component id of vertex v, or -1 for a vertex in no
+    component (solve leaves isolated vertices out). Conventions, per
+    component: the loop with the smallest edge id is a 1-cycle, else the
+    first parallel pair (by smallest later edge id) a 2-cycle; both are
+    found before any BFS. A simple component gets one BFS per start vertex, in
     ascending order, and the first strictly shortest closing edge wins
     (Itai and Rodeh). Each BFS stops at the first level dx with
     2 * dx + 1 >= its component's best so far: a closing edge scanned
@@ -125,7 +126,7 @@ def shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[CycleDesc
     pairs: dict[int, tuple[int, int]] = {}
     for x in range(n):
         c = comp[x]
-        if not wanted[c] or found[c] is not None:
+        if c < 0 or not wanted[c] or found[c] is not None:
             continue
         lo = off[x]
         nbrs = nbr_flat[lo : off[x + 1]]
@@ -151,7 +152,7 @@ def shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[CycleDesc
 
     for s in range(n):
         c = comp[s]
-        if not searching[c]:
+        if c < 0 or not searching[c]:
             continue
         best = bests[c]
         dist[s] = 0

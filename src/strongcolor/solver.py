@@ -15,9 +15,12 @@ colored edges conflict with each tail edge at its turn) are read from
 the structure while planning, and one greedy_color call colors every
 component's tail after the shared pass. One BFS, one edge order and one
 greedy_color call per bound class serve every component, and every
-coloring step goes through greedy_color. Counting claims are asserted at
-runtime; a component whose claim fails is recolored by a backtracking
-fallback and counted, never ignored.
+coloring step goes through greedy_color. The girth 4, 5 and 6 finishes
+take the coloring only: what they need of the structure (far ends,
+joining edges, distance-2 vertices) they read from the graph. Counting
+claims are asserted at runtime and counted per lemma label in
+Telemetry.labels; a component whose claim fails is recolored by a
+backtracking fallback and counted, never ignored.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, compress
-from operator import or_
+from itertools import chain, compress, islice
+from operator import or_, sub
 from typing import Callable, Sequence
 
 from . import metrics
@@ -69,17 +72,25 @@ class Unsatisfiable(Exception):
 
 
 class Telemetry:
-    """Counts every asserted claim and every fallback invocation."""
+    """Counts every asserted claim per lemma label, in `labels`; `checks`
+    is their sum. Fallback invocations are counted by solve, one per
+    failed component."""
 
-    __slots__ = ("checks", "fallbacks", "labels")
+    __slots__ = ("labels",)
 
     def __init__(self):
-        self.checks = 0
-        self.fallbacks = 0
         self.labels: dict[str, int] = {}
 
+    @property
+    def checks(self) -> int:
+        return sum(self.labels.values())
+
+    def passed(self, label: str, n: int) -> None:
+        """Record n passed checks of `label` at once; n = 0 adds no entry."""
+        if n:
+            self.labels[label] = self.labels.get(label, 0) + n
+
     def check(self, cond: bool, label: str) -> None:
-        self.checks += 1
         self.labels[label] = self.labels.get(label, 0) + 1
         if not cond:
             raise LemmaAssertionError(label)
@@ -109,12 +120,12 @@ class SolveReport:
 # pass colors `plants` first, then every other edge of the component
 # except `held`, greedily along the distance order from the anchor and
 # checking `bounds` (distinct colors among an edge's colored conflicts,
-# and its color) on each; finish(col, dist) then colors the held-back
-# edges, given the BFS distances to the anchor. The low_degree, loop,
+# and its color) on each; finish(col) then colors the held-back edges,
+# reading only the graph and the coloring. The low_degree, loop,
 # double_edge and girth3 strategies have no finish (None): their
 # held-back edges are a tail, whose lemma caps they check when planning,
 # and the pass colors it greedily within 21 colors last.
-Finish = Callable[[PartialColoring, list[int]], None]
+Finish = Callable[[PartialColoring], None]
 Plan = tuple[list[int], Sequence[tuple[int, int]], tuple[int, int], Finish | None]
 
 
@@ -131,21 +142,15 @@ def _check_caps(
     edges still uncolored when the tail starts) not yet reached, so the
     count is read from the structure, exactly over tail[i]'s conflict set
     (a popcount of the color masks would count colors, a weaker claim).
-    Raises at the first failing cap, with the checks before it counted."""
+    caps has an entry per tail edge at least. Raises at the first failing
+    cap, with the checks before it counted."""
     later = set(pending)
-    passed = 0
-    try:
-        for e, cap in zip(tail, caps):
-            later.discard(e)
-            if len(g.conflict_set(e) - later) > cap:
-                tel.check(False, label)
-            passed += 1
-    finally:
-        # passed checks are recorded in bulk; a failing one is counted by
-        # telemetry.check itself
-        if passed:
-            tel.checks += passed
-            tel.labels[label] = tel.labels.get(label, 0) + passed
+    for i, (e, cap) in enumerate(zip(tail, caps)):
+        later.discard(e)
+        if len(g.conflict_set(e) - later) > cap:
+            tel.passed(label, i)
+            tel.check(False, label)
+    tel.passed(label, len(tail))
 
 
 def solve_low_degree(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
@@ -195,17 +200,6 @@ def solve_girth3(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     return tail, (), (20, 21), None
 
 
-def _conflicting(g: MultiGraph, p: int, q: int) -> bool:
-    """Whether the distinct edges p and q conflict: they share an end or
-    an edge joins their ends, i.e. an end of q is a neighbor of an end of
-    p (each end of p is a neighbor of the other)."""
-    off, _, nbr_flat = g.csr()
-    a = g.eu[p]
-    b = g.ev[p]
-    near = nbr_flat[off[a] : off[a + 1]] + nbr_flat[off[b] : off[b + 1]]
-    return p != q and (g.eu[q] in near or g.ev[q] in near)
-
-
 # ---------------------------------------------------------------------------
 # short-cycle context labeling (girth 4 and 5)
 
@@ -214,7 +208,8 @@ def _conflicting(g: MultiGraph, p: int, q: int) -> bool:
 class CycleContext:
     """1-based labels around a chordless 4- or 5-cycle in a 4-regular
     graph: c[i] is the i-th cycle edge, a[i]/b[i] the two non-cycle edges
-    at the corner where c[i-1] meets c[i].
+    at the corner where c[i-1] meets c[i]. far[e] is the end off the
+    cycle of each such edge e, and incident lists those edges ascending.
 
     For 5-cycles the a/b roles are swapped where needed so that the four
     corner pairs (1,3), (3,5), (5,2), (2,4) satisfy: a at the first corner
@@ -226,32 +221,36 @@ class CycleContext:
     c: dict[int, int]
     a: dict[int, int]
     b: dict[int, int]
-
-    def incident_edges(self) -> list[int]:
-        return sorted(list(self.a.values()) + list(self.b.values()))
+    far: dict[int, int]
+    incident: list[int]
 
 
 def label_cycle_context(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> CycleContext:
     k = len(cycle)
     tel.check(k in (4, 5), "cycle-context.length")
+    off, inc_flat, nbr_flat = g.csr()
     cset = set(cycle.edges)
     c = {i: cycle.edges[i - 1] for i in range(1, k + 1)}
     a: dict[int, int] = {}
     b: dict[int, int] = {}
+    far: dict[int, int] = {}
     for i in range(1, k + 1):
         vi = cycle.vertices[i - 1]
-        tel.check(g.degree(vi) == 4, "cycle-context.regular-corner")
-        rest = sorted(set(g.incident_edges(vi)) - cset)
+        lo = off[vi]
+        hi = off[vi + 1]
+        tel.check(hi - lo == 4, "cycle-context.regular-corner")
+        # the corner's slots hold its edges ascending, each with its far end
+        rest = {e: w for e, w in zip(inc_flat[lo:hi], nbr_flat[lo:hi]) if e not in cset}
         tel.check(len(rest) == 2, "cycle-context.two-incident")
         a[i], b[i] = rest
-    all_incident = list(a.values()) + list(b.values())
-    tel.check(len(set(all_incident)) == 2 * k, "cycle-context.incident-distinct")
+        far.update(rest)
+    tel.check(len(far) == 2 * k, "cycle-context.incident-distinct")
     if k == 5:
         for s, t in ((1, 3), (3, 5), (5, 2), (2, 4)):
-            if _conflicting(g, a[s], b[t]):
+            if b[t] in g.conflict_set(a[s]):
                 a[t], b[t] = b[t], a[t]
-            tel.check(not _conflicting(g, a[s], b[t]), "cycle-context.separation")
-    return CycleContext(cycle, c, a, b)
+            tel.check(b[t] not in g.conflict_set(a[s]), "cycle-context.separation")
+    return CycleContext(cycle, c, a, b, far, sorted(far))
 
 
 # ---------------------------------------------------------------------------
@@ -262,26 +261,9 @@ def _free_cross_pair(g: MultiGraph, ctx: CycleContext, i: int, j: int) -> tuple[
     """First conflict-free pair with one edge at corner i, one at corner j."""
     for p in (ctx.a[i], ctx.b[i]):
         for q in (ctx.a[j], ctx.b[j]):
-            if not _conflicting(g, p, q):
+            if q not in g.conflict_set(p):
                 return (p, q)
     return None
-
-
-def _off_cycle_end(g: MultiGraph, e: int, cyc_verts: set[int]) -> int:
-    u, v = g.endpoints(e)
-    return v if u in cyc_verts else u
-
-
-def _joining_edge(g: MultiGraph, p: int, q: int, cyc_verts: set[int]) -> int | None:
-    """Edge between the off-cycle endpoints of two incident edges."""
-    xp = _off_cycle_end(g, p, cyc_verts)
-    xq = _off_cycle_end(g, q, cyc_verts)
-    hits = []
-    for f in g.incident_edges(xp):
-        uu, vv = g.endpoints(f)
-        if (uu == xp and vv == xq) or (vv == xp and uu == xq):
-            hits.append(f)
-    return min(hits) if hits else None
 
 
 def _girth4_cycle(col: PartialColoring, ctx: CycleContext, tel: Telemetry) -> None:
@@ -297,17 +279,20 @@ def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: 
     edge between the far ends of each non-adjacent pack pair. Reserving
     those four diagonals until after the cycle keeps the cycle colorable:
     both stay inside every cycle edge's conflict set while uncolored."""
-    cyc_verts = set(ctx.cycle.vertices)
+    off, inc_flat, nbr_flat = g.csr()
     diagonals = []
     for p in (ctx.a[i], ctx.b[i]):
+        x = ctx.far[p]
         for q in (ctx.a[j], ctx.b[j]):
-            d = _joining_edge(g, p, q, cyc_verts)
+            y = ctx.far[q]
+            # x's slots ascend by edge id: the first reaching y is the smallest
+            d = next((inc_flat[t] for t in range(off[x], off[x + 1]) if nbr_flat[t] == y), None)
             tel.check(d is not None, "girth4.diagonal-exists")
             diagonals.append(d)
     tel.check(len(set(diagonals)) == 4, "girth4.diagonals-distinct")
     diagonals = sorted(diagonals)
 
-    def finish(col, dist):
+    def finish(col):
         _girth4_cycle(col, ctx, tel)
         _check_caps(g, diagonals, (21,) * 4, "girth4.diagonal-neighborhood", diagonals, tel)
         greedy_color(col, diagonals, telemetry=tel, max_color=PALETTE)
@@ -320,7 +305,7 @@ def _girth4_with_precolor(ctx: CycleContext, tel: Telemetry, plants: list[tuple[
     remaining non-cycle edges greedily, then the cycle: each cycle edge
     sees every planted edge, so the repeats leave it at least 4 colors."""
     held = list(ctx.c.values()) + [e for e, _ in plants]
-    return held, plants, (21, 22), lambda col, dist: _girth4_cycle(col, ctx, tel)
+    return held, plants, (21, 22), lambda col: _girth4_cycle(col, ctx, tel)
 
 
 def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
@@ -333,10 +318,7 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     make up the difference. The branch depends on the structure alone.
     """
     ctx = label_cycle_context(g, cycle, tel)
-    cyc_verts = set(cycle.vertices)
-    # the labeling admits no chord, so each incident edge has one end off
-    # the cycle, and two of them share an end off the cycle iff those match
-    far = {e: _off_cycle_end(g, e, cyc_verts) for e in ctx.incident_edges()}
+    far = ctx.far
 
     adjacent_pairs = []
     for i, j in ((1, 3), (2, 4)):
@@ -351,10 +333,10 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
                 tel.check(far[p] != far[q], "girth4.no-skew-pairs")
 
     if len(adjacent_pairs) >= 2:
-        incident = ctx.incident_edges()
+        incident = ctx.incident
         held = list(ctx.c.values()) + incident
 
-        def finish(col, dist):
+        def finish(col):
             _check_caps(g, incident, (20,) * len(incident), "girth4.incident-neighborhood", held, tel)
             greedy_color(col, incident, telemetry=tel, max_color=21)
             _girth4_cycle(col, ctx, tel)
@@ -394,13 +376,13 @@ def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     distinct-representative argument on their availability sets.
     """
     ctx = label_cycle_context(g, cycle, tel)
-    tel.check(not _conflicting(g, ctx.b[1], ctx.c[3]), "girth5.planted-pair-free")
+    tel.check(ctx.c[3] not in g.conflict_set(ctx.b[1]), "girth5.planted-pair-free")
     planted = (ctx.b[1], ctx.c[3], ctx.a[5], ctx.b[2])
     ends = {w for e in planted for w in g.endpoints(e)}
     tel.check(len(ends) == 8, "girth5.planted-endpoints-distinct")
-    held = list(ctx.c.values()) + ctx.incident_edges()
+    held = list(ctx.c.values()) + ctx.incident
     plants = tuple(zip(planted, (21, 21, 22, 22)))
-    return held, plants, (21, 22), lambda col, dist: _complete_girth5(g, ctx, col, tel)
+    return held, plants, (21, 22), lambda col: _complete_girth5(g, ctx, col, tel)
 
 
 def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel: Telemetry) -> None:
@@ -412,7 +394,7 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
     repeat rescues the completion.
     """
     cset = set(ctx.c.values())
-    incident = ctx.incident_edges()
+    incident = ctx.incident
     uncolored = [e for e in sorted(cset | set(incident)) if not col.is_colored(e)]
     tel.check(len(uncolored) == 11, "girth5.uncolored-count")
     fam = {e: frozenset(col.available_colors(e)) for e in uncolored}
@@ -512,30 +494,25 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
 def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
     """Simple 4-regular with girth at least 6: color everything except
     v's edges, then recolor one edge per neighbor (heading to a
-    distance-2 vertex) with the single color 22 -- the girth makes those
-    four pairwise conflict-free -- and finish v's edges greedily against
-    the freed-up palette."""
+    distance-2 vertex, i.e. neither v nor a neighbor of v) with the single
+    color 22 -- the girth makes those four pairwise conflict-free -- and
+    finish v's edges greedily against the freed-up palette."""
     vedges = sorted(set(g.incident_edges(v)))
 
-    def finish(col, dist):
+    def finish(col):
         tel.check(len(vedges) == 4, "girth6.anchor-degree")
         neighbors = sorted({w for e in vedges for w in g.endpoints(e) if w != v})
         tel.check(len(neighbors) == 4, "girth6.neighbors-distinct")
+        near = {v, *neighbors}
+        off, inc_flat, nbr_flat = g.csr()
         recolored = []
         for u in neighbors:
-            cands = []
-            for f in sorted(set(g.incident_edges(u))):
-                if f in vedges:
-                    continue
-                uu, vv = g.endpoints(f)
-                w = vv if uu == u else uu
-                if dist[w] == 2:
-                    cands.append(f)
+            cands = [inc_flat[t] for t in range(off[u], off[u + 1]) if nbr_flat[t] not in near]
             tel.check(bool(cands), "girth6.distance-two-edge")
             recolored.append(min(cands))
         for idx, e in enumerate(recolored):
             for f in recolored[:idx]:
-                tel.check(not _conflicting(g, e, f), "girth6.recolor-independent")
+                tel.check(f not in g.conflict_set(e), "girth6.recolor-independent")
         for e in recolored:
             col.unassign(e)
         for e in recolored:
@@ -594,9 +571,9 @@ def _reason(exc: Exception) -> str:
 
 class _Plans:
     """What the components ask of one solve, kept flat: per component id
-    c, strategy[c] (None without edges), anchor[c] (its BFS source, a
-    vertex or a cycle), cls[c] (1 + its bound class; 0 without edges or
-    once its plan failed) and failure[c] for a failed c (see _reason);
+    c (components have edges), strategy[c], anchor[c] (its BFS source, a
+    vertex or a cycle), cls[c] (1 + its bound class; 0 once its plan
+    failed) and failure[c] for a failed c (see _reason);
     the BFS sources in component order; the held-back edges of the plans
     without a finish (the tails, in component order) and of those with
     one, and those finishes as (c, finish)."""
@@ -604,7 +581,7 @@ class _Plans:
     __slots__ = ("strategy", "anchor", "cls", "failure", "sources", "tail", "held", "finishes")
 
     def __init__(self, k: int):
-        self.strategy: list[str | None] = [None] * k
+        self.strategy: list[str] = [""] * k
         self.anchor: list = [None] * k
         self.cls = bytearray(k)
         self.failure: dict[int, str] = {}
@@ -615,12 +592,13 @@ class _Plans:
 
 
 def _label_components(g: MultiGraph) -> tuple[list[int], int]:
-    """Vertex component ids, numbered 0.. by ascending smallest member."""
+    """Component ids of the vertices with edges, numbered 0.. by ascending
+    smallest member, and their number; isolated vertices keep -1."""
     _, _, nbr_flat, nbr_off = g.flat_arrays()
     comp = [-1] * g.vertex_count
     k = 0
     stack: list[int] = []
-    for s in range(g.vertex_count):
+    for s in compress(range(g.vertex_count), map(sub, islice(nbr_off, 1, None), nbr_off)):
         if comp[s] != -1:
             continue
         comp[s] = k
@@ -636,8 +614,8 @@ def _label_components(g: MultiGraph) -> tuple[list[int], int]:
 
 
 def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColoring, tel: Telemetry) -> _Plans:
-    """Strategy, anchor and plan for every component with edges, in
-    component order, with the plants placed in col.
+    """Strategy, anchor and plan for every component, in component order,
+    with the plants placed in col.
 
     The anchor is the component's smallest vertex of degree 1..3, else its
     smallest loop, else its first parallel pair, else its shortest cycle
@@ -648,25 +626,20 @@ def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColorin
     """
     off = g.csr()[0]
     low = [-1] * k  # smallest vertex of degree 1..3
-    first = [-1] * k  # smallest vertex with edges
-    for v in range(g.vertex_count):
-        d = off[v + 1] - off[v]
-        if d:
-            c = comp[v]
-            if first[c] == -1:
-                first[c] = v
-            if d <= 3 and low[c] == -1:
-                low[c] = v
-    regular = [f != -1 and lo == -1 for f, lo in zip(first, low)]
-    cycles = metrics.shortest_cycles(g, comp, regular, longest=5)
+    first = [-1] * k  # smallest vertex
+    for v in compress(range(g.vertex_count), map(sub, islice(off, 1, None), off)):
+        c = comp[v]
+        if first[c] == -1:
+            first[c] = v
+        if low[c] == -1 and off[v + 1] - off[v] <= 3:
+            low[c] = v
+    cycles = metrics.shortest_cycles(g, comp, [lo == -1 for lo in low], longest=5)
 
     plans = _Plans(k)
     strategy = plans.strategy
     anchor = plans.anchor
     sources = plans.sources
     for c in range(k):
-        if first[c] == -1:
-            continue
         cycle = cycles[c]
         if low[c] != -1:
             name, a, run, arg = "low_degree", low[c], solve_low_degree, low[c]
@@ -741,7 +714,7 @@ def _greedy_pass(
 
 
 def _rescue_components(
-    g: MultiGraph, comp: list[int], plans: _Plans, order: Sequence[int], col: PartialColoring, tel: Telemetry
+    g: MultiGraph, comp: list[int], plans: _Plans, order: Sequence[int], col: PartialColoring
 ) -> None:
     """Recolor each failed component from scratch: the guaranteed greedy
     phase over its share of the order, then backtracking over the edges at
@@ -772,7 +745,6 @@ def _rescue_components(
         grouped(range(g.edge_count), eslot),
         grouped(order, map(eslot.__getitem__, order)),
     ):
-        tel.fallbacks += 1
         local = {v: i for i, v in enumerate(verts)}
         eid = {e: i for i, e in enumerate(edges)}
         sub = MultiGraph(
@@ -801,7 +773,7 @@ def _rescue_components(
 def _solve_report(
     g: MultiGraph, comp: list[int], k: int, plans: _Plans, col: PartialColoring, tel: Telemetry
 ) -> SolveReport:
-    """The SolveReport: per component with edges, strategy (fallback_exact
+    """The SolveReport: per component, strategy (fallback_exact
     if rescued), edge count and colors used, and the colors used overall,
     from one pass."""
     counts = array("i", bytes(4 * k))
@@ -820,11 +792,10 @@ def _solve_report(
                 failure=failure.get(c),
             )
             for c, name in enumerate(plans.strategy)
-            if name is not None
         ],
         colors_used=(reduce(or_, masks, 0) >> 1).bit_count(),
         assertions_checked=tel.checks,
-        fallback_invocations=tel.fallbacks,
+        fallback_invocations=len(failure),
         labels=dict(tel.labels),
     )
 
@@ -861,9 +832,9 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
     for c, finish in plans.finishes:
         if c not in plans.failure:
             try:
-                finish(col, dist)
+                finish(col)
             except _RESCUABLE as exc:
                 plans.failure[c] = _reason(exc)
-    _rescue_components(g, comp, plans, order, col, tel)
+    _rescue_components(g, comp, plans, order, col)
     col._at = None  # the masks served the pass; a caller's first query rebuilds them
     return col, _solve_report(g, comp, k, plans, col, tel)

@@ -172,8 +172,8 @@ def split_components(g: MultiGraph) -> list[tuple[MultiGraph, list[int]]]:
 
 
 def greedy_phase(g: MultiGraph, anchor, held=(), plants=(), bounds=(20, 21), telemetry=None):
-    """(coloring, BFS distances) after the guaranteed greedy phase as
-    solve runs it for one component: the plants, then one greedy pass
+    """The coloring after the guaranteed greedy phase as solve runs it
+    for one component: the plants, then one greedy pass
     over the compatible order from the anchor without the held-back
     edges, checking the bounds."""
     col = PartialColoring(g, 22)
@@ -184,7 +184,7 @@ def greedy_phase(g: MultiGraph, anchor, held=(), plants=(), bounds=(20, 21), tel
     order = [e for e in metrics.order_by_distance(g, dist) if e not in skip]
     conflicts, ceiling = bounds
     greedy_color(col, order, telemetry=telemetry, max_conflict_colors=conflicts, max_color=ceiling)
-    return col, dist
+    return col
 
 
 def bench_rows(sizes, seed: int = 0) -> list[tuple[int, int, int, int]]:
@@ -205,11 +205,11 @@ def run_plan(g: MultiGraph, anchor, plan, telemetry) -> PartialColoring:
     phase, then the finish, or for a plan without one (a tail) one
     greedy_color call over the held-back edges within 21 colors."""
     held, plants, bounds, finish = plan
-    col, dist = greedy_phase(g, anchor, held, plants, bounds, telemetry)
+    col = greedy_phase(g, anchor, held, plants, bounds, telemetry)
     if finish is None:
         greedy_color(col, held, telemetry=telemetry, max_color=21)
     else:
-        finish(col, dist)
+        finish(col)
     return col
 
 

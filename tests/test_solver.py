@@ -75,20 +75,20 @@ def assert_total_valid(g, col, max_colors=22):
 
 def test_color_except_vertex_star_center():
     g = star(4)
-    col, _ = greedy_phase(g, 0, held=g.incident_edges(0), telemetry=Telemetry())
+    col = greedy_phase(g, 0, held=g.incident_edges(0), telemetry=Telemetry())
     assert col.uncolored_edges() == list(range(4))
 
 
 def test_color_except_vertex_pentagon():
     g = cycle(5)
-    col, _ = greedy_phase(g, 0, held=g.incident_edges(0), telemetry=Telemetry())
+    col = greedy_phase(g, 0, held=g.incident_edges(0), telemetry=Telemetry())
     assert len(col.uncolored_edges()) == 2
     assert verify(col) == []
     assert colors_used(col) <= 21
 
 
 def test_color_except_vertex_4regular(robertson):
-    col, _ = greedy_phase(robertson, 7, held=robertson.incident_edges(7), telemetry=Telemetry())
+    col = greedy_phase(robertson, 7, held=robertson.incident_edges(7), telemetry=Telemetry())
     assert set(col.uncolored_edges()) == set(robertson.incident_edges(7))
     assert verify(col) == []
 
@@ -96,7 +96,7 @@ def test_color_except_vertex_4regular(robertson):
 def test_color_except_cycle_whole_graph():
     g = cycle(5)
     c = find_shortest_cycle(g)
-    col, _ = greedy_phase(g, c, held=c.edges, telemetry=Telemetry())
+    col = greedy_phase(g, c, held=c.edges, telemetry=Telemetry())
     assert col.uncolored_edges() == sorted(c.edges)
     assert len(col.uncolored_edges()) == 5
 
@@ -105,7 +105,7 @@ def test_color_except_cycle_k5():
     g = complete(5)
     c = find_shortest_cycle(g)
     assert len(c) == 3
-    col, _ = greedy_phase(g, c, held=c.edges, telemetry=Telemetry())
+    col = greedy_phase(g, c, held=c.edges, telemetry=Telemetry())
     assert len(col.uncolored_edges()) == 3
     assert verify(col) == []
 
@@ -229,6 +229,47 @@ def test_solve_dispatches_girth4_to_the_diagonals(monkeypatch, n, seed, colors):
     assert rep.labels["girth4.diagonals-distinct"] == 1
 
 
+def test_girth4_far_ends_and_diagonals_equal_brute_force():
+    """On every girth-4 anchor of small random 4-regular graphs, the far
+    ends the cycle context reads from the CSR and the diagonals of each
+    pack equal a search over the edge list: the non-cycle edges at each
+    corner with their other ends, and the smallest edge id joining two
+    far ends. A pack whose diagonals are missing or not distinct is
+    refused by the matching check."""
+    reserved = 0
+    for n in (10, 12, 14, 16):
+        for seed in range(30):
+            g, _ = random_4regular(n, seed=seed, min_girth=4)
+            comp, k = solver._label_components(g)
+            for cyc in metrics.shortest_cycles(g, comp, [True] * k):
+                if cyc is None or len(cyc) != 4:
+                    continue
+                ctx = label_cycle_context(g, cyc, Telemetry())
+                far = {}
+                for i, v in enumerate(cyc.vertices, start=1):
+                    at = {e: b if a == v else a for e, (a, b) in enumerate(g.edges) if v in (a, b)}
+                    rest = {e: w for e, w in at.items() if e not in cyc.edges}
+                    assert sorted(rest) == [ctx.a[i], ctx.b[i]]
+                    far.update(rest)
+                assert ctx.far == far and ctx.incident == sorted(far)
+                for i, j in ((1, 3), (2, 4)):
+                    diagonals = []
+                    for p in (ctx.a[i], ctx.b[i]):
+                        for q in (ctx.a[j], ctx.b[j]):
+                            ends = {far[p], far[q]}
+                            joins = [f for f, (a, b) in enumerate(g.edges) if {a, b} == ends]
+                            diagonals.append(min(joins, default=None))
+                    if None in diagonals or len(set(diagonals)) < 4:
+                        label = "girth4.diagonal-exists" if None in diagonals else "girth4.diagonals-distinct"
+                        with pytest.raises(LemmaAssertionError, match=label):
+                            solver._girth4_with_diagonals(g, ctx, Telemetry(), i, j)
+                    else:
+                        held = solver._girth4_with_diagonals(g, ctx, Telemetry(), i, j)[0]
+                        assert held == list(ctx.c.values()) + sorted(diagonals)
+                        reserved += 1
+    assert reserved
+
+
 def test_girth5_strategy(robertson):
     c = find_shortest_cycle(robertson)
     assert len(c) == 5
@@ -299,7 +340,7 @@ def test_cycle_context_k44():
     c = find_shortest_cycle(g)
     ctx = label_cycle_context(g, c, Telemetry())
     assert sorted(ctx.c) == [1, 2, 3, 4]
-    incident = ctx.incident_edges()
+    incident = ctx.incident
     assert len(incident) == 8
     assert len(set(incident)) == 8
     assert not set(incident) & set(c.edges)
@@ -310,7 +351,7 @@ def test_cycle_context_k44():
 def test_cycle_context_girth5_separation(robertson):
     c = find_shortest_cycle(robertson)
     ctx = label_cycle_context(robertson, c, Telemetry())
-    assert len(ctx.incident_edges()) == 10
+    assert len(ctx.incident) == 10
     for s, t in ((1, 3), (3, 5), (5, 2), (2, 4)):
         assert ctx.b[t] not in robertson.conflict_set(ctx.a[s])
 
@@ -332,7 +373,6 @@ def test_girth5_instrumentation_counts(robertson):
     assert tel.labels["girth5.uncolored-count"] == 1
     assert tel.labels["girth5.cycle-availability"] == 4
     assert tel.labels["girth5.incident-availability"] == 7
-    assert tel.fallbacks == 0
 
 
 def test_girth6_instrumentation_counts(cage46):
@@ -652,8 +692,8 @@ def test_finish_failure_is_rescued(monkeypatch, cage46):
     def late(g, v, tel):
         held, plants, bounds, finish = real(g, v, tel)
 
-        def failing(col, dist):
-            finish(col, dist)  # the component ends up colored, and still fails
+        def failing(col):
+            finish(col)  # the component ends up colored, and still fails
             tel.check(False, "girth6.anchor-degree")
 
         return held, plants, bounds, failing
@@ -852,14 +892,44 @@ def test_solve_leaves_its_input_graph_as_it_was(cage46):
 
 
 def test_label_components_order_and_content():
+    """Components with edges are numbered by smallest member; isolated
+    vertices keep -1."""
     g = MultiGraph.from_edges(6, [(4, 5), (0, 1)])
     assert components(g) == [[0, 1], [2], [3], [4, 5]]
-    assert solver._label_components(g) == ([0, 0, 1, 2, 3, 3], 4)
+    assert solver._label_components(g) == ([0, 0, -1, -1, 1, 1], 2)
     for seed in range(25):
         h = random_multigraph(seed)
         comp, k = solver._label_components(h)
         groups = [[v for v in range(h.vertex_count) if comp[v] == c] for c in range(k)]
-        assert groups == components(h)
+        assert groups == [c for c in components(h) if h.degree(c[0])]
+        assert all(comp[v] == -1 for v in range(h.vertex_count) if not h.degree(v))
+
+
+def test_isolated_vertices_change_nothing(petersen, robertson, cage46):
+    """10^5 isolated vertices spread between a few small components of
+    every strategy: the same coloring and report as without them, and
+    only the components with edges are numbered."""
+    base = disjoint_union(
+        path(4), triangle_with_loops(), doubled_triangle(), complete(5), hypercube4(), petersen, robertson, cage46
+    )
+    rng = random.Random(7)
+    before = [0] * base.vertex_count  # isolated vertices placed before each vertex
+    for _ in range(100_000):
+        before[rng.randrange(base.vertex_count)] += 1
+    new_id = []
+    shift = 0
+    for v in range(base.vertex_count):
+        shift += before[v]
+        new_id.append(v + shift)
+    spread = MultiGraph.from_edges(base.vertex_count + 100_000, [(new_id[u], new_id[v]) for u, v in base.edges])
+    col, rep = solve(spread)
+    want_col, want_rep = solve(base)
+    assert col._colors == want_col._colors and rep == want_rep
+    strategies = ["low_degree", "loop", "double_edge", "girth3", "girth4", "low_degree", "girth5", "girth6"]
+    assert rep.strategies() == strategies
+    comp, k = solver._label_components(spread)
+    assert k == len(components(base)) == 8
+    assert comp.count(-1) == 100_000
 
 
 @settings(max_examples=100, deadline=None)
