@@ -28,11 +28,11 @@ class ConflictError(ValueError):
 class PartialColoring:
     """Color assignment for a fixed graph and palette.
 
-    Mutable by design: assign/unassign update in place, copy() snapshots.
-    assign enforces validity. greedy_color writes the color list directly,
-    with a color free of every colored conflict; parse_coloring stores a
-    file as given, for verify to check; fallback_exact's search (on its
-    working copy) and the exact oracle's witness go through _set_unchecked.
+    Mutable by design: every write updates it in place. assign enforces
+    validity. greedy_color writes the color list directly, with a color
+    free of every colored conflict; parse_coloring stores a file as given,
+    for verify to check; fallback_exact's search and the exact oracle's
+    witness go through _set_unchecked.
 
     Conflict queries (available_colors, assign, greedy_color) read one
     per-vertex mask array, _at[x] holding bit c when an edge at x has
@@ -52,11 +52,6 @@ class PartialColoring:
         self.palette_size = palette_size
         self._colors = [0] * graph.edge_count
         self._at: array | None = None
-
-    def copy(self) -> PartialColoring:
-        dup = PartialColoring(self.graph, self.palette_size)
-        dup._colors = list(self._colors)
-        return dup
 
     def is_colored(self, e: int) -> bool:
         return self._colors[e] != 0

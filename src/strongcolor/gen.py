@@ -24,12 +24,10 @@ class RejectionBudgetExhausted(Exception):
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Parameters for generate(). m is only meaningful for random_max4
-    and defaults to round(1.75 * n) when absent."""
+    """Parameters for generate()."""
 
     kind: str
     n: int = 0
-    m: int | None = None
     seed: int = 0
     min_girth: int = 3
     allow_loops: bool = False
@@ -250,7 +248,7 @@ def generate(spec: GenSpec) -> MultiGraph:
         return star_neighborhood()
     if spec.kind == "random_max4":
         return random_max4(
-            spec.n, spec.m, spec.seed, allow_loops=spec.allow_loops, allow_parallel=spec.allow_parallel
+            spec.n, seed=spec.seed, allow_loops=spec.allow_loops, allow_parallel=spec.allow_parallel
         )
     if spec.kind == "random_4regular":
         g, _ = random_4regular(spec.n, spec.seed, spec.min_girth)

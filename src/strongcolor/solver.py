@@ -63,12 +63,14 @@ class LemmaAssertionError(Exception):
 class Unsatisfiable(Exception):
     """Completion failed where the construction guarantees success.
 
-    Carries the serialized graph so the instance can be reproduced.
+    Carries the reason and the serialized graph, so that the instance can
+    be reproduced.
     """
 
-    def __init__(self, message: str, g: MultiGraph):
+    def __init__(self, reason: str, g: MultiGraph):
+        self.reason = reason
         self.graph_text = emit_graph(g)
-        super().__init__(f"{message}\n{self.graph_text}")
+        super().__init__(f"{reason}\n{self.graph_text}")
 
 
 class Telemetry:
@@ -526,12 +528,15 @@ def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
 # fallback and dispatch
 
 
-def fallback_exact(g: MultiGraph, col: PartialColoring, uncolored) -> PartialColoring:
-    """Complete a valid partial coloring by backtracking within 22 colors.
+def fallback_exact(col: PartialColoring, uncolored) -> PartialColoring:
+    """Complete a valid partial coloring in place by backtracking within
+    its palette, and return it.
 
     Most-constrained-first search over at most FALLBACK_LIMIT edges. This
     is the safety net behind the runtime assertions; it raises
     Unsatisfiable (with the serialized graph) rather than give up quietly.
+    The search uncolors every edge it backs out of, so a failed search
+    leaves col as it was.
     """
     todo = sorted(set(uncolored))
     if len(todo) > FALLBACK_LIMIT:
@@ -539,24 +544,23 @@ def fallback_exact(g: MultiGraph, col: PartialColoring, uncolored) -> PartialCol
     for e in todo:
         if col.is_colored(e):
             raise ValueError(f"edge {e} passed as uncolored but has a color")
-    work = col.copy()
 
     def attempt(pending: list[int]) -> bool:
         if not pending:
             return True
-        ranked = sorted(pending, key=lambda e: (len(work.available_colors(e)), e))
+        ranked = sorted(pending, key=lambda e: (len(col.available_colors(e)), e))
         e = ranked[0]
         rest = [f for f in pending if f != e]
-        for c in sorted(work.available_colors(e)):
-            work._set_unchecked(e, c)
+        for c in sorted(col.available_colors(e)):
+            col._set_unchecked(e, c)
             if attempt(rest):
                 return True
-            work._set_unchecked(e, 0)
+            col._set_unchecked(e, 0)
         return False
 
     if attempt(todo):
-        return work
-    raise Unsatisfiable(f"backtracking completion failed on {len(todo)} edges", g)
+        return col
+    raise Unsatisfiable(f"backtracking completion failed on {len(todo)} edges", col.graph)
 
 
 _RESCUABLE = (PaletteExhausted, LemmaAssertionError, ConflictError)
@@ -716,40 +720,25 @@ def _greedy_pass(
 def _rescue_components(
     g: MultiGraph, comp: list[int], plans: _Plans, order: Sequence[int], col: PartialColoring
 ) -> None:
-    """Recolor each failed component from scratch: the guaranteed greedy
-    phase over its share of the order, then backtracking over the edges at
-    the anchor. Each runs on its component extracted as a graph of its
-    own, so Unsatisfiable carries only that component, and then overwrites
-    all of the component's edges in col. The vertices, edges and order
-    shares of all failed components are grouped first, in one ascending
-    pass each, so the rescues cost O(n + m) however many there are."""
-    failed = sorted(plans.failure)
-    if not failed:
+    """Recolor each failed component in col: uncolor its edges, run the
+    guaranteed greedy phase over its share of the order without the edges
+    at the anchor, then backtrack over those. Components never conflict,
+    so each gets the colors it would get alone. The shares of all failed
+    components are grouped in one pass over the order, so the rescues
+    cost O(n + m) however many there are. Unsatisfiable carries only the
+    failing component, its vertices renumbered in ascending order."""
+    if not plans.failure:
         return
-    slot = {c: i for i, c in enumerate(failed)}
-    vslot = [slot.get(c, -1) for c in comp]
-    eslot = [vslot[u] for u in g.eu]
-
-    def grouped(items, slots):
-        out: list[list[int]] = [[] for _ in failed]
-        for x, i in zip(items, slots):
-            if i >= 0:
-                out[i].append(x)
-        return out
-
     eu = g.eu
     ev = g.ev
-    for c, verts, edges, share in zip(
-        failed,
-        grouped(range(g.vertex_count), vslot),
-        grouped(range(g.edge_count), eslot),
-        grouped(order, map(eslot.__getitem__, order)),
-    ):
-        local = {v: i for i, v in enumerate(verts)}
-        eid = {e: i for i, e in enumerate(edges)}
-        sub = MultiGraph(
-            len(local), array("i", [local[eu[e]] for e in edges]), array("i", [local[ev[e]] for e in edges])
-        )
+    shares: dict[int, list[int]] = {c: [] for c in sorted(plans.failure)}
+    for e in order:
+        share = shares.get(comp[eu[e]])
+        if share is not None:
+            share.append(e)
+    for c, share in shares.items():
+        for e in share:
+            col.unassign(e)
         anchor = plans.anchor[c]
         if isinstance(anchor, CycleDescriptor):
             skip = set(anchor.edges)
@@ -758,42 +747,48 @@ def _rescue_components(
                     skip.update(g.incident_edges(v))
         else:
             skip = set(g.incident_edges(anchor))
-        sub_col = PartialColoring(sub, PALETTE)
         try:
-            greedy_color(sub_col, [eid[e] for e in share if e not in skip])
-        except PaletteExhausted:
-            raise Unsatisfiable("guaranteed greedy phase ran out of colors", sub)
-        sub_col = fallback_exact(sub, sub_col, [eid[e] for e in skip])
-        for e in edges:
-            col.unassign(e)
-        for e, color in zip(edges, sub_col._colors):
-            col.assign(e, color)
+            greedy_color(col, [e for e in share if e not in skip])
+            fallback_exact(col, skip)
+        except (PaletteExhausted, Unsatisfiable) as exc:
+            edges = sorted(share)
+            local = {v: i for i, v in enumerate(sorted({x for e in edges for x in (eu[e], ev[e])}))}
+            part = MultiGraph.from_edges(len(local), [(local[eu[e]], local[ev[e]]) for e in edges])
+            if isinstance(exc, PaletteExhausted):
+                raise Unsatisfiable("guaranteed greedy phase ran out of colors", part)
+            raise Unsatisfiable(exc.reason, part) from None
 
 
 def _solve_report(
     g: MultiGraph, comp: list[int], k: int, plans: _Plans, col: PartialColoring, tel: Telemetry
 ) -> SolveReport:
     """The SolveReport: per component, strategy (fallback_exact
-    if rescued), edge count and colors used, and the colors used overall,
-    from one pass."""
-    counts = array("i", bytes(4 * k))
-    masks = array("q", bytes(8 * k))
-    for u, color in zip(g.eu, col._colors):
-        c = comp[u]
-        counts[c] += 1
-        masks[c] |= 1 << color
+    if rescued), edge count and colors used, and the colors used overall.
+    One pass over the vertices with edges reads them from the CSR and
+    col's color masks: a component's colors are the OR of its vertices'
+    masks, and its edge count is half its degree sum (a loop counts 2).
+    col is total, so the vertices with edges are those with a nonzero
+    mask, which the pass selects without reading a degree."""
+    off = g.csr()[0]
+    at = col._masks()
+    degrees = [0] * k
+    masks = [0] * k
+    for v in compress(range(g.vertex_count), at):
+        c = comp[v]
+        degrees[c] += off[v + 1] - off[v]
+        masks[c] |= at[v]
     failure = plans.failure
     return SolveReport(
         components=[
             ComponentReport(
                 strategy=name if c not in failure else "fallback_exact",
-                edge_count=counts[c],
-                colors_used=(masks[c] >> 1).bit_count(),
+                edge_count=degrees[c] // 2,
+                colors_used=masks[c].bit_count(),
                 failure=failure.get(c),
             )
             for c, name in enumerate(plans.strategy)
         ],
-        colors_used=(reduce(or_, masks, 0) >> 1).bit_count(),
+        colors_used=reduce(or_, masks, 0).bit_count(),
         assertions_checked=tel.checks,
         fallback_invocations=len(failure),
         labels=dict(tel.labels),
@@ -812,12 +807,13 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
     the finishes of the girth 4, 5 and 6 components. Conflicts never
     cross components, so every component gets the coloring it would get
     alone. A component whose plan, greedy share, tail or finish fails a
-    check is recolored alone by the backtracking fallback; the others
-    keep theirs.
+    check is recolored in the same coloring by a greedy phase and the
+    backtracking fallback; the others keep theirs.
 
     The report lists the strategy used for each component with edges, the
     assertions exercised, per label and in total, and how often the
-    fallback fired (expected 0).
+    fallback fired (expected 0); its colors are read from the coloring's
+    masks before they are dropped.
     """
     if g.max_degree() > 4:
         v = next(v for v in range(g.vertex_count) if g.degree(v) > 4)
@@ -836,5 +832,6 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
             except _RESCUABLE as exc:
                 plans.failure[c] = _reason(exc)
     _rescue_components(g, comp, plans, order, col)
-    col._at = None  # the masks served the pass; a caller's first query rebuilds them
-    return col, _solve_report(g, comp, k, plans, col, tel)
+    report = _solve_report(g, comp, k, plans, col, tel)
+    col._at = None  # the masks served the pass and the report; a caller's first query rebuilds them
+    return col, report

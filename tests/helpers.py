@@ -225,6 +225,22 @@ def ref_color_tail(col: PartialColoring, tail, caps, label: str, telemetry, ceil
         greedy_color(col, [e], telemetry=telemetry, max_color=ceiling)
 
 
+def copy(col: PartialColoring) -> PartialColoring:
+    """A new coloring of the same graph and palette with col's colors."""
+    dup = PartialColoring(col.graph, col.palette_size)
+    dup._colors = list(col._colors)
+    return dup
+
+
+def ref_component_report(col: PartialColoring) -> tuple[list[tuple[int, set[int]]], int]:
+    """(edge count, set of colors) per component with edges, in order of
+    smallest vertex, and the number of colors used overall, read from the
+    edges one by one."""
+    colors = col._colors
+    per_component = [(len(emap), {colors[e] for e in emap} - {0}) for _, emap in split_components(col.graph)]
+    return per_component, len(set(colors) - {0})
+
+
 def color_of(col: PartialColoring, e: int) -> int | None:
     """Color of edge e, or None while it is uncolored."""
     return col._colors[e] or None

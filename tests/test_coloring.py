@@ -9,6 +9,7 @@ from helpers import (
     brute_conflict_set,
     color_of,
     colors_used,
+    copy,
     cycle,
     disjoint_union,
     path,
@@ -308,7 +309,7 @@ def test_copy_unassign_and_queries():
     g = path(5)
     col = PartialColoring(g, 22)
     col.assign(0, 1)
-    dup = col.copy()
+    dup = copy(col)
     dup.assign(3, 1)
     assert not col.is_colored(3)
     assert dup.is_total() is False

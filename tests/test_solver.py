@@ -14,6 +14,7 @@ from strongcolor import (
     PartialColoring,
     Telemetry,
     Unsatisfiable,
+    emit_graph,
     erdos_nesetril_5,
     find_shortest_cycle,
     greedy_color,
@@ -44,6 +45,7 @@ from helpers import (
     complete,
     complete_bipartite,
     components,
+    copy,
     cycle,
     disjoint_union,
     doubled_triangle,
@@ -53,6 +55,7 @@ from helpers import (
     path,
     random_multigraph,
     ref_color_tail,
+    ref_component_report,
     run_plan,
     shuffled_union,
     split_components,
@@ -305,7 +308,7 @@ def test_color_tail_equals_one_greedy_call_per_edge(seed):
     ceiling = rng.randint(1, 22)
 
     def outcome(color_tail):
-        col = base.copy()
+        col = copy(base)
         tel = Telemetry()
         try:
             color_tail(col, tel)
@@ -390,25 +393,28 @@ def test_fallback_exact_nothing_to_do():
     col = PartialColoring(g, 22)
     col.assign(0, 1)
     col.assign(1, 2)
-    out = fallback_exact(g, col, [])
+    out = fallback_exact(col, [])
+    assert out is col
     assert as_dict(out) == {0: 1, 1: 2}
 
 
 def test_fallback_exact_single_edge():
     g = path(2)
     col = PartialColoring(g, 22)
-    out = fallback_exact(g, col, [0])
+    out = fallback_exact(col, [0])
+    assert out is col
     assert color_of(out, 0) == 1
 
 
 def test_fallback_exact_completes_stripped_k5():
     g = complete(5)
     full, _ = solve(g)
-    col = full.copy()
+    col = copy(full)
     removed = [0, 3, 7]
     for e in removed:
         col.unassign(e)
-    out = fallback_exact(g, col, removed)
+    out = fallback_exact(col, removed)
+    assert out is col
     assert_total_valid(g, out)
 
 
@@ -417,16 +423,32 @@ def test_fallback_exact_rejects_colored_edges():
     col = PartialColoring(g, 22)
     col.assign(0, 1)
     with pytest.raises(ValueError):
-        fallback_exact(g, col, [0, 1])
+        fallback_exact(col, [0, 1])
 
 
 def test_fallback_exact_unsatisfiable_carries_graph():
     g = cycle(5)
     col = PartialColoring(g, 3)  # pentagon needs 5 colors
     with pytest.raises(Unsatisfiable) as exc:
-        fallback_exact(g, col, range(5))
+        fallback_exact(col, range(5))
     assert "p sec 5 5" in str(exc.value)
     assert exc.value.graph_text.startswith("p sec 5 5")
+    assert col._colors == [0] * 5
+    assert col._at == copy(col)._masks()
+
+
+def test_fallback_exact_failure_leaves_the_coloring_as_it_was():
+    """A failed search backs out of every edge it tried: the colors and
+    the per-vertex masks are those of the coloring passed in."""
+    g = complete(5)  # its 10 edges pairwise conflict
+    col = PartialColoring(g, 9)
+    greedy_color(col, range(7))
+    before = list(col._colors)
+    with pytest.raises(Unsatisfiable) as exc:
+        fallback_exact(col, [7, 8, 9])
+    assert str(exc.value).split("\n")[0] == "backtracking completion failed on 3 edges"
+    assert col._colors == before
+    assert col._at == copy(col)._masks()
 
 
 # --- top-level solve -------------------------------------------------------
@@ -523,6 +545,82 @@ def test_rescue_path_counts_fallback(monkeypatch):
     assert rep.fallback_invocations == 1
     assert rep.components[0].failure == "girth3.cycle-length"
     assert rep.labels == {"girth3.cycle-length": 1} and rep.assertions_checked == 1
+
+
+def _fail_girth3(g, cycle, tel):
+    tel.check(False, "girth3.cycle-length")
+
+
+def _rescue_runs_out_of_colors(monkeypatch):
+    """The rescue's greedy phase, the only greedy_color call without
+    telemetry, raises PaletteExhausted at its first edge."""
+    real = solver.greedy_color
+
+    def flaky(col, order, **kwargs):
+        if kwargs.get("telemetry") is None and len(order):
+            raise PaletteExhausted(order[0], col.palette_size)
+        return real(col, order, **kwargs)
+
+    monkeypatch.setattr(solver, "greedy_color", flaky)
+
+
+def _rescue_backtracking_fails(monkeypatch):
+    """With 9 colors the K5's greedy phase colors its 7 edges off the
+    triangle, and its 3 triangle edges, which conflict with every other
+    edge, are left 2 colors."""
+    monkeypatch.setattr(solver, "PALETTE", 9)
+
+
+@pytest.mark.parametrize(
+    "make_rescue_fail, reason",
+    [
+        (_rescue_runs_out_of_colors, "guaranteed greedy phase ran out of colors"),
+        (_rescue_backtracking_fails, "backtracking completion failed on 3 edges"),
+    ],
+    ids=["greedy", "backtracking"],
+)
+def test_failed_rescue_raises_with_its_component_alone(monkeypatch, make_rescue_fail, reason):
+    """A K5 fails its plan and then its rescue: Unsatisfiable names the
+    failing step and carries the K5 alone, its vertices renumbered in
+    ascending order, whatever else the graph holds."""
+    g = shuffled_union([path(4), complete(5), cycle(6)], seed=5)
+    k5 = next(sub for sub, _ in split_components(g) if sub.edge_count == 10)
+    monkeypatch.setattr(solver, "solve_girth3", _fail_girth3)
+    make_rescue_fail(monkeypatch)
+    with pytest.raises(Unsatisfiable) as exc:
+        solve(g)
+    assert exc.value.graph_text.startswith("p sec 5 10\n")
+    assert exc.value.graph_text == emit_graph(k5)
+    assert str(exc.value) == f"{reason}\n{exc.value.graph_text}"
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("forced", [None, "low_degree", "loop", "double_edge"])
+def test_report_counts_match_the_edges(monkeypatch, seed, forced):
+    """The report's per-component edge counts and colors, and its colors
+    used overall, equal those counted from the edges, on random
+    multigraphs with loops, parallel edges and isolated vertices, also
+    when every component of one strategy is rescued."""
+    if forced is not None:
+        def boom(g, anchor, tel):
+            tel.check(False, f"{forced}.forced")
+
+        monkeypatch.setattr(solver, f"solve_{forced}", boom)
+    g = disjoint_union(
+        random_multigraph(seed, max_n=20, max_m=30),
+        triangle_with_loops(),
+        doubled_triangle(),
+        MultiGraph(3),
+        random_multigraph(100 + seed, max_n=12, max_m=20),
+    )
+    col, rep = solve(g)
+    assert col.is_total() and verify(col) == []
+    per_component, overall = ref_component_report(col)
+    assert [(c.edge_count, c.colors_used) for c in rep.components] == [(m, len(cs)) for m, cs in per_component]
+    assert rep.colors_used == overall
+    if forced is not None:
+        assert forced not in rep.strategies()
+        assert rep.fallback_invocations == sum(c.failure == f"{forced}.forced" for c in rep.components) > 0
 
 
 class CountingList(list):
