@@ -1,6 +1,8 @@
 """Command-line interface: generate, inspect, color, verify, and exact.
 
-All output is deterministic for fixed inputs and seeds.
+All output is deterministic for fixed inputs and seeds. Each command
+imports only the modules it runs, so that `verify`, say, loads neither
+the generators nor the solver.
 """
 
 from __future__ import annotations
@@ -8,13 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .coloring import verify as verify_coloring
-from .gen import GenSpec, RejectionBudgetExhausted, generate
 from .graphio import emit_coloring, emit_graph, parse_coloring, parse_graph
-from .metrics import girth
-from .multigraph import MultiGraph
-from .oracle import BoundTooLow, exact_strong_index
-from .solver import MaxDegreeExceeded, Unsatisfiable, solve
 
 GEN_KINDS = ("erdos_nesetril_5", "star_neighborhood", "random_max4", "random_4regular")
 
@@ -26,11 +22,18 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(path: str) -> MultiGraph:
+def _load_graph(path: str):
     return parse_graph(_read_text(path))
 
 
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def _cmd_gen(args) -> int:
+    from .gen import GenSpec, generate
+
     spec = GenSpec(
         kind=args.kind,
         n=args.n,
@@ -45,6 +48,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .metrics import girth
+
     g = _load_graph(args.file)
     has_loop = g.find_loop() is not None
     has_parallel = g.find_parallel_pair() is not None
@@ -62,8 +67,13 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from .solver import Unsatisfiable, solve
+
     g = _load_graph(args.file)
-    col, report = solve(g)
+    try:
+        col, report = solve(g)
+    except Unsatisfiable as exc:
+        return _error(exc)
     for k, comp in enumerate(report.components, start=1):
         print(f"component {k}: strategy={comp.strategy} edges={comp.edge_count} colors={comp.colors_used}")
     print(f"colors_used={report.colors_used}")
@@ -75,9 +85,11 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .coloring import verify
+
     g = _load_graph(args.graph)
     col = parse_coloring(_read_text(args.coloring), g)
-    bad = verify_coloring(col)
+    bad = verify(col)
     total = col.is_total()
     if not bad and total:
         print("OK")
@@ -90,6 +102,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from .oracle import exact_strong_index
+
     g = _load_graph(args.graph)
     res = exact_strong_index(g, upper_bound=args.ub)
     print(res.chi)
@@ -142,9 +156,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, MaxDegreeExceeded, Unsatisfiable, BoundTooLow, RejectionBudgetExhausted, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, OSError) as exc:  # bad input or parameters, or an unreadable file
+        return _error(exc)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .graphio import parse_graph
 from .multigraph import MultiGraph
 
 
-class RejectionBudgetExhausted(Exception):
+class RejectionBudgetExhausted(ValueError):
     """Generator gave up; raise n, lower min_girth, or change the seed."""
 
 

@@ -14,7 +14,7 @@ from .multigraph import MultiGraph
 EDGE_LIMIT = 40
 
 
-class BoundTooLow(Exception):
+class BoundTooLow(ValueError):
     """No valid coloring exists within the requested upper bound."""
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, compress, islice
 from operator import or_, sub
 from typing import Callable, Sequence
@@ -49,7 +49,9 @@ FALLBACK_LIMIT = 32
 BOUND_CLASSES = ((20, 21), (21, 22))
 
 
-class MaxDegreeExceeded(Exception):
+class MaxDegreeExceeded(ValueError):
+    """The input graph has a vertex of degree above 4."""
+
     def __init__(self, vertex: int, degree: int):
         self.vertex = vertex
         self.degree = degree
@@ -63,14 +65,22 @@ class LemmaAssertionError(Exception):
 class Unsatisfiable(Exception):
     """Completion failed where the construction guarantees success.
 
-    Carries the reason and the serialized graph, so that the instance can
-    be reproduced.
+    Carries the reason and the graph, so that the instance can be
+    reproduced. The graph is serialized, into graph_text and the message,
+    only when one of them is read.
     """
 
     def __init__(self, reason: str, g: MultiGraph):
+        super().__init__(reason)
         self.reason = reason
-        self.graph_text = emit_graph(g)
-        super().__init__(f"{reason}\n{self.graph_text}")
+        self.graph = g
+
+    @cached_property
+    def graph_text(self) -> str:
+        return emit_graph(self.graph)
+
+    def __str__(self) -> str:
+        return f"{self.reason}\n{self.graph_text}"
 
 
 class Telemetry:

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+import strongcolor.solver as solver
 from strongcolor import emit_graph, erdos_nesetril_5, parse_coloring, parse_graph, verify
 from strongcolor.cli import main
 
@@ -163,3 +164,27 @@ def test_degree_overflow_errors(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["color", "-"], stdin="\n".join(k6) + "\n")
     assert code == 1
     assert "degree" in err
+
+
+def test_generator_budget_errors(capsys, monkeypatch):
+    """No 4-regular graph on 6 vertices has girth 5: the generator's
+    rejection budget runs out."""
+    code, out, err = run_cli(capsys, monkeypatch, ["gen", "random_4regular", "--n", "6", "--min-girth", "5"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unsatisfiable_errors(capsys, monkeypatch):
+    """A K5 whose plan fails and whose rescue then has 9 colors: the
+    backtracking fails, and the error carries the K5's graph."""
+    def fail_girth3(g, cycle, tel):
+        tel.check(False, "girth3.cycle-length")
+
+    monkeypatch.setattr(solver, "solve_girth3", fail_girth3)
+    monkeypatch.setattr(solver, "PALETTE", 9)
+    k5 = "".join(f"e {u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6))
+    code, out, err = run_cli(capsys, monkeypatch, ["color", "-"], stdin="p sec 5 10\n" + k5)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: backtracking completion failed on 3 edges\np sec 5 10\n{k5}\n"

@@ -19,12 +19,14 @@ from helpers import (
 )
 from strongcolor import (
     ConflictError,
+    LemmaAssertionError,
     MultiGraph,
     PaletteExhausted,
     PartialColoring,
     greedy_color,
     random_max4,
     solve,
+    star_neighborhood,
     verify,
 )
 from strongcolor.solver import Telemetry
@@ -214,6 +216,21 @@ def test_greedy_ceiling_telemetry_counts():
     assert tel.checks == 6
     assert tel.labels["greedy.conflict-color-bound"] == 3
     assert tel.labels["greedy.color-ceiling"] == 3
+
+
+def test_greedy_conflict_color_bound_fails_on_a_hand_colored_star():
+    """21 distinct colors around the center edge of star_neighborhood
+    break the 20-color conflict bound: the real check raises, counted
+    once, and leaves the edge uncolored."""
+    g = star_neighborhood()
+    col = PartialColoring(g, 22)
+    for c, e in enumerate(sorted(g.conflict_set(0))[:21], start=1):
+        col.assign(e, c)
+    tel = Telemetry()
+    with pytest.raises(LemmaAssertionError, match="greedy.conflict-color-bound"):
+        greedy_color(col, [0], telemetry=tel, max_conflict_colors=20, max_color=22)
+    assert tel.labels == {"greedy.conflict-color-bound": 1}
+    assert not col.is_colored(0)
 
 
 def test_verify_matches_reference_checker():

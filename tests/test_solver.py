@@ -210,22 +210,40 @@ def test_girth4_strategy_reserves_diagonals():
     assert_total_valid(g, col)
 
 
-@pytest.mark.parametrize("n, seed, colors", [(12, 24, 13), (14, 31, 17)])
-def test_solve_dispatches_girth4_to_the_diagonals(monkeypatch, n, seed, colors):
-    """The first shortest cycle of these graphs has no adjacent pair and
-    no free pair between corners 1 and 3, so solve_girth4 reserves the
-    diagonals of that pack."""
+@pytest.mark.parametrize(
+    "n, seed, perm, adjacent, pack, colors",
+    [
+        (12, 24, None, 0, (1, 3), 13),
+        (14, 31, None, 0, (1, 3), 17),
+        (13, 16, [1, 5, 8, 7, 2, 4, 10, 12, 0, 3, 9, 6, 11], 1, (2, 4), 15),
+        (15, 24, [13, 9, 3, 12, 0, 6, 11, 1, 8, 2, 10, 7, 5, 14, 4], 1, (1, 3), 16),
+        (14, 26, [11, 5, 12, 10, 7, 9, 1, 3, 13, 8, 6, 2, 0, 4], 0, (2, 4), 17),
+    ],
+    ids=["12-24-13", "14-31-17", "one-adjacent-pair-24", "one-adjacent-pair-13", "no-adjacent-pair-24"],
+)
+def test_solve_dispatches_girth4_to_the_diagonals(monkeypatch, n, seed, perm, adjacent, pack, colors):
+    """solve_girth4 reserves the diagonals of a pack with no free pair on
+    every branch that gets there: with no adjacent pair, on (1, 3), or on
+    (2, 4) when only (2, 4) has none; with one adjacent pair, on the other
+    pack, (1, 3) or (2, 4). The spy counts the anchor's adjacent pairs as
+    solve_girth4 does. The relabelled graphs anchor at another 4-cycle:
+    each perm is the 3rd, 3rd and 24th list(range(n)) shuffled by
+    random.Random(1000 * seed + n), one after another."""
     real = solver._girth4_with_diagonals
-    packs = []
+    calls = []
 
     def spy(g, ctx, tel, i, j):
-        packs.append((i, j))
+        ends = [(ctx.a[k], ctx.b[k]) for k in range(1, 5)]
+        pairs = sum(ctx.far[p] == ctx.far[q] for s, t in ((0, 2), (1, 3)) for p in ends[s] for q in ends[t])
+        calls.append((pairs, (i, j)))
         return real(g, ctx, tel, i, j)
 
     monkeypatch.setattr(solver, "_girth4_with_diagonals", spy)
     g, _ = random_4regular(n, seed=seed, min_girth=4)
+    if perm is not None:
+        g = MultiGraph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
     col, rep = solve(g)
-    assert packs == [(1, 3)]
+    assert calls == [(adjacent, pack)]
     assert rep.strategies() == ["girth4"] and rep.fallback_invocations == 0
     assert col.is_total() and verify(col) == [] and rep.colors_used == colors
     assert rep.labels["girth4.diagonal-neighborhood"] == 4
@@ -582,16 +600,26 @@ def _rescue_backtracking_fails(monkeypatch):
 def test_failed_rescue_raises_with_its_component_alone(monkeypatch, make_rescue_fail, reason):
     """A K5 fails its plan and then its rescue: Unsatisfiable names the
     failing step and carries the K5 alone, its vertices renumbered in
-    ascending order, whatever else the graph holds."""
+    ascending order, whatever else the graph holds. The backtracking's own
+    Unsatisfiable, which holds the whole graph, is never serialized."""
     g = shuffled_union([path(4), complete(5), cycle(6)], seed=5)
     k5 = next(sub for sub, _ in split_components(g) if sub.edge_count == 10)
     monkeypatch.setattr(solver, "solve_girth3", _fail_girth3)
     make_rescue_fail(monkeypatch)
+    emitted = []
+
+    def spy(h):
+        emitted.append(emit_graph(h))
+        return emitted[-1]
+
+    monkeypatch.setattr(solver, "emit_graph", spy)
     with pytest.raises(Unsatisfiable) as exc:
         solve(g)
     assert exc.value.graph_text.startswith("p sec 5 10\n")
     assert exc.value.graph_text == emit_graph(k5)
     assert str(exc.value) == f"{reason}\n{exc.value.graph_text}"
+    # the graph is serialized once, when read, and never the whole union
+    assert emitted == [emit_graph(k5)]
 
 
 @pytest.mark.parametrize("seed", range(12))
