@@ -1,11 +1,12 @@
-"""Distance classes, compatible edge orders, and shortest cycles."""
+"""Components, distance classes, compatible edge orders, and shortest cycles."""
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from operator import eq
+from itertools import compress, islice
+from operator import eq, sub
 
 from .multigraph import MultiGraph
 
@@ -46,6 +47,28 @@ def bfs_from_sources(g: MultiGraph, starts) -> list[int]:
     return dist
 
 
+def label_components(g: MultiGraph) -> tuple[list[int], int]:
+    """Component ids of the vertices with edges, numbered 0.. by ascending
+    smallest member, and their number; isolated vertices keep -1."""
+    _, _, nbr_flat, nbr_off = g.flat_arrays()
+    comp = [-1] * g.vertex_count
+    k = 0
+    stack: list[int] = []
+    for s in compress(range(g.vertex_count), map(sub, islice(nbr_off, 1, None), nbr_off)):
+        if comp[s] != -1:
+            continue
+        comp[s] = k
+        stack.append(s)
+        while stack:
+            x = stack.pop()
+            for y in nbr_flat[nbr_off[x] : nbr_off[x + 1]]:
+                if comp[y] == -1:
+                    comp[y] = k
+                    stack.append(y)
+        k += 1
+    return comp, k
+
+
 def order_by_distance(g: MultiGraph, dist: list[int]) -> array:
     """Edge ids sorted by nonincreasing distance class (the distance of
     the closer endpoint), given BFS distances, as a compact array. An
@@ -78,19 +101,18 @@ def shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[CycleDesc
     of the graph; None for the other components, for forests and for
     girths above `longest`.
 
-    comp[v] is the component id of vertex v, or -1 for a vertex in no
-    component (solve leaves isolated vertices out). Conventions, per
-    component: the loop with the smallest edge id is a 1-cycle, else the
-    first parallel pair (by smallest later edge id) a 2-cycle; both are
-    found before any BFS. A simple component gets one BFS per start vertex, in
-    ascending order, and the first strictly shortest closing edge wins
-    (Itai and Rodeh). Each BFS stops at the first level dx with
-    2 * dx + 1 >= its component's best so far: a closing edge scanned
-    there closes a walk of at least that length, except one back to
-    level dx - 1, which was already seen from that level. Only the
-    vertices it reached are reset, so a start costs the ball of radius
-    about half the current best: O(n * 3^(g/2)) in total at degree 4,
-    where g = min(girth, longest).
+    comp[v] is the component id of vertex v, or -1 for an isolated vertex
+    (as label_components gives it). Conventions, per component: the loop
+    with the smallest edge id is a 1-cycle, else the first parallel pair
+    (by smallest later edge id) a 2-cycle; both are found before any BFS.
+    A simple component gets one BFS per start vertex, in ascending order,
+    and the first strictly shortest closing edge wins (Itai and Rodeh).
+    Each BFS stops at the first level dx with 2 * dx + 1 >= its
+    component's best so far: a closing edge scanned there closes a walk of
+    at least that length, except one back to level dx - 1, which was
+    already seen from that level. Only the vertices it reached are reset,
+    so a start costs the ball of radius about half the current best:
+    O(n * 3^(g/2)) in total at degree 4, where g = min(girth, longest).
 
     Each BFS visits its start s and the vertices above s only, and that
     changes no result. A closing edge of length L closes a walk through s

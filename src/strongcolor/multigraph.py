@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from operator import eq, sub
+from operator import sub
 
 
 class MultiGraph:
@@ -136,22 +136,6 @@ class MultiGraph:
                 out.update(inc_flat[off[y] : off[y + 1]])
         out.discard(e)
         return out
-
-    def find_loop(self) -> int | None:
-        """Smallest edge id that is a loop, or None."""
-        e = bytes(map(eq, self.eu, self.ev)).find(1)
-        return None if e < 0 else e
-
-    def find_parallel_pair(self) -> tuple[int, int] | None:
-        """First (i, j) with i < j sharing both endpoints, by smallest j."""
-        n = self.vertex_count
-        seen: dict[int, int] = {}  # pair u * n + v (u <= v) -> first edge id
-        for e, (u, v) in enumerate(zip(self.eu, self.ev)):
-            key = u * n + v if u <= v else v * n + u
-            if key in seen:
-                return (seen[key], e)
-            seen[key] = e
-        return None
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.vertex_count}, m={self.edge_count})"

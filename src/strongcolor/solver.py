@@ -605,28 +605,6 @@ class _Plans:
         self.finishes: list[tuple[int, Finish]] = []
 
 
-def _label_components(g: MultiGraph) -> tuple[list[int], int]:
-    """Component ids of the vertices with edges, numbered 0.. by ascending
-    smallest member, and their number; isolated vertices keep -1."""
-    _, _, nbr_flat, nbr_off = g.flat_arrays()
-    comp = [-1] * g.vertex_count
-    k = 0
-    stack: list[int] = []
-    for s in compress(range(g.vertex_count), map(sub, islice(nbr_off, 1, None), nbr_off)):
-        if comp[s] != -1:
-            continue
-        comp[s] = k
-        stack.append(s)
-        while stack:
-            x = stack.pop()
-            for y in nbr_flat[nbr_off[x] : nbr_off[x + 1]]:
-                if comp[y] == -1:
-                    comp[y] = k
-                    stack.append(y)
-        k += 1
-    return comp, k
-
-
 def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColoring, tel: Telemetry) -> _Plans:
     """Strategy, anchor and plan for every component, in component order,
     with the plants placed in col.
@@ -809,8 +787,9 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
     """Strong edge-coloring with at most 22 colors.
 
     One pass over the whole graph and its edge ids: label the components
-    once; plan every component with edges (strategy, anchor, held-back
-    edges, planted colors, bound class, finish), checking the tail
+    once (metrics.label_components, which `strongcolor stats` shares);
+    plan every component with edges (strategy, anchor, held-back edges,
+    planted colors, bound class, finish), checking the tail
     strategies' lemma caps from the structure, and place its planted
     colors; run one BFS from all anchors and one distance order; make one
     greedy_color call per bound class and one over all tails; then run
@@ -830,7 +809,7 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
         raise MaxDegreeExceeded(v, g.degree(v))
     tel = Telemetry()
     col = PartialColoring(g, PALETTE)
-    comp, k = _label_components(g)
+    comp, k = metrics.label_components(g)
     plans = _plan_components(g, comp, k, col, tel)
     dist = metrics.bfs_from_sources(g, plans.sources)
     order = metrics.order_by_distance(g, dist)

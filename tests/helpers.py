@@ -63,6 +63,21 @@ def two_loops_one_vertex() -> MultiGraph:
     return MultiGraph.from_edges(1, [(0, 0), (0, 0)])
 
 
+def has_loop(g: MultiGraph) -> bool:
+    return any(u == v for u, v in g.edges)
+
+
+def parallel_pair(g: MultiGraph) -> tuple[int, int] | None:
+    """The first two edges with equal ends, (i, j) with i < j, by
+    smallest j; None if there are none."""
+    first: dict[frozenset[int], int] = {}
+    for j, ends in enumerate(map(frozenset, g.edges)):
+        i = first.setdefault(ends, j)
+        if i != j:
+            return (i, j)
+    return None
+
+
 def disjoint_union(*graphs: MultiGraph) -> MultiGraph:
     edges = []
     base = 0
@@ -541,11 +556,11 @@ def ref_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:
     loop first, then parallel pair, then the first strictly shortest
     closing edge in start order, whose witness is rebuilt by one more BFS
     from its start."""
-    e = g.find_loop()
-    if e is not None:
-        v, _ = g.endpoints(e)
-        return CycleDescriptor((v,), (e,))
-    pair = g.find_parallel_pair()
+    loops = [e for e, (u, v) in enumerate(g.edges) if u == v]
+    if loops:
+        v, _ = g.endpoints(loops[0])
+        return CycleDescriptor((v,), (loops[0],))
+    pair = parallel_pair(g)
     if pair is not None:
         u, v = g.endpoints(pair[0])
         return CycleDescriptor((u, v), pair)

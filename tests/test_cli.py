@@ -3,7 +3,8 @@ import io
 import pytest
 
 import strongcolor.solver as solver
-from strongcolor import emit_graph, erdos_nesetril_5, parse_coloring, parse_graph, verify
+from helpers import disjoint_union, doubled_triangle, path
+from strongcolor import MultiGraph, emit_graph, erdos_nesetril_5, load_fixture, parse_coloring, parse_graph, verify
 from strongcolor.cli import main
 
 
@@ -50,15 +51,7 @@ def test_stats_fields(capsys, monkeypatch):
     _, graph_text, _ = run_cli(capsys, monkeypatch, ["gen", "erdos_nesetril_5"])
     code, out, _ = run_cli(capsys, monkeypatch, ["stats", "-"], stdin=graph_text)
     assert code == 0
-    lines = out.splitlines()
-    assert "n=10" in lines
-    assert "m=20" in lines
-    assert "max_degree=4" in lines
-    assert "min_degree=4" in lines
-    assert "has_loop=no" in lines
-    assert "has_parallel=no" in lines
-    assert "girth=4" in lines
-    assert "max_conflict_set=19" in lines
+    assert out.splitlines() == ["n=10", "m=20", "max_degree=4", "min_degree=4", "girth=4"]
 
 
 def test_stats_forest_girth_none(capsys, monkeypatch):
@@ -66,7 +59,26 @@ def test_stats_forest_girth_none(capsys, monkeypatch):
         capsys, monkeypatch, ["stats", "-"], stdin="p sec 3 2\ne 1 2\ne 2 3\n"
     )
     assert code == 0
-    assert "girth=none" in out.splitlines()
+    assert out.splitlines() == ["n=3", "m=2", "max_degree=2", "min_degree=1", "girth=none"]
+
+
+@pytest.mark.parametrize(
+    "graph, girth",
+    [
+        (MultiGraph.from_edges(3, [(0, 1), (1, 2), (2, 2)]), "1"),
+        (doubled_triangle(), "2"),
+        (load_fixture("petersen"), "5"),
+        (load_fixture("cage_4_6"), ">=6"),
+        (disjoint_union(path(3), load_fixture("cage_4_6"), MultiGraph(2)), ">=6"),
+    ],
+    ids=["loop", "doubled_triangle", "petersen", "cage_4_6", "cage_4_6_with_a_tree"],
+)
+def test_stats_girth_as_dispatch_sees_it(capsys, monkeypatch, graph, girth):
+    """The shortest cycle's length up to 5, a loop being 1 and a parallel
+    pair 2; ">=6" for a graph with a cycle but none that short."""
+    code, out, _ = run_cli(capsys, monkeypatch, ["stats", "-"], stdin=emit_graph(graph))
+    assert code == 0
+    assert out.splitlines()[-1] == f"girth={girth}"
 
 
 def test_color_pipeline_from_stdin(capsys, monkeypatch):
@@ -173,6 +185,20 @@ def test_generator_budget_errors(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "4"], "error: 4-regular simple graphs need n >= 5\n"),
+        (["--n", "20", "--min-girth", "7"], "error: min_girth must be in 3..6\n"),
+    ],
+    ids=["n=4", "min_girth=7"],
+)
+def test_generator_parameter_errors(capsys, monkeypatch, argv, message):
+    code, out, err = run_cli(capsys, monkeypatch, ["gen", "random_4regular", *argv])
+    assert code == 1
+    assert out == "" and err == message
 
 
 def test_unsatisfiable_errors(capsys, monkeypatch):

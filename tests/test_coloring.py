@@ -12,6 +12,7 @@ from helpers import (
     copy,
     cycle,
     disjoint_union,
+    parallel_pair,
     path,
     random_multigraph,
     ref_verify,
@@ -82,6 +83,19 @@ def test_assign_rejects_out_of_palette():
         col.assign(0, 5)
     with pytest.raises(ValueError):
         col.assign(0, 0)
+
+
+def test_assign_rejects_colored_edge():
+    col = PartialColoring(path(3), 4)
+    col.assign(0, 1)
+    with pytest.raises(ValueError, match="edge 0 is already colored"):
+        col.assign(0, 2)
+    assert col._colors == [1, 0]
+
+
+def test_palette_must_be_positive():
+    with pytest.raises(ValueError, match="palette_size must be >= 1"):
+        PartialColoring(path(3), 0)
 
 
 def test_same_color_legal_beyond_conflict_distance():
@@ -300,7 +314,7 @@ def test_verify_more_than_63_distinct_colors_matches_reference():
 )
 def test_verify_queries_conflict_sets_only_near_a_recolored_edge(monkeypatch, loops, parallel):
     g = random_max4(2000, seed=0, allow_loops=loops, allow_parallel=parallel)
-    assert (g.find_parallel_pair() is not None) == parallel
+    assert (parallel_pair(g) is not None) == parallel
     col, _ = solve(g)
     conflict_set = MultiGraph.conflict_set
     calls = []

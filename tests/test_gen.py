@@ -1,5 +1,7 @@
 import pytest
 
+import strongcolor.gen as gen
+from helpers import has_loop, parallel_pair
 from strongcolor import (
     GenSpec,
     RejectionBudgetExhausted,
@@ -58,13 +60,13 @@ def test_random_max4_edge_count_honored():
 
 def test_random_max4_flags_honored():
     g = random_max4(30, seed=3)
-    assert g.find_loop() is None
-    assert g.find_parallel_pair() is None
+    assert not has_loop(g)
+    assert parallel_pair(g) is None
     loops_seen = parallels_seen = False
     for seed in range(40):
         g = random_max4(12, seed=seed, allow_loops=True, allow_parallel=True)
-        loops_seen = loops_seen or g.find_loop() is not None
-        parallels_seen = parallels_seen or g.find_parallel_pair() is not None
+        loops_seen = loops_seen or has_loop(g)
+        parallels_seen = parallels_seen or parallel_pair(g) is not None
     assert loops_seen and parallels_seen
 
 
@@ -128,6 +130,12 @@ def test_fixture_names_and_checksums():
         load_fixture(name)
     with pytest.raises(ValueError):
         load_fixture("absent")
+
+
+def test_fixture_checksum_mismatch(monkeypatch):
+    monkeypatch.setitem(gen.FIXTURES["petersen"], "sha256", "0" * 64)
+    with pytest.raises(ValueError, match="fixture petersen checksum mismatch"):
+        load_fixture("petersen")
 
 
 def test_petersen_fixture(petersen):

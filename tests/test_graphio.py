@@ -16,7 +16,15 @@ from strongcolor import (
     solve,
 )
 from strongcolor import graphio
-from helpers import as_dict, color_of, random_multigraph, ref_content_lines, ref_parse_coloring, ref_parse_graph
+from helpers import (
+    as_dict,
+    color_of,
+    parallel_pair,
+    random_multigraph,
+    ref_content_lines,
+    ref_parse_coloring,
+    ref_parse_graph,
+)
 
 
 def test_parse_simple_triangle():
@@ -36,7 +44,7 @@ e 3 1
 def test_parse_loop_and_parallel():
     g = parse_graph("p sec 2 3\ne 1 1\ne 1 2\ne 2 1\n")
     assert g.is_loop(0)
-    assert g.find_parallel_pair() == (1, 2)
+    assert parallel_pair(g) == (1, 2)
 
 
 def test_parse_keeps_trailing_isolated_vertices():

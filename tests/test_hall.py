@@ -37,6 +37,11 @@ def test_sdr_empty_family():
     assert find_sdr({}) == {}
 
 
+def test_discrepancy_empty_family():
+    res = max_discrepancy_subset({})
+    assert res.subset == frozenset() and res.disc == 0
+
+
 def test_sdr_output_is_distinct_and_member(seed_count=200):
     rng = random.Random(4)
     for _ in range(seed_count):

@@ -57,6 +57,12 @@ def test_color_loads_neither_the_generators_nor_the_oracle(tmp_path):
     assert "solver" in loaded and not {"gen", "oracle"} & set(loaded)
 
 
+def test_stats_loads_neither_the_solver_nor_the_generators(tmp_path):
+    graph, _ = write_en5(tmp_path)
+    code = f"from strongcolor.cli import main\nassert main(['stats', {graph!r}]) == 0"
+    assert loaded_after(code, tmp_path) == ["cli", "coloring", "graphio", "metrics", "multigraph"]
+
+
 def test_every_public_name_is_its_defining_module_object(tmp_path):
     code = """
 import sys

@@ -13,6 +13,8 @@ from helpers import (
     cycle,
     disjoint_union,
     edge_distance_class,
+    has_loop,
+    parallel_pair,
     path,
     random_multigraph,
     ref_shortest_cycle,
@@ -206,7 +208,7 @@ def test_girth_matches_networkx_on_simple_graphs():
     nx = pytest.importorskip("networkx")
     for seed in range(40):
         g = random_multigraph(seed, max_n=10)
-        if g.find_loop() is not None or g.find_parallel_pair() is not None:
+        if has_loop(g) or parallel_pair(g) is not None:
             continue
         h = nx.Graph()
         h.add_nodes_from(range(g.vertex_count))
@@ -335,7 +337,7 @@ def scan_pool() -> tuple[MultiGraph, ...]:
     parts += [complete(5), complete_bipartite(4, 4), cycle(7), path(4), MultiGraph(1)]
     parts += [load_fixture(name) for name in ("petersen", "robertson", "cage_4_6")]
     multi = (random_multigraph(seed, max_n=9) for seed in range(40))
-    parts += [h for h in multi if h.find_loop() is not None or h.find_parallel_pair() is not None][:12]
+    parts += [h for h in multi if has_loop(h) or parallel_pair(h) is not None][:12]
     return tuple(parts)
 
 

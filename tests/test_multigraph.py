@@ -91,18 +91,6 @@ def test_conflict_set_size_bounded_by_24():
 def test_parallel_edges_conflict():
     g = MultiGraph.from_edges(2, [(0, 1), (0, 1)])
     assert 1 in g.conflict_set(0)
-    assert g.find_parallel_pair() == (0, 1)
-
-
-def test_find_loop_and_parallel_absent_on_simple_graph():
-    g = complete(4)
-    assert g.find_loop() is None
-    assert g.find_parallel_pair() is None
-
-
-def test_find_loop_returns_first_by_id():
-    g = MultiGraph.from_edges(3, [(0, 1), (1, 2), (2, 2)])
-    assert g.find_loop() == 2
 
 
 def test_incident_edges_lists_loop_twice():
@@ -180,10 +168,6 @@ def test_incidence_queries_equal_a_reference_from_the_edge_list(spec):
         assert list(nbr_flat[off[v] : off[v + 1]]) == [far_end(g, e, v) for e in inc]
     degrees = [naive_degree(g, v) for v in range(n)]
     assert (g.max_degree(), g.min_degree()) == (max(degrees), min(degrees))
-    loops = [e for e, (u, v) in enumerate(pairs) if u == v]
-    assert g.find_loop() == (loops[0] if loops else None)
-    twins = [(i, j) for j in range(len(pairs)) for i in range(j) if sorted(pairs[i]) == sorted(pairs[j])]
-    assert g.find_parallel_pair() == (min(twins, key=lambda t: (t[1], t[0])) if twins else None)
     for e in range(g.edge_count):
         assert g.conflict_set(e) == brute_conflict_set(g, e)
 

@@ -89,6 +89,11 @@ def test_bound_too_low():
         exact_strong_index(cycle(5), upper_bound=4)
 
 
+def test_upper_bound_must_be_positive():
+    with pytest.raises(ValueError, match="upper_bound must be >= 1"):
+        exact_strong_index(cycle(5), upper_bound=0)
+
+
 def test_edge_limit_guard():
     g = complete_bipartite(5, 9)  # 45 edges
     assert g.edge_count > 40

@@ -52,6 +52,7 @@ from helpers import (
     edge_between,
     greedy_phase,
     hypercube4,
+    parallel_pair,
     path,
     random_multigraph,
     ref_color_tail,
@@ -144,7 +145,7 @@ def test_low_degree_star():
 
 def test_loop_strategy():
     g = triangle_with_loops()
-    e = g.find_loop()
+    e = next(e for e, (u, v) in enumerate(g.edges) if u == v)
     col = run_strategy(solve_loop, g, e, g.endpoints(e)[0])
     assert_total_valid(g, col, max_colors=21)
 
@@ -164,7 +165,7 @@ def test_two_loops_need_two_colors():
 
 def test_double_edge_strategy():
     g = doubled_triangle()
-    pair = g.find_parallel_pair()
+    pair = parallel_pair(g)
     col = run_strategy(solve_double_edge, g, pair, min(g.endpoints(pair[0])))
     assert_total_valid(g, col, max_colors=21)
 
@@ -261,7 +262,7 @@ def test_girth4_far_ends_and_diagonals_equal_brute_force():
     for n in (10, 12, 14, 16):
         for seed in range(30):
             g, _ = random_4regular(n, seed=seed, min_girth=4)
-            comp, k = solver._label_components(g)
+            comp, k = metrics.label_components(g)
             for cyc in metrics.shortest_cycles(g, comp, [True] * k):
                 if cyc is None or len(cyc) != 4:
                     continue
@@ -396,6 +397,43 @@ def test_girth5_instrumentation_counts(robertson):
     assert tel.labels["girth5.incident-availability"] == 7
 
 
+def test_girth5_disc_incident_branch_on_a_hand_built_prestate():
+    """The finish's branch where the SDR fails and the maximum-discrepancy
+    subfamily is incident edges only. Around every far end x of a corner
+    edge, x's three other edges take 1-3 (at a[i]) or 13-15 (at b[i]) and
+    the nine edges one step further take 4-12, so the seven uncolored
+    incident edges keep only 16-20 and cannot all get distinct colors."""
+    g = random_4regular(3000, seed=0, min_girth=5)[0]
+    cycle = find_shortest_cycle(g)
+    held, plants, _, _ = solve_girth5(g, cycle, Telemetry())
+    ctx = label_cycle_context(g, cycle, Telemetry())
+    col = PartialColoring(g, 22)
+    for e, c in plants:
+        col.assign(e, c)
+    for i in range(1, 6):
+        for e, first in ((ctx.a[i], 1), (ctx.b[i], 13)):
+            x = ctx.far[e]
+            others = [f for f in g.incident_edges(x) if f != e]
+            for c, f in enumerate(others, start=first):
+                col.assign(f, c)
+            beyond = [h for f in others for h in g.incident_edges(sum(g.endpoints(f)) - x) if h != f]
+            for c, h in enumerate(beyond, start=4):
+                col.assign(h, c)
+    skip = set(held)
+    order = metrics.order_by_distance(g, metrics.bfs_from_sources(g, cycle.vertices))
+    greedy_color(col, [e for e in order if e not in skip and not col.is_colored(e)])
+    uncolored = [e for e in ctx.incident if not col.is_colored(e)]
+    assert len(uncolored) == 7
+    assert all(col.available_colors(e) == set(range(16, 21)) for e in uncolored)
+    tel = Telemetry()
+    solver._complete_girth5(g, ctx, col, tel)
+    assert tel.labels["girth5.discrepancy-positive"] == 1
+    assert tel.labels["girth5.subset-neighborhood"] == 7
+    assert tel.labels["girth5.extension"] == 1
+    assert col.is_total() and verify(col) == []
+    assert colors_used(col) <= 22
+
+
 def test_girth6_instrumentation_counts(cage46):
     tel = Telemetry()
     run_plan(cage46, 0, solve_girth6(cage46, 0, tel), tel)
@@ -442,6 +480,14 @@ def test_fallback_exact_rejects_colored_edges():
     col.assign(0, 1)
     with pytest.raises(ValueError):
         fallback_exact(col, [0, 1])
+
+
+def test_fallback_exact_rejects_more_edges_than_its_limit():
+    g = path(solver.FALLBACK_LIMIT + 3)
+    col = PartialColoring(g, 22)
+    with pytest.raises(ValueError, match=f"limited to {solver.FALLBACK_LIMIT} edges"):
+        fallback_exact(col, range(solver.FALLBACK_LIMIT + 1))
+    assert not any(col._colors)
 
 
 def test_fallback_exact_unsatisfiable_carries_graph():
@@ -682,9 +728,9 @@ def test_rescues_read_the_component_ids_a_bounded_number_of_times(monkeypatch, c
         comps.append(CountingList(comp))
         return comps[-1], k
 
-    real = solver._label_components
+    real = metrics.label_components
     monkeypatch.setattr(solver, "solve_girth3", boom)
-    monkeypatch.setattr(solver, "_label_components", labelled)
+    monkeypatch.setattr(metrics, "label_components", labelled)
     g = disjoint_union(*[complete(5)] * copies)
     col, rep = solve(g)
     assert col.is_total() and verify(col) == []
@@ -935,7 +981,7 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(solver, "_label_components")
+    counted(metrics, "label_components")
     counted(solver, "_plan_components")
     counted(solver, "_greedy_pass")
     counted(solver, "greedy_color")
@@ -949,7 +995,7 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
     assert sorted(rep.strategies()) == sorted(
         ["girth3", "girth4", "girth5", "girth6", "low_degree", "loop", "double_edge", "low_degree"]
     )
-    assert calls["_label_components"] == 1
+    assert calls["label_components"] == 1
     assert calls["shortest_cycles"] == 1
     assert calls["bfs_from_sources"] == 1
     assert calls["order_by_distance"] == 1
@@ -1022,10 +1068,10 @@ def test_label_components_order_and_content():
     vertices keep -1."""
     g = MultiGraph.from_edges(6, [(4, 5), (0, 1)])
     assert components(g) == [[0, 1], [2], [3], [4, 5]]
-    assert solver._label_components(g) == ([0, 0, -1, -1, 1, 1], 2)
+    assert metrics.label_components(g) == ([0, 0, -1, -1, 1, 1], 2)
     for seed in range(25):
         h = random_multigraph(seed)
-        comp, k = solver._label_components(h)
+        comp, k = metrics.label_components(h)
         groups = [[v for v in range(h.vertex_count) if comp[v] == c] for c in range(k)]
         assert groups == [c for c in components(h) if h.degree(c[0])]
         assert all(comp[v] == -1 for v in range(h.vertex_count) if not h.degree(v))
@@ -1053,7 +1099,7 @@ def test_isolated_vertices_change_nothing(petersen, robertson, cage46):
     assert col._colors == want_col._colors and rep == want_rep
     strategies = ["low_degree", "loop", "double_edge", "girth3", "girth4", "low_degree", "girth5", "girth6"]
     assert rep.strategies() == strategies
-    comp, k = solver._label_components(spread)
+    comp, k = metrics.label_components(spread)
     assert k == len(components(base)) == 8
     assert comp.count(-1) == 100_000
 
