@@ -22,13 +22,15 @@ def find_sdr(family: Mapping[int, AbstractSet[int]]) -> dict[int, int] | None:
     """Distinct representative color per edge, or None if impossible.
 
     Augmenting-path bipartite matching; edges are processed in family
-    order and colors ascending, so the result is deterministic.
+    order and colors ascending, so the result is deterministic. Each set
+    is sorted once, before the search.
     """
-    entries = list(family.items())
-    owner: dict[int, int] = {}  # color -> index into entries
+    keys = list(family)
+    avail = [sorted(s) for s in family.values()]
+    owner: dict[int, int] = {}  # color -> index into keys
 
     def try_assign(i: int, banned: set[int]) -> bool:
-        for c in sorted(entries[i][1]):
+        for c in avail[i]:
             if c in banned:
                 continue
             banned.add(c)
@@ -37,10 +39,10 @@ def find_sdr(family: Mapping[int, AbstractSet[int]]) -> dict[int, int] | None:
                 return True
         return False
 
-    for i in range(len(entries)):
+    for i in range(len(keys)):
         if not try_assign(i, set()):
             return None
-    return {entries[i][0]: c for c, i in owner.items()}
+    return {keys[i]: c for c, i in owner.items()}
 
 
 def max_discrepancy_subset(family: Mapping[int, AbstractSet[int]]) -> DiscrepancyResult:

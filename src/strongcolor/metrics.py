@@ -69,25 +69,58 @@ def label_components(g: MultiGraph) -> tuple[list[int], int]:
     return comp, k
 
 
-def order_by_distance(g: MultiGraph, dist: list[int]) -> array:
+def order_by_distance(g: MultiGraph, dist: list[int], comp=None, cls=None, held=()) -> list[array]:
     """Edge ids sorted by nonincreasing distance class (the distance of
-    the closer endpoint), given BFS distances, as a compact array. An
-    edge with an unreached endpoint (-1) lands in the extra last bucket
-    and raises."""
+    the closer endpoint), ties by ascending id, given BFS distances: one
+    compact array per edge class 1..max(cls), from one bucketing pass.
+
+    Without `comp` every edge is in class 1, and the result is the one
+    order. With it, edge e is in class cls[comp[eu[e]]], its component's
+    (comp as label_components gives it; class 0 is in no order), and the
+    edges of `held` are in no order either. An edge with an unreached
+    endpoint (-1) raises DisconnectedGraphError, whatever its class.
+
+    The pass puts each edge in the bucket of its distance class plus the
+    base of its class's region (class i in region i - 1, class 0, if
+    any component has it, in the last region), read through the
+    component of its end eu[e]: both ends of an edge share a component.
+    An unreached end lands one below its region: in the previous
+    region's last slot (the last region's, for region 0), which no
+    reached edge takes. The pass allocates nothing per vertex: one
+    bucket per distance class and region."""
     eu = g.eu
     ev = g.ev
+    m = len(eu)
+    if comp is None:
+        comp = bytes(g.vertex_count)  # one component, of class 1
+        cls = b"\x01"
+    k = max(cls, default=0)
+    regions = k + (0 in cls)
     maxd = max(dist, default=0)
-    buckets = [array("i") for _ in range(maxd + 2)]
-    for e in range(g.edge_count):
-        du = dist[eu[e]]
+    span = maxd + 2  # slots 0..maxd: distance classes; slot maxd + 1: unreached
+    base = [((c or regions) - 1) * span for c in cls]
+    buckets = [array("i") for _ in range(span * regions)]
+    keep = bytearray(b"\x01") * m
+    unreached = []
+    for e in held:
+        keep[e] = 0
+        if dist[eu[e]] < 0 or dist[ev[e]] < 0:
+            unreached.append(e)
+    for e in compress(range(m), keep):
+        u = eu[e]
+        du = dist[u]
         dv = dist[ev[e]]
-        buckets[du if du < dv else dv].append(e)
-    if buckets[-1]:
-        raise DisconnectedGraphError(f"edge {buckets[-1][0]} has an endpoint unreached by the BFS")
-    out = array("i")
-    for c in range(maxd, -1, -1):
-        out += buckets[c]
-    return out
+        buckets[(du if du < dv else dv) + base[comp[u]]].append(e)
+    unreached.extend(b[0] for b in buckets[span - 1 :: span] if b)
+    if unreached:
+        raise DisconnectedGraphError(f"edge {min(unreached)} has an endpoint unreached by the BFS")
+    orders = []
+    for r in range(k):
+        out = array("i")
+        for d in range(r * span + maxd, r * span - 1, -1):
+            out += buckets[d]
+        orders.append(out)
+    return orders
 
 
 def find_shortest_cycle(g: MultiGraph) -> CycleDescriptor | None:

@@ -137,5 +137,20 @@ class MultiGraph:
         out.discard(e)
         return out
 
+    def conflicts(self, p: int, q: int) -> bool:
+        """Whether q is in p's conflict set: q != p, and an end of q is a
+        neighbor of an end of p. Reads the neighbor slices of p's two
+        ends and builds no set."""
+        if p == q:
+            return False
+        off, _, nbr_flat = self.csr()
+        c = self.eu[q]
+        d = self.ev[q]
+        for x in (self.eu[p], self.ev[p]):
+            near = nbr_flat[off[x] : off[x + 1]]
+            if c in near or d in near:
+                return True
+        return False
+
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.vertex_count}, m={self.edge_count})"

@@ -13,11 +13,13 @@ low_degree, loop, double_edge and girth3 strategies have no finish:
 their held-back edges are a tail whose lemma caps (at most so many
 colored edges conflict with each tail edge at its turn) are read from
 the structure while planning, and one greedy_color call colors every
-component's tail after the shared pass. One BFS, one edge order and one
-greedy_color call per bound class serve every component, and every
-coloring step goes through greedy_color. The girth 4, 5 and 6 finishes
-take the coloring only: what they need of the structure (far ends,
-joining edges, distance-2 vertices) they read from the graph. Counting
+component's tail after the shared pass. One BFS, one bucketing of the
+edges into a distance order per bound class and one greedy_color call
+per class serve every component, and every coloring step goes through
+greedy_color. The girth 4, 5 and 6 finishes keep from planning only the
+ids they color (and the girth-6 anchor): what else they need of the
+structure (far ends, joining edges, distance-2 vertices) they read from
+the graph. Counting
 claims are asserted at runtime and counted per lemma label in
 Telemetry.labels; a component whose claim fails is recolored by a
 backtracking fallback and counted, never ignored.
@@ -133,10 +135,11 @@ class SolveReport:
 # except `held`, greedily along the distance order from the anchor and
 # checking `bounds` (distinct colors among an edge's colored conflicts,
 # and its color) on each; finish(col) then colors the held-back edges,
-# reading only the graph and the coloring. The low_degree, loop,
-# double_edge and girth3 strategies have no finish (None): their
-# held-back edges are a tail, whose lemma caps they check when planning,
-# and the pass colors it greedily within 21 colors last.
+# keeping only ids from planning and reading everything else from the
+# graph and the coloring. The low_degree, loop, double_edge and girth3
+# strategies have no finish (None): their held-back edges are a tail,
+# whose lemma caps they check when planning, and the pass colors it
+# greedily within 21 colors last.
 Finish = Callable[[PartialColoring], None]
 Plan = tuple[list[int], Sequence[tuple[int, int]], tuple[int, int], Finish | None]
 
@@ -154,12 +157,24 @@ def _check_caps(
     edges still uncolored when the tail starts) not yet reached, so the
     count is read from the structure, exactly over tail[i]'s conflict set
     (a popcount of the color masks would count colors, a weaker claim).
-    caps has an entry per tail edge at least. Raises at the first failing
-    cap, with the checks before it counted."""
+    That set is near[u] | near[v] less tail[i] itself, for tail[i] =
+    (u, v), where near[x] holds the edges with an end adjacent to x: it
+    is built once per call for each end x and shared by the tail edges
+    that meet there. caps has an entry per tail edge at least. Raises at
+    the first failing cap, with the checks before it counted."""
+    off, inc_flat, nbr_flat = g.csr()
+    eu = g.eu
+    ev = g.ev
+    near: dict[int, set[int]] = {}
+    for x in chain(map(eu.__getitem__, tail), map(ev.__getitem__, tail)):
+        if x not in near:
+            near[x] = s = set()
+            for y in nbr_flat[off[x] : off[x + 1]]:
+                s.update(inc_flat[off[y] : off[y + 1]])
     later = set(pending)
     for i, (e, cap) in enumerate(zip(tail, caps)):
         later.discard(e)
-        if len(g.conflict_set(e) - later) > cap:
+        if len((near[eu[e]] | near[ev[e]]) - later) - 1 > cap:
             tel.passed(label, i)
             tel.check(False, label)
     tel.passed(label, len(tail))
@@ -259,9 +274,9 @@ def label_cycle_context(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -
     tel.check(len(far) == 2 * k, "cycle-context.incident-distinct")
     if k == 5:
         for s, t in ((1, 3), (3, 5), (5, 2), (2, 4)):
-            if b[t] in g.conflict_set(a[s]):
+            if g.conflicts(a[s], b[t]):
                 a[t], b[t] = b[t], a[t]
-            tel.check(b[t] not in g.conflict_set(a[s]), "cycle-context.separation")
+            tel.check(not g.conflicts(a[s], b[t]), "cycle-context.separation")
     return CycleContext(cycle, c, a, b, far, sorted(far))
 
 
@@ -273,17 +288,17 @@ def _free_cross_pair(g: MultiGraph, ctx: CycleContext, i: int, j: int) -> tuple[
     """First conflict-free pair with one edge at corner i, one at corner j."""
     for p in (ctx.a[i], ctx.b[i]):
         for q in (ctx.a[j], ctx.b[j]):
-            if q not in g.conflict_set(p):
+            if not g.conflicts(p, q):
                 return (p, q)
     return None
 
 
-def _girth4_cycle(col: PartialColoring, ctx: CycleContext, tel: Telemetry) -> None:
-    """Color the 4-cycle, which every branch leaves at least 4 free
-    colors per edge."""
-    for i in sorted(ctx.c):
-        tel.check(len(col.available_colors(ctx.c[i])) >= 4, "girth4.cycle-availability")
-    greedy_color(col, sorted(ctx.c.values()), telemetry=tel, max_color=PALETTE)
+def _girth4_cycle(col: PartialColoring, cycle_edges: Sequence[int], tel: Telemetry) -> None:
+    """Color the 4-cycle (c1..c4), which every branch leaves at least 4
+    free colors per edge."""
+    for e in cycle_edges:
+        tel.check(len(col.available_colors(e)) >= 4, "girth4.cycle-availability")
+    greedy_color(col, sorted(cycle_edges), telemetry=tel, max_color=PALETTE)
 
 
 def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: int, j: int) -> Plan:
@@ -303,21 +318,23 @@ def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: 
             diagonals.append(d)
     tel.check(len(set(diagonals)) == 4, "girth4.diagonals-distinct")
     diagonals = sorted(diagonals)
+    cycle_edges = ctx.cycle.edges
 
     def finish(col):
-        _girth4_cycle(col, ctx, tel)
-        _check_caps(g, diagonals, (21,) * 4, "girth4.diagonal-neighborhood", diagonals, tel)
+        _girth4_cycle(col, cycle_edges, tel)
+        _check_caps(col.graph, diagonals, (21,) * 4, "girth4.diagonal-neighborhood", diagonals, tel)
         greedy_color(col, diagonals, telemetry=tel, max_color=PALETTE)
 
-    return list(ctx.c.values()) + diagonals, (), (20, 21), finish
+    return list(cycle_edges) + diagonals, (), (20, 21), finish
 
 
 def _girth4_with_precolor(ctx: CycleContext, tel: Telemetry, plants: list[tuple[int, int]]) -> Plan:
     """Plant repeated colors on conflict-free incident pairs, color all
     remaining non-cycle edges greedily, then the cycle: each cycle edge
     sees every planted edge, so the repeats leave it at least 4 colors."""
-    held = list(ctx.c.values()) + [e for e, _ in plants]
-    return held, plants, (21, 22), lambda col: _girth4_cycle(col, ctx, tel)
+    cycle_edges = ctx.cycle.edges
+    held = list(cycle_edges) + [e for e, _ in plants]
+    return held, plants, (21, 22), lambda col: _girth4_cycle(col, cycle_edges, tel)
 
 
 def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
@@ -338,22 +355,30 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
             for q in (ctx.a[j], ctx.b[j]):
                 if far[p] == far[q]:
                     adjacent_pairs.append(((i, j), p, q))
-    # sharing with a neighboring corner would be a triangle
-    for i, j in ((1, 2), (2, 3), (3, 4), (1, 4)):
-        for p in (ctx.a[i], ctx.b[i]):
-            for q in (ctx.a[j], ctx.b[j]):
-                tel.check(far[p] != far[q], "girth4.no-skew-pairs")
+    # sharing with a neighboring corner would be a triangle; the 16
+    # checks are recorded at once, up to the first failing one
+    skew = [
+        far[p] == far[q]
+        for i, j in ((1, 2), (2, 3), (3, 4), (1, 4))
+        for p in (ctx.a[i], ctx.b[i])
+        for q in (ctx.a[j], ctx.b[j])
+    ]
+    if True in skew:
+        tel.passed("girth4.no-skew-pairs", skew.index(True))
+        tel.check(False, "girth4.no-skew-pairs")
+    tel.passed("girth4.no-skew-pairs", len(skew))
 
     if len(adjacent_pairs) >= 2:
-        incident = ctx.incident
-        held = list(ctx.c.values()) + incident
+        cycle_edges = ctx.cycle.edges
+        incident = tuple(ctx.incident)
 
         def finish(col):
-            _check_caps(g, incident, (20,) * len(incident), "girth4.incident-neighborhood", held, tel)
+            caps = (20,) * len(incident)
+            _check_caps(col.graph, incident, caps, "girth4.incident-neighborhood", cycle_edges + incident, tel)
             greedy_color(col, incident, telemetry=tel, max_color=21)
-            _girth4_cycle(col, ctx, tel)
+            _girth4_cycle(col, cycle_edges, tel)
 
-        return held, (), (20, 21), finish
+        return list(cycle_edges) + ctx.incident, (), (20, 21), finish
 
     if len(adjacent_pairs) == 1:
         taken = adjacent_pairs[0][0]
@@ -388,28 +413,49 @@ def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     distinct-representative argument on their availability sets.
     """
     ctx = label_cycle_context(g, cycle, tel)
-    tel.check(ctx.c[3] not in g.conflict_set(ctx.b[1]), "girth5.planted-pair-free")
+    tel.check(not g.conflicts(ctx.b[1], ctx.c[3]), "girth5.planted-pair-free")
     planted = (ctx.b[1], ctx.c[3], ctx.a[5], ctx.b[2])
     ends = {w for e in planted for w in g.endpoints(e)}
     tel.check(len(ends) == 8, "girth5.planted-endpoints-distinct")
-    held = list(ctx.c.values()) + ctx.incident
+    held = list(cycle.edges) + ctx.incident
     plants = tuple(zip(planted, (21, 21, 22, 22)))
-    return held, plants, (21, 22), lambda col: _complete_girth5(g, ctx, col, tel)
+    c = cycle.edges
+    a = tuple(ctx.a[i] for i in range(1, 6))
+    b = tuple(ctx.b[i] for i in range(1, 6))
+    return held, plants, (21, 22), lambda col: _complete_girth5(col, c, a, b, tel)
 
 
-def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel: Telemetry) -> None:
-    """Finish the 11 uncolored edges around the 5-cycle.
+def _complete_girth5(
+    col: PartialColoring, c: Sequence[int], a: Sequence[int], b: Sequence[int], tel: Telemetry
+) -> None:
+    """Finish the 11 uncolored edges around the 5-cycle, given the edge
+    ids c1..c5, a1..a5 and b1..b5 of its CycleContext as c, a and b.
 
     Availability is rich (>= 8 on cycle edges, >= 5 on incident edges,
-    checked here). If the sets admit distinct representatives we are done;
+    checked here); each uncolored edge's set is read from one conflict
+    mask. If the sets admit distinct representatives we are done;
     otherwise the subfamily of maximum discrepancy pins down which planted
     repeat rescues the completion.
     """
-    cset = set(ctx.c.values())
-    incident = ctx.incident
-    uncolored = [e for e in sorted(cset | set(incident)) if not col.is_colored(e)]
+    c1, c2, _, c4, c5 = c
+    a1, a2, a3, a4, _ = a
+    _, _, b3, b4, b5 = b
+    colors = col._colors
+    palette = range(1, col.palette_size + 1)
+
+    def availability(edges):
+        fam = {}
+        for e in edges:
+            if not colors[e]:
+                used = col._conflict_colors(e)
+                fam[e] = frozenset([x for x in palette if not used >> x & 1])
+        return fam
+
+    cset = set(c)
+    incident = sorted(a + b)
+    fam = availability(sorted(cset.union(incident)))
+    uncolored = list(fam)
     tel.check(len(uncolored) == 11, "girth5.uncolored-count")
-    fam = {e: frozenset(col.available_colors(e)) for e in uncolored}
     for e in uncolored:
         if e in cset:
             tel.check(len(fam[e]) >= 8, "girth5.cycle-availability")
@@ -431,22 +477,17 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
         # edges, so a straight greedy pass works, and coloring a maximum
         # discrepancy subfamily first makes the rest extendable
         first = sorted(subset)
-        _check_caps(g, first, (21,) * len(first), "girth5.subset-neighborhood", uncolored, tel)
+        _check_caps(col.graph, first, (21,) * len(first), "girth5.subset-neighborhood", uncolored, tel)
         greedy_color(col, first, telemetry=tel, max_color=PALETTE)
-        rest = [e for e in uncolored if not col.is_colored(e)]
-        fam2 = {e: frozenset(col.available_colors(e)) for e in rest}
+        fam2 = availability(uncolored)
         sdr2 = find_sdr(fam2)
         tel.check(sdr2 is not None, "girth5.extension")
-        for e in rest:
+        for e in fam2:
             col.assign(e, sdr2[e])
         return
 
     tel.check(len(subset) in (9, 10, 11), "girth5.subset-size")
-    pairs = [
-        (ctx.a[1], ctx.b[3]),
-        (ctx.a[2], ctx.b[4]),
-        (ctx.a[3], ctx.b[5]),
-    ]
+    pairs = [(a1, b3), (a2, b4), (a3, b5)]
     contained = [p for p in pairs if p[0] in subset and p[1] in subset]
     if len(subset) < 11:
         tel.check(bool(contained), "girth5.pair-containment")
@@ -465,19 +506,15 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
         col.assign(q, x)
         rest = [e for e in incident if not col.is_colored(e)]
         pending = [e for e in uncolored if not col.is_colored(e)]
-        _check_caps(g, rest, (21,) * len(rest), "girth5.incident-neighborhood", pending, tel)
+        _check_caps(col.graph, rest, (21,) * len(rest), "girth5.incident-neighborhood", pending, tel)
         greedy_color(col, rest, telemetry=tel, max_color=PALETTE)
-        if (p, q) == pairs[1]:
-            tail = [ctx.c[2], ctx.c[4], ctx.c[1], ctx.c[5]]
-        else:
-            tail = [ctx.c[2], ctx.c[4], ctx.c[5], ctx.c[1]]
+        tail = [c2, c4, c1, c5] if (p, q) == pairs[1] else [c2, c4, c5, c1]
         greedy_color(col, tail, telemetry=tel, max_color=PALETTE)
         return
 
     # |subset| == 11 and no pair shares a color: the availability sets of
     # each pair partition the whole union, so a color shared by c1 and a4
     # hits exactly one edge of every pair
-    c1, a4 = ctx.c[1], ctx.a[4]
     shared = set(fam[c1]) & set(fam[a4])
     tel.check(bool(shared), "girth5.crossing-color")
     x = min(shared)
@@ -496,7 +533,7 @@ def _complete_girth5(g: MultiGraph, ctx: CycleContext, col: PartialColoring, tel
     # edge may shrink another's set, so check all three up front
     for e in second:
         tel.check(len(col.available_colors(e)) >= 3, "girth5.second-wave-availability")
-    greedy_color(col, second + [ctx.c[2], ctx.c[4], ctx.c[5]], telemetry=tel, max_color=PALETTE)
+    greedy_color(col, second + [c2, c4, c5], telemetry=tel, max_color=PALETTE)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +561,7 @@ def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
             recolored.append(min(cands))
         for idx, e in enumerate(recolored):
             for f in recolored[:idx]:
-                tel.check(f not in g.conflict_set(e), "girth6.recolor-independent")
+                tel.check(not g.conflicts(e, f), "girth6.recolor-independent")
         for e in recolored:
             col.unassign(e)
         for e in recolored:
@@ -663,32 +700,23 @@ def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColorin
 
 
 def _greedy_pass(
-    g: MultiGraph, comp: list[int], plans: _Plans, order: Sequence[int], col: PartialColoring, tel: Telemetry
+    g: MultiGraph, comp: list[int], plans: _Plans, orders: list[array], col: PartialColoring, tel: Telemetry
 ) -> None:
-    """One greedy_color call per bound class over the shared order,
-    leaving out held-back edges, then one over the tails in component
-    order within 21 colors (their caps were checked when planning), all
-    leaving out failed components. Components never conflict, so each
-    tail gets the colors and the checks it would get alone. When a call
-    raises, the failing edge is the first uncolored one in its order:
-    its component is marked failed, and the call resumes after that edge
-    without the failed components' edges, over _RESUME_CHUNK edges of
-    its order at a time, so that k failures cost O(m + k * _RESUME_CHUNK)
-    rather than a rebuilt order each."""
-    cls = plans.cls
-    ecls = bytearray(map(cls.__getitem__, map(comp.__getitem__, g.eu)))
-    for held in (plans.tail, plans.held):
-        for e in held:
-            ecls[e] = 0
-    classes = (
-        (array("i", compress(order, map(i.__eq__, map(ecls.__getitem__, order)))), conflicts, ceiling)
-        for i, (conflicts, ceiling) in enumerate(BOUND_CLASSES, start=1)
-        if i in cls
-    )
+    """One greedy_color call per bound class over its order (orders[i] for
+    BOUND_CLASSES[i], as metrics.order_by_distance buckets them, without
+    held-back edges and failed components), then one over the tails in
+    component order within 21 colors (their caps were checked when
+    planning). Components never conflict, so each tail gets the colors
+    and the checks it would get alone. When a call raises, the failing
+    edge is the first uncolored one in its order: its component is
+    marked failed, and the call resumes after that edge without the
+    failed components' edges, over _RESUME_CHUNK edges of its order at a
+    time, so that k failures cost O(m + k * _RESUME_CHUNK) rather than a
+    rebuilt order each."""
     eu = g.eu
     colors = col._colors
     failure = plans.failure
-    for todo, conflicts, ceiling in chain(classes, [(plans.tail, None, 21)]):
+    for todo, (conflicts, ceiling) in chain(zip(orders, BOUND_CLASSES), [(plans.tail, (None, 21))]):
         lo = 0
         size = len(todo)
         while lo < len(todo):
@@ -706,24 +734,27 @@ def _greedy_pass(
 
 
 def _rescue_components(
-    g: MultiGraph, comp: list[int], plans: _Plans, order: Sequence[int], col: PartialColoring
+    g: MultiGraph, comp: list[int], plans: _Plans, dist: list[int], col: PartialColoring
 ) -> None:
     """Recolor each failed component in col: uncolor its edges, run the
-    guaranteed greedy phase over its share of the order without the edges
-    at the anchor, then backtrack over those. Components never conflict,
-    so each gets the colors it would get alone. The shares of all failed
-    components are grouped in one pass over the order, so the rescues
-    cost O(n + m) however many there are. Unsatisfiable carries only the
-    failing component, its vertices renumbered in ascending order."""
+    guaranteed greedy phase over its share of the distance order (from
+    the BFS distances `dist`) without the edges at the anchor, then
+    backtrack over those. Components never conflict, so each gets the
+    colors it would get alone. One metrics.order_by_distance call orders
+    the edges of all failed components, and one pass over it groups their
+    shares, so the rescues cost O(n + m) however many there are.
+    Unsatisfiable carries only the failing component, its vertices
+    renumbered in ascending order."""
     if not plans.failure:
         return
     eu = g.eu
     ev = g.ev
+    failed = bytearray(len(plans.cls))
+    for c in plans.failure:
+        failed[c] = 1
     shares: dict[int, list[int]] = {c: [] for c in sorted(plans.failure)}
-    for e in order:
-        share = shares.get(comp[eu[e]])
-        if share is not None:
-            share.append(e)
+    for e in metrics.order_by_distance(g, dist, comp, failed)[0]:
+        shares[comp[eu[e]]].append(e)
     for c, share in shares.items():
         for e in share:
             col.unassign(e)
@@ -791,13 +822,16 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
     plan every component with edges (strategy, anchor, held-back edges,
     planted colors, bound class, finish), checking the tail
     strategies' lemma caps from the structure, and place its planted
-    colors; run one BFS from all anchors and one distance order; make one
+    colors; run one BFS from all anchors; bucket the edges once
+    (metrics.order_by_distance) into a distance order per bound class,
+    without the held-back edges and the failed components; make one
     greedy_color call per bound class and one over all tails; then run
-    the finishes of the girth 4, 5 and 6 components. Conflicts never
-    cross components, so every component gets the coloring it would get
-    alone. A component whose plan, greedy share, tail or finish fails a
-    check is recolored in the same coloring by a greedy phase and the
-    backtracking fallback; the others keep theirs.
+    the finishes of the girth 4, 5 and 6 components, which keep only the
+    ids they read. Conflicts never cross components, so every
+    component gets the coloring it would get alone. A component whose
+    plan, greedy share, tail or finish fails a check is recolored in the
+    same coloring by a greedy phase and the backtracking fallback; the
+    others keep theirs.
 
     The report lists the strategy used for each component with edges, the
     assertions exercised, per label and in total, and how often the
@@ -812,15 +846,15 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
     comp, k = metrics.label_components(g)
     plans = _plan_components(g, comp, k, col, tel)
     dist = metrics.bfs_from_sources(g, plans.sources)
-    order = metrics.order_by_distance(g, dist)
-    _greedy_pass(g, comp, plans, order, col, tel)
+    orders = metrics.order_by_distance(g, dist, comp, plans.cls, chain(plans.tail, plans.held))
+    _greedy_pass(g, comp, plans, orders, col, tel)
     for c, finish in plans.finishes:
         if c not in plans.failure:
             try:
                 finish(col)
             except _RESCUABLE as exc:
                 plans.failure[c] = _reason(exc)
-    _rescue_components(g, comp, plans, order, col)
+    _rescue_components(g, comp, plans, dist, col)
     report = _solve_report(g, comp, k, plans, col, tel)
     col._at = None  # the masks served the pass and the report; a caller's first query rebuilds them
     return col, report

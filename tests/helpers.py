@@ -11,6 +11,7 @@ import random
 import time
 from array import array
 from collections import deque
+from itertools import compress
 from operator import eq
 
 from strongcolor import GraphFormatError, MultiGraph, PartialColoring, greedy_color, metrics, random_max4, solve
@@ -196,7 +197,7 @@ def greedy_phase(g: MultiGraph, anchor, held=(), plants=(), bounds=(20, 21), tel
         col.assign(e, c)
     dist = metrics.bfs_from_sources(g, anchor.vertices if isinstance(anchor, CycleDescriptor) else (anchor,))
     skip = set(held)
-    order = [e for e in metrics.order_by_distance(g, dist) if e not in skip]
+    order = [e for e in metrics.order_by_distance(g, dist)[0] if e not in skip]
     conflicts, ceiling = bounds
     greedy_color(col, order, telemetry=telemetry, max_conflict_colors=conflicts, max_color=ceiling)
     return col
@@ -277,7 +278,22 @@ def compatible_order(g: MultiGraph, anchor) -> list[int]:
     component. An edge the anchor cannot reach raises
     DisconnectedGraphError."""
     starts = anchor.vertices if isinstance(anchor, CycleDescriptor) else (anchor,)
-    return metrics.order_by_distance(g, metrics.bfs_from_sources(g, starts)).tolist()
+    return metrics.order_by_distance(g, metrics.bfs_from_sources(g, starts))[0].tolist()
+
+
+def ref_class_orders(g: MultiGraph, dist: list[int], comp, cls, held) -> list[list[int]]:
+    """Per class i = 1..max(cls), the edges of the components in class i
+    (cls[comp[v]]) less the held-back ones, as solve's greedy pass once
+    filtered them out of one distance order of every edge (nonincreasing
+    distance class, ties by ascending id): a class per edge (`ecls`),
+    then one `compress` per class. The reference for the per-class orders
+    of metrics.order_by_distance."""
+    order = sorted(range(g.edge_count), key=lambda e: (-edge_distance_class(g, dist, e), e))
+    ecls = bytearray(map(cls.__getitem__, map(comp.__getitem__, g.eu)))
+    for e in held:
+        ecls[e] = 0
+    classes = range(1, max(cls, default=0) + 1)
+    return [list(compress(order, map(i.__eq__, map(ecls.__getitem__, order)))) for i in classes]
 
 
 def greedy_upper_bound(g: MultiGraph) -> int:

@@ -117,7 +117,31 @@ def test_order_by_distance_rejects_unreached_edges():
         order_by_distance(g, [-1] * 4)
     # an isolated vertex may stay unreached
     h = MultiGraph.from_edges(3, [(0, 1)])
-    assert order_by_distance(h, [0, 1, -1]).tolist() == [0]
+    assert [o.tolist() for o in order_by_distance(h, [0, 1, -1])] == [[0]]
+
+
+def test_order_by_distance_rejects_an_unreached_held_back_edge():
+    """A held-back edge is in no order but is still checked: the BFS
+    leaving its end unreached raises, as for an edge of any class."""
+    g = path(4)  # edges (0, 1), (1, 2), (2, 3)
+    comp = [0] * 4
+    for cls in (bytearray([1]), bytearray([2]), bytearray([0])):
+        with pytest.raises(DisconnectedGraphError, match="^edge 2 "):
+            order_by_distance(g, [0, 1, 2, -1], comp, cls, held=[2])
+        orders = order_by_distance(g, [0, 1, 2, 3], comp, cls, held=[2])
+        assert [o.tolist() for o in orders] == [[1, 0] if c == cls[0] else [] for c in range(1, cls[0] + 1)]
+
+
+@pytest.mark.parametrize("classes", [(1, 2), (2, 1), (0, 2), (2, 0), (1, 1)])
+@pytest.mark.parametrize("unreached", [2, 5])
+def test_order_by_distance_rejects_unreached_edges_of_every_class(classes, unreached):
+    """Two paths of three vertices, one per component and class: the one
+    unreached vertex raises whatever the classes, naming its edge."""
+    g = disjoint_union(path(3), path(3))  # edges (0, 1), (1, 2), (3, 4), (4, 5)
+    dist = [0, 1, 2, 0, 1, 2]
+    dist[unreached] = -1
+    with pytest.raises(DisconnectedGraphError, match=f"^edge {1 if unreached == 2 else 3} "):
+        order_by_distance(g, dist, [0, 0, 0, 1, 1, 1], bytearray(classes))
 
 
 def test_compatible_order_ties_break_by_edge_id():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_conflict_set, complete, path, random_multigraph
+from helpers import brute_conflict_set, complete, conflicting, has_loop, parallel_pair, path, random_multigraph
 from strongcolor import MultiGraph
 
 
@@ -80,6 +80,20 @@ def test_conflict_set_matches_path_enumeration():
         g = random_multigraph(seed, max_n=12)
         for e in range(g.edge_count):
             assert g.conflict_set(e) == brute_conflict_set(g, e)
+
+
+def test_conflicts_matches_path_enumeration_on_every_ordered_pair():
+    """conflicts(p, q) is membership of q in p's conflict set, by the
+    brute force, for every ordered pair, p == q included, on multigraphs
+    with loops and parallel edges."""
+    seeds = range(40)
+    graphs = [random_multigraph(seed, max_n=10, max_m=20) for seed in seeds]
+    assert any(has_loop(g) for g in graphs) and any(parallel_pair(g) for g in graphs)
+    for g in graphs:
+        m = g.edge_count
+        for p in range(m):
+            for q in range(m):
+                assert g.conflicts(p, q) == conflicting(g, p, q), (p, q)
 
 
 def test_conflict_set_size_bounded_by_24():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,7 @@ from helpers import (
     parallel_pair,
     path,
     random_multigraph,
+    ref_class_orders,
     ref_color_tail,
     ref_component_report,
     run_plan,
@@ -209,6 +211,31 @@ def test_girth4_strategy_reserves_diagonals():
     col = run_plan(g, c, plan, tel)
     assert tel.labels["girth4.diagonal-neighborhood"] == 4
     assert_total_valid(g, col)
+
+
+def test_girth4_skew_pair_failure_counts_the_checks_before_it():
+    """The square of an 8-cycle (i joined to i +- 1 and i +- 2) is
+    4-regular, and its chordless 4-cycle 0-2-4-6 has a triangle on every
+    edge, so neighboring corners share a far end. solve_girth4 records
+    its no-skew-pairs checks at once: the failing one is counted, after
+    the three passed checks before it in the order of the per-check
+    loop."""
+    # edge ids descend around the cycle, so the first skew pair is 4th
+    g = MultiGraph.from_edges(8, [(i, (i + d) % 8) for d in (2, 1) for i in range(7, -1, -1)])
+    verts = (0, 2, 4, 6)
+    cyc = CycleDescriptor(verts, tuple(edge_between(g, a, b) for a, b in zip(verts, verts[1:] + verts[:1])))
+    ctx = label_cycle_context(g, cyc, Telemetry())
+    skew = [
+        ctx.far[p] == ctx.far[q]
+        for i, j in ((1, 2), (2, 3), (3, 4), (1, 4))
+        for p in (ctx.a[i], ctx.b[i])
+        for q in (ctx.a[j], ctx.b[j])
+    ]
+    assert skew.index(True) == 3
+    tel = Telemetry()
+    with pytest.raises(LemmaAssertionError, match="girth4.no-skew-pairs"):
+        solve_girth4(g, cyc, tel)
+    assert tel.labels["girth4.no-skew-pairs"] == skew.index(True) + 1
 
 
 @pytest.mark.parametrize(
@@ -420,13 +447,15 @@ def test_girth5_disc_incident_branch_on_a_hand_built_prestate():
             for c, h in enumerate(beyond, start=4):
                 col.assign(h, c)
     skip = set(held)
-    order = metrics.order_by_distance(g, metrics.bfs_from_sources(g, cycle.vertices))
+    order = metrics.order_by_distance(g, metrics.bfs_from_sources(g, cycle.vertices))[0]
     greedy_color(col, [e for e in order if e not in skip and not col.is_colored(e)])
     uncolored = [e for e in ctx.incident if not col.is_colored(e)]
     assert len(uncolored) == 7
     assert all(col.available_colors(e) == set(range(16, 21)) for e in uncolored)
     tel = Telemetry()
-    solver._complete_girth5(g, ctx, col, tel)
+    a = tuple(ctx.a[i] for i in range(1, 6))
+    b = tuple(ctx.b[i] for i in range(1, 6))
+    solver._complete_girth5(col, cycle.edges, a, b, tel)
     assert tel.labels["girth5.discrepancy-positive"] == 1
     assert tel.labels["girth5.subset-neighborhood"] == 7
     assert tel.labels["girth5.extension"] == 1
@@ -1005,6 +1034,106 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
     assert bounds[-1][2] == tails and len(tails) == 3 + 3 + 3 + 4 + 1  # K5, petersen, loops, pairs, path
     assert len(held) == len(rep.components)
     assert finishing and all(sum(edges <= h for h in held) == 1 for edges in finishing)
+
+
+SEVEN_STRATEGIES = ["double_edge", "girth3", "girth4", "girth5", "girth6", "loop", "low_degree"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_class_orders_equal_one_order_and_a_class_filter(en_graph, robertson, cage46, petersen, seed):
+    """order_by_distance's one bucketing pass gives each bound class the
+    order that one distance order of every edge and a per-edge class
+    filter gave (helpers.ref_class_orders): with the classes and held-back
+    edges solve plans for a shuffled union of all seven strategies, and
+    with random classes (0 included) and random held-back edges."""
+    parts = [complete(5), en_graph, robertson, cage46, petersen, triangle_with_loops(), doubled_triangle(), path(5)]
+    g = shuffled_union(parts, seed)
+    comp, k = metrics.label_components(g)
+    plans = solver._plan_components(g, comp, k, PartialColoring(g, 22), Telemetry())
+    assert sorted(set(plans.strategy)) == SEVEN_STRATEGIES and not plans.failure
+    dist = metrics.bfs_from_sources(g, plans.sources)
+    rng = random.Random(seed)
+    m = g.edge_count
+    cases = [(plans.cls, list(chain(plans.tail, plans.held)))]
+    for _ in range(5):
+        cases.append((bytearray(rng.randint(0, 2) for _ in range(k)), rng.sample(range(m), rng.randint(0, m))))
+    for cls, held in cases:
+        got = metrics.order_by_distance(g, dist, comp, cls, held)
+        assert [order.tolist() for order in got] == ref_class_orders(g, dist, comp, cls, held)
+
+
+def test_rescue_shares_follow_the_one_distance_order(monkeypatch, en_graph, robertson, cage46, petersen):
+    """Components of a shuffled union of all seven strategies fail, one
+    while it is planned (a K5) and one in its finish (the girth-6 cage):
+    the rescue greedy-colors each one's share of the distance order of
+    every edge, less the anchor's edges it hands to fallback_exact, in
+    that order, as it did when it filtered the one order for them."""
+    parts = [complete(5), en_graph, robertson, cage46, petersen, triangle_with_loops(), doubled_triangle(), complete(5)]
+    g = shuffled_union(parts, seed=5)
+    real_girth3 = solver.solve_girth3
+    planned = []
+
+    def first_fails(g, cycle, tel):  # the first K5 planned fails, the other does not
+        planned.append(cycle)
+        if len(planned) == 1:
+            _fail_girth3(g, cycle, tel)
+        return real_girth3(g, cycle, tel)
+
+    monkeypatch.setattr(solver, "solve_girth3", first_fails)
+    real_girth6 = solver.solve_girth6
+
+    def late(g, v, tel):
+        held, plants, bounds, finish = real_girth6(g, v, tel)
+
+        def failing(col):
+            finish(col)
+            tel.check(False, "girth6.anchor-degree")
+
+        return held, plants, bounds, failing
+
+    monkeypatch.setattr(solver, "solve_girth6", late)
+    calls = []
+    real_greedy = solver.greedy_color
+    real_fallback = solver.fallback_exact
+
+    def greedy(col, order, **kwargs):
+        if not kwargs:
+            calls.append(list(order))
+        return real_greedy(col, order, **kwargs)
+
+    def fallback(col, uncolored):
+        calls.append(set(uncolored))
+        return real_fallback(col, uncolored)
+
+    monkeypatch.setattr(solver, "greedy_color", greedy)
+    monkeypatch.setattr(solver, "fallback_exact", fallback)
+    col, rep = solve(g)
+    assert col.is_total() and verify(col) == []
+    failed = [c for c, report in enumerate(rep.components) if report.failure]
+    assert sorted(rep.components[c].failure for c in failed) == ["girth3.cycle-length", "girth6.anchor-degree"]
+    assert rep.strategies().count("girth3") == 1
+
+    comp, k = metrics.label_components(g)
+    plans = solver._plan_components(g, comp, k, PartialColoring(g, 22), Telemetry())
+    dist = metrics.bfs_from_sources(g, plans.sources)
+    (order,) = ref_class_orders(g, dist, comp, bytearray([1]) * k, ())
+    assert len(calls) == 2 * len(failed)
+    for c, greedy_order, skip in zip(failed, calls[::2], calls[1::2]):
+        share = [e for e in order if comp[g.eu[e]] == c]
+        assert greedy_order == [e for e in share if e not in skip]
+        assert skip <= set(share)
+
+
+def test_finishes_keep_no_cycle_context(en_graph, robertson, cage46, petersen):
+    """The girth 4, 5 and 6 finishes close over edge ids (and the
+    telemetry), not over a CycleContext with its far ends and incident
+    list, so planning frees every context before the shared pass."""
+    g = shuffled_union([en_graph, hypercube4(), robertson, cage46, petersen, complete(5)], seed=2)
+    comp, k = metrics.label_components(g)
+    plans = solver._plan_components(g, comp, k, PartialColoring(g, 22), Telemetry())
+    assert sorted(plans.strategy[c] for c, _ in plans.finishes) == ["girth4", "girth4", "girth5", "girth6"]
+    cells = [cell.cell_contents for _, finish in plans.finishes for cell in finish.__closure__]
+    assert cells and not [x for x in cells if isinstance(x, (solver.CycleContext, dict))]
 
 
 def test_high_girth_dispatch_scans_only_radius_two_balls(monkeypatch):
