@@ -69,16 +69,15 @@ def label_components(g: MultiGraph) -> tuple[list[int], int]:
     return comp, k
 
 
-def order_by_distance(g: MultiGraph, dist: list[int], comp=None, cls=None, held=()) -> list[array]:
+def order_by_distance(g: MultiGraph, dist: list[int], comp, cls, held=()) -> list[array]:
     """Edge ids sorted by nonincreasing distance class (the distance of
     the closer endpoint), ties by ascending id, given BFS distances: one
     compact array per edge class 1..max(cls), from one bucketing pass.
 
-    Without `comp` every edge is in class 1, and the result is the one
-    order. With it, edge e is in class cls[comp[eu[e]]], its component's
-    (comp as label_components gives it; class 0 is in no order), and the
-    edges of `held` are in no order either. An edge with an unreached
-    endpoint (-1) raises DisconnectedGraphError, whatever its class.
+    Edge e is in class cls[comp[eu[e]]], its component's (comp as
+    label_components gives it; class 0 is in no order), and the edges of
+    `held` are in no order either. An edge with an unreached endpoint
+    (-1) raises DisconnectedGraphError, whatever its class.
 
     The pass puts each edge in the bucket of its distance class plus the
     base of its class's region (class i in region i - 1, class 0, if
@@ -86,20 +85,17 @@ def order_by_distance(g: MultiGraph, dist: list[int], comp=None, cls=None, held=
     component of its end eu[e]: both ends of an edge share a component.
     An unreached end lands one below its region: in the previous
     region's last slot (the last region's, for region 0), which no
-    reached edge takes. The pass allocates nothing per vertex: one
-    bucket per distance class and region."""
+    reached edge takes. A bucket is made on its first edge, so a
+    distance class that a region does not reach costs one list slot."""
     eu = g.eu
     ev = g.ev
     m = len(eu)
-    if comp is None:
-        comp = bytes(g.vertex_count)  # one component, of class 1
-        cls = b"\x01"
     k = max(cls, default=0)
     regions = k + (0 in cls)
     maxd = max(dist, default=0)
     span = maxd + 2  # slots 0..maxd: distance classes; slot maxd + 1: unreached
     base = [((c or regions) - 1) * span for c in cls]
-    buckets = [array("i") for _ in range(span * regions)]
+    buckets: list[array | None] = [None] * (span * regions)
     keep = bytearray(b"\x01") * m
     unreached = []
     for e in held:
@@ -110,7 +106,11 @@ def order_by_distance(g: MultiGraph, dist: list[int], comp=None, cls=None, held=
         u = eu[e]
         du = dist[u]
         dv = dist[ev[e]]
-        buckets[(du if du < dv else dv) + base[comp[u]]].append(e)
+        i = (du if du < dv else dv) + base[comp[u]]
+        b = buckets[i]
+        if b is None:
+            buckets[i] = b = array("i")
+        b.append(e)
     unreached.extend(b[0] for b in buckets[span - 1 :: span] if b)
     if unreached:
         raise DisconnectedGraphError(f"edge {min(unreached)} has an endpoint unreached by the BFS")
@@ -118,7 +118,9 @@ def order_by_distance(g: MultiGraph, dist: list[int], comp=None, cls=None, held=
     for r in range(k):
         out = array("i")
         for d in range(r * span + maxd, r * span - 1, -1):
-            out += buckets[d]
+            b = buckets[d]
+            if b is not None:
+                out += b
         orders.append(out)
     return orders
 

@@ -355,18 +355,11 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
             for q in (ctx.a[j], ctx.b[j]):
                 if far[p] == far[q]:
                     adjacent_pairs.append(((i, j), p, q))
-    # sharing with a neighboring corner would be a triangle; the 16
-    # checks are recorded at once, up to the first failing one
-    skew = [
-        far[p] == far[q]
-        for i, j in ((1, 2), (2, 3), (3, 4), (1, 4))
-        for p in (ctx.a[i], ctx.b[i])
-        for q in (ctx.a[j], ctx.b[j])
-    ]
-    if True in skew:
-        tel.passed("girth4.no-skew-pairs", skew.index(True))
-        tel.check(False, "girth4.no-skew-pairs")
-    tel.passed("girth4.no-skew-pairs", len(skew))
+    # sharing with a neighboring corner would be a triangle
+    for i, j in ((1, 2), (2, 3), (3, 4), (1, 4)):
+        for p in (ctx.a[i], ctx.b[i]):
+            for q in (ctx.a[j], ctx.b[j]):
+                tel.check(far[p] != far[q], "girth4.no-skew-pairs")
 
     if len(adjacent_pairs) >= 2:
         cycle_edges = ctx.cycle.edges
@@ -432,30 +425,18 @@ def _complete_girth5(
     ids c1..c5, a1..a5 and b1..b5 of its CycleContext as c, a and b.
 
     Availability is rich (>= 8 on cycle edges, >= 5 on incident edges,
-    checked here); each uncolored edge's set is read from one conflict
-    mask. If the sets admit distinct representatives we are done;
+    checked here). If the sets admit distinct representatives we are done;
     otherwise the subfamily of maximum discrepancy pins down which planted
     repeat rescues the completion.
     """
     c1, c2, _, c4, c5 = c
     a1, a2, a3, a4, _ = a
     _, _, b3, b4, b5 = b
-    colors = col._colors
-    palette = range(1, col.palette_size + 1)
-
-    def availability(edges):
-        fam = {}
-        for e in edges:
-            if not colors[e]:
-                used = col._conflict_colors(e)
-                fam[e] = frozenset([x for x in palette if not used >> x & 1])
-        return fam
-
     cset = set(c)
     incident = sorted(a + b)
-    fam = availability(sorted(cset.union(incident)))
-    uncolored = list(fam)
+    uncolored = [e for e in sorted(cset.union(incident)) if not col.is_colored(e)]
     tel.check(len(uncolored) == 11, "girth5.uncolored-count")
+    fam = {e: frozenset(col.available_colors(e)) for e in uncolored}
     for e in uncolored:
         if e in cset:
             tel.check(len(fam[e]) >= 8, "girth5.cycle-availability")
@@ -479,10 +460,11 @@ def _complete_girth5(
         first = sorted(subset)
         _check_caps(col.graph, first, (21,) * len(first), "girth5.subset-neighborhood", uncolored, tel)
         greedy_color(col, first, telemetry=tel, max_color=PALETTE)
-        fam2 = availability(uncolored)
+        rest = [e for e in uncolored if not col.is_colored(e)]
+        fam2 = {e: frozenset(col.available_colors(e)) for e in rest}
         sdr2 = find_sdr(fam2)
         tel.check(sdr2 is not None, "girth5.extension")
-        for e in fam2:
+        for e in rest:
             col.assign(e, sdr2[e])
         return
 

@@ -197,7 +197,7 @@ def greedy_phase(g: MultiGraph, anchor, held=(), plants=(), bounds=(20, 21), tel
         col.assign(e, c)
     dist = metrics.bfs_from_sources(g, anchor.vertices if isinstance(anchor, CycleDescriptor) else (anchor,))
     skip = set(held)
-    order = [e for e in metrics.order_by_distance(g, dist)[0] if e not in skip]
+    order = [e for e in one_order(g, dist) if e not in skip]
     conflicts, ceiling = bounds
     greedy_color(col, order, telemetry=telemetry, max_conflict_colors=conflicts, max_color=ceiling)
     return col
@@ -278,7 +278,13 @@ def compatible_order(g: MultiGraph, anchor) -> list[int]:
     component. An edge the anchor cannot reach raises
     DisconnectedGraphError."""
     starts = anchor.vertices if isinstance(anchor, CycleDescriptor) else (anchor,)
-    return metrics.order_by_distance(g, metrics.bfs_from_sources(g, starts))[0].tolist()
+    return one_order(g, metrics.bfs_from_sources(g, starts)).tolist()
+
+
+def one_order(g: MultiGraph, dist: list[int]):
+    """metrics.order_by_distance of every edge, the whole graph taken as
+    one component of class 1."""
+    return metrics.order_by_distance(g, dist, [0] * g.vertex_count, b"\x01")[0]
 
 
 def ref_class_orders(g: MultiGraph, dist: list[int], comp, cls, held) -> list[list[int]]:

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -112,12 +113,12 @@ def test_compatible_order_classes_nonincreasing():
 def test_order_by_distance_rejects_unreached_edges():
     g = path(4)
     with pytest.raises(DisconnectedGraphError):
-        order_by_distance(g, [0, 1, 2, -1])
+        order_by_distance(g, [0, 1, 2, -1], [0] * 4, b"\x01")
     with pytest.raises(DisconnectedGraphError):
-        order_by_distance(g, [-1] * 4)
+        order_by_distance(g, [-1] * 4, [0] * 4, b"\x01")
     # an isolated vertex may stay unreached
     h = MultiGraph.from_edges(3, [(0, 1)])
-    assert [o.tolist() for o in order_by_distance(h, [0, 1, -1])] == [[0]]
+    assert [o.tolist() for o in order_by_distance(h, [0, 1, -1], [0, 0, -1], b"\x01")] == [[0]]
 
 
 def test_order_by_distance_rejects_an_unreached_held_back_edge():
@@ -142,6 +143,29 @@ def test_order_by_distance_rejects_unreached_edges_of_every_class(classes, unrea
     dist[unreached] = -1
     with pytest.raises(DisconnectedGraphError, match=f"^edge {1 if unreached == 2 else 3} "):
         order_by_distance(g, dist, [0, 0, 0, 1, 1, 1], bytearray(classes))
+
+
+@pytest.mark.parametrize("classes", [(1, 2), (2, 1), (1, 0), (0, 1), (2, 0), (0, 2)])
+def test_order_by_distance_peak_stays_near_one_class(classes):
+    """A long path next to a Petersen graph: split over two or three
+    class regions (solve's pass, a planning failure putting a component
+    in class 0, the rescue's failed and kept components), the bucketing
+    peaks within a quarter of the same graph's one-class peak. A bucket
+    per distance class in every region would near double it."""
+    n = 20000
+    g = disjoint_union(path(n), load_fixture("petersen"))
+    comp = [0] * n + [1] * 10
+    dist = bfs_from_sources(g, [0, n])
+
+    def peak(cls):
+        tracemalloc.start()
+        try:
+            order_by_distance(g, dist, comp, bytearray(cls))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(classes) <= 1.25 * peak((1, 1))
 
 
 def test_compatible_order_ties_break_by_edge_id():

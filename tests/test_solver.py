@@ -53,6 +53,7 @@ from helpers import (
     edge_between,
     greedy_phase,
     hypercube4,
+    one_order,
     parallel_pair,
     path,
     random_multigraph,
@@ -211,31 +212,6 @@ def test_girth4_strategy_reserves_diagonals():
     col = run_plan(g, c, plan, tel)
     assert tel.labels["girth4.diagonal-neighborhood"] == 4
     assert_total_valid(g, col)
-
-
-def test_girth4_skew_pair_failure_counts_the_checks_before_it():
-    """The square of an 8-cycle (i joined to i +- 1 and i +- 2) is
-    4-regular, and its chordless 4-cycle 0-2-4-6 has a triangle on every
-    edge, so neighboring corners share a far end. solve_girth4 records
-    its no-skew-pairs checks at once: the failing one is counted, after
-    the three passed checks before it in the order of the per-check
-    loop."""
-    # edge ids descend around the cycle, so the first skew pair is 4th
-    g = MultiGraph.from_edges(8, [(i, (i + d) % 8) for d in (2, 1) for i in range(7, -1, -1)])
-    verts = (0, 2, 4, 6)
-    cyc = CycleDescriptor(verts, tuple(edge_between(g, a, b) for a, b in zip(verts, verts[1:] + verts[:1])))
-    ctx = label_cycle_context(g, cyc, Telemetry())
-    skew = [
-        ctx.far[p] == ctx.far[q]
-        for i, j in ((1, 2), (2, 3), (3, 4), (1, 4))
-        for p in (ctx.a[i], ctx.b[i])
-        for q in (ctx.a[j], ctx.b[j])
-    ]
-    assert skew.index(True) == 3
-    tel = Telemetry()
-    with pytest.raises(LemmaAssertionError, match="girth4.no-skew-pairs"):
-        solve_girth4(g, cyc, tel)
-    assert tel.labels["girth4.no-skew-pairs"] == skew.index(True) + 1
 
 
 @pytest.mark.parametrize(
@@ -447,7 +423,7 @@ def test_girth5_disc_incident_branch_on_a_hand_built_prestate():
             for c, h in enumerate(beyond, start=4):
                 col.assign(h, c)
     skip = set(held)
-    order = metrics.order_by_distance(g, metrics.bfs_from_sources(g, cycle.vertices))[0]
+    order = one_order(g, metrics.bfs_from_sources(g, cycle.vertices))
     greedy_color(col, [e for e in order if e not in skip and not col.is_colored(e)])
     uncolored = [e for e in ctx.incident if not col.is_colored(e)]
     assert len(uncolored) == 7
