@@ -78,10 +78,13 @@ class PartialColoring:
     def _conflict_colors(self, e: int) -> int:
         """Mask of the colors on the edges conflicting with the uncolored
         e: the OR of the masks at the neighbors of e's ends."""
-        at = self._masks()
-        eu, ev, nbr_flat, off = self.graph.flat_arrays()
+        at = self._at
+        if at is None:
+            at = self._masks()
+        g = self.graph
+        off, _, nbr_flat = g.csr()
         used = 0
-        for x in (eu[e], ev[e]):
+        for x in (g.eu[e], g.ev[e]):
             for y in nbr_flat[off[x] : off[x + 1]]:
                 used |= at[y]
         return used

@@ -9,21 +9,28 @@ Coloring files: one `<edge_id> <color>` pair per line, 0-based edge ids,
 colors >= 1, sorted by edge id.
 
 Both parsers read the text one slice of about SLICE characters at a
-time. A slice made only of canonical lines (single spaces, ASCII
-digits, `\\n` line ends: what emit_graph and emit_coloring write) is
-decoded in bulk, by one split of the whole slice and one int() per
-field, and its values are checked together; any other slice, and a
-canonical one whose values fail a check, is read line by line. The line
-reader is the only source of error messages, so messages and line
-numbers do not depend on the split, and an unusual slice costs only its
-own time. A coloring slice decodes in bulk when its edge ids run
-consecutively, as in every total coloring emit_coloring writes.
+time; the first slice is the first line alone, so a graph's header is
+read before any edge slice. A slice made only of canonical lines (single
+spaces, ASCII digits, `\\n` line ends: what emit_graph and
+emit_coloring write) is decoded in bulk, by one json scan of the whole
+slice with its separators turned into commas, and its values are
+checked together; any other slice, a canonical one that json rejects
+(a leading zero), and one whose values fail a check, is read line by
+line. The line reader is the only source of error messages, so messages
+and line numbers do not depend on the split, and an unusual slice costs
+only its own time. A coloring slice decodes in bulk when its edge ids
+run consecutively, as in every total coloring emit_coloring writes.
+The writers encode each slice with one `%` format of all its fields,
+but a coloring slice with an uncolored edge with one f-string per line.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from array import array
+from itertools import repeat
+from operator import add, sub
 
 from .coloring import PartialColoring
 from .multigraph import MultiGraph
@@ -31,7 +38,7 @@ from .multigraph import MultiGraph
 
 # Text is read SLICE characters and written SLICE >> 1 lines at a time,
 # so no per-line object is held for the whole file. A slice decoded in
-# bulk holds one str per field at once, which is why slices are small.
+# bulk holds one int per field at once, which is why slices are small.
 SLICE = 1 << 13
 
 _EDGE_LINES = re.compile(r"(?:e [0-9]+ [0-9]+\n)*")
@@ -42,16 +49,26 @@ class GraphFormatError(ValueError):
     """Malformed graph or coloring text; message carries the line number."""
 
 
+def _ints(csv: str) -> list[int] | None:
+    """The comma-separated decimal fields as ints, by one json scan, or
+    None when json rejects a field (a leading zero)."""
+    try:
+        return json.loads("[" + csv + "]")
+    except ValueError:
+        return None
+
+
 def _content_lines(text: str, bulk):
     """(line number, stripped line) of every line that is neither blank
-    nor a comment. Each slice of about SLICE characters ends just after
-    a line feed, so splitting the slices gives the lines of the whole text.
+    nor a comment. The first slice is the first line; each later one
+    holds about SLICE characters. Every slice ends just after a line
+    feed, so splitting the slices gives the lines of the whole text.
     A slice for which bulk(slice) returns True has been stored by bulk
     and yields no lines; bulk only accepts slices of `\\n`-ended lines."""
     ln = 0
     start = 0
     while start < len(text):
-        stop = text.find("\n", start + SLICE) + 1 or len(text)
+        stop = text.find("\n", start + SLICE if start else 0) + 1 or len(text)
         chunk = text[start:stop]
         if bulk(chunk):
             ln += chunk.count("\n")
@@ -73,11 +90,12 @@ def parse_graph(text: str) -> MultiGraph:
     def bulk(chunk: str) -> bool:
         if not _EDGE_LINES.fullmatch(chunk):
             return False
-        ends = [int(x) - 1 for x in chunk.replace("e", "").split()]  # u, v, u, v, ...
-        if min(ends) < 0 or max(ends) >= n:
+        ends = _ints(chunk[2:-1].replace("\ne ", ",").replace(" ", ","))  # u, v, u, v, ...
+        if ends is None or min(ends) < 1 or max(ends) > n:
             return False
-        eu.extend(ends[::2])
-        ev.extend(ends[1::2])
+        ends = list(map(sub, ends, repeat(1)))
+        eu.fromlist(ends[::2])
+        ev.fromlist(ends[1::2])
         return True
 
     lines = _content_lines(text, bulk)
@@ -119,8 +137,11 @@ def emit_graph(g: MultiGraph) -> str:
     eu, ev, step = g.eu, g.ev, SLICE >> 1
     out = [f"p sec {g.vertex_count} {g.edge_count}\n"]
     for lo in range(0, g.edge_count, step):
-        hi = lo + step
-        out.append("".join([f"e {u + 1} {v + 1}\n" for u, v in zip(eu[lo:hi], ev[lo:hi])]))
+        k = min(step, g.edge_count - lo)
+        ends = [0] * (2 * k)  # u, v, u, v, ...
+        ends[::2] = eu[lo : lo + k]
+        ends[1::2] = ev[lo : lo + k]
+        out.append("e %d %d\n" * k % tuple(map(add, ends, repeat(1))))
     return "".join(out)
 
 
@@ -137,13 +158,15 @@ def parse_coloring(text: str, g: MultiGraph) -> PartialColoring:
         nonlocal max_color
         if not _PAIR_LINES.fullmatch(chunk):
             return False
-        fields = chunk.split()
-        ids = list(map(int, fields[::2]))
+        fields = _ints(chunk[:-1].replace("\n", ",").replace(" ", ","))
+        if fields is None:
+            return False
+        ids = fields[::2]
         lo = ids[0]
         hi = lo + len(ids)
         if hi > m or ids != list(range(lo, hi)) or any(colors[lo:hi]):
             return False
-        cs = list(map(int, fields[1::2]))
+        cs = fields[1::2]
         if min(cs) < 1:
             return False
         colors[lo:hi] = cs
@@ -176,5 +199,12 @@ def emit_coloring(col: PartialColoring) -> str:
     colors, step = col._colors, SLICE >> 1
     out = []
     for lo in range(0, len(colors), step):
-        out.append("".join([f"{e} {c}\n" for e, c in enumerate(colors[lo : lo + step], lo) if c]))
+        part = colors[lo : lo + step]
+        if 0 in part:
+            out.append("".join([f"{e} {c}\n" for e, c in enumerate(part, lo) if c]))
+        else:
+            fields = [0] * (2 * len(part))  # edge id, color, edge id, ...
+            fields[::2] = range(lo, lo + len(part))
+            fields[1::2] = part
+            out.append("%d %d\n" * len(part) % tuple(fields))
     return "".join(out)

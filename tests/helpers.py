@@ -14,7 +14,7 @@ from collections import deque
 from itertools import compress
 from operator import eq
 
-from strongcolor import GraphFormatError, MultiGraph, PartialColoring, greedy_color, metrics, random_max4, solve
+from strongcolor import GraphFormatError, MultiGraph, PartialColoring, graphio, greedy_color, metrics, random_max4, solve
 from strongcolor.metrics import CycleDescriptor
 
 
@@ -471,6 +471,27 @@ def ref_parse_coloring(text: str, g: MultiGraph) -> PartialColoring:
             max_color = c
     col.palette_size = max(col.palette_size, max_color)
     return col
+
+
+def ref_emit_graph(g: MultiGraph) -> str:
+    """graphio.emit_graph by one f-string per line: the reference for its
+    `%`-formatted slices."""
+    eu, ev, step = g.eu, g.ev, graphio.SLICE >> 1
+    out = [f"p sec {g.vertex_count} {g.edge_count}\n"]
+    for lo in range(0, g.edge_count, step):
+        hi = lo + step
+        out.append("".join([f"e {u + 1} {v + 1}\n" for u, v in zip(eu[lo:hi], ev[lo:hi])]))
+    return "".join(out)
+
+
+def ref_emit_coloring(col: PartialColoring) -> str:
+    """graphio.emit_coloring by one f-string per line: the reference for
+    its `%`-formatted slices."""
+    colors, step = col._colors, graphio.SLICE >> 1
+    out = []
+    for lo in range(0, len(colors), step):
+        out.append("".join([f"{e} {c}\n" for e, c in enumerate(colors[lo : lo + step], lo) if c]))
+    return "".join(out)
 
 
 def ref_shortest_cycles(g: MultiGraph, comp, wanted, longest=None) -> list[CycleDescriptor | None]:

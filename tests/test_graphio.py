@@ -1,4 +1,5 @@
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,8 @@ from helpers import (
     parallel_pair,
     random_multigraph,
     ref_content_lines,
+    ref_emit_coloring,
+    ref_emit_graph,
     ref_parse_coloring,
     ref_parse_graph,
 )
@@ -325,7 +328,77 @@ def test_canonical_slices_are_decoded_in_bulk(monkeypatch):
     assert len(accepted) > 10 and all(accepted)
 
 
-def ref_emit_coloring(col: PartialColoring) -> str:
+def test_line_reader_reads_only_the_graph_header(large, monkeypatch):
+    """At the real SLICE, on written texts of over 2e4 edges, the line
+    reader yields the graph's header line and nothing else: a bulk
+    decoder that fell back would pass every other test."""
+    g, _, coloring_lines = large
+    col = parse_coloring("\n".join(coloring_lines) + "\n", g)
+    graph_text, coloring_text = emit_graph(g), emit_coloring(col)
+    assert g.edge_count >= 2e4 and len(coloring_text) > 10 * graphio.SLICE
+    yielded = []
+    real = graphio._content_lines
+
+    def spy(text, bulk):
+        for item in real(text, bulk):
+            yielded.append(item)
+            yield item
+
+    monkeypatch.setattr(graphio, "_content_lines", spy)
+    h = parse_graph(graph_text)
+    assert (h.eu, h.ev) == (g.eu, g.ev)
+    assert yielded == [(1, f"p sec {g.vertex_count} {g.edge_count}")]
+    yielded.clear()
+    assert parse_coloring(coloring_text, g)._colors == col._colors
+    assert yielded == []
+
+
+@pytest.mark.parametrize("size", [8, graphio.SLICE])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p sec 3 2\ne 01 2\ne 2 3\n",
+        "p sec 3 2\ne 1 2\ne 2 03\n",
+        "p sec 3 1\ne 00 2\n",
+        "p sec 3 1\ne 0 2\n",
+        "p sec 3 2\ne 1 2\ne 2 4\n",
+        "p sec 3 1\ne 2147483648 1\n",
+        "p sec 2147483648 2\ne 2147483648 1\ne 1 2147483648\n",
+        "p sec 2 1\ne 1 2\n",
+    ],
+)
+def test_parse_graph_slices_the_json_scan_rejects(text, size, monkeypatch):
+    """Canonical-looking slices that json rejects (leading zeros) or the
+    range check turns away (0, 2**31 above n) go to the line reader,
+    which returns what the reference returns, message included."""
+    monkeypatch.setattr(graphio, "SLICE", size)
+    assert outcome(parse_graph, text) == outcome(ref_parse_graph, text)
+
+
+@pytest.mark.parametrize("size", [8, graphio.SLICE])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 1\n01 2\n2 3\n",
+        "0 1\n1 02\n2 3\n",
+        "00 1\n1 2\n",
+        "0 1\n00 2\n",
+        "0 1\n0 2\n",
+        "0 0\n1 2\n",
+        "0 2147483648\n1 1\n2 1\n",
+        "2147483648 1\n",
+        "2 5\n",
+    ],
+)
+def test_parse_coloring_slices_the_json_scan_rejects(text, size, monkeypatch):
+    """As above for colorings: leading zeros in either field, edge id 0
+    and 00, a color of 2**31 and an edge id of 2**31, a one-line text."""
+    g = parse_graph("p sec 4 3\ne 1 2\ne 2 3\ne 3 4\n")
+    monkeypatch.setattr(graphio, "SLICE", size)
+    assert outcome(parse_coloring, text, g) == outcome(ref_parse_coloring, text, g)
+
+
+def dict_sort_emit_coloring(col: PartialColoring) -> str:
     """emit_coloring by a dict of the colored edges, sorted."""
     out = [f"{e} {c}" for e, c in sorted(as_dict(col).items())]
     return "\n".join(out) + ("\n" if out else "")
@@ -341,6 +414,35 @@ def test_emit_coloring_equals_dict_sort_version(colors, size):
     col._colors[:] = colors
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphio, "SLICE", size)
+        assert emit_coloring(col) == dict_sort_emit_coloring(col)
+
+
+COLORS = st.one_of(st.integers(1, 22), st.sampled_from([0, 0, 62, 63, 10**9]))
+
+
+@given(
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.lists(COLORS, max_size=120),
+    st.integers(0, 30),
+    st.sampled_from([8, 16, 40, 96]),
+)
+@settings(max_examples=300, deadline=None)
+def test_encoders_equal_f_string_references(seed, top_vertex, colors, zero_slice, size):
+    """Random multigraphs with loops and parallel edges, some with an edge
+    at vertex id 2**31 - 1, and partial colorings with zeros inside a
+    slice, one slice of zeros only, and colors above 62: the `%` encoders
+    write what the one-f-string-per-line references write, byte for byte."""
+    g = random_multigraph(seed, max_n=24, max_m=60)
+    if top_vertex:
+        g = MultiGraph(2**31, g.eu + array("i", [2**31 - 1, 0]), g.ev + array("i", [2**31 - 1, 2**31 - 1]))
+    col = PartialColoring(MultiGraph.from_edges(2, [(0, 1)] * len(colors)), 22)
+    col._colors[:] = colors
+    zeros = slice(zero_slice * (size >> 1), (zero_slice + 1) * (size >> 1))  # one written slice
+    col._colors[zeros] = [0] * len(col._colors[zeros])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "SLICE", size)
+        assert emit_graph(g) == ref_emit_graph(g)
         assert emit_coloring(col) == ref_emit_coloring(col)
 
 
