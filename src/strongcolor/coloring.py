@@ -78,9 +78,7 @@ class PartialColoring:
     def _conflict_colors(self, e: int) -> int:
         """Mask of the colors on the edges conflicting with the uncolored
         e: the OR of the masks at the neighbors of e's ends."""
-        at = self._at
-        if at is None:
-            at = self._masks()
+        at = self._masks()
         g = self.graph
         off, _, nbr_flat = g.csr()
         used = 0

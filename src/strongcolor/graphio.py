@@ -20,8 +20,8 @@ line. The line reader is the only source of error messages, so messages
 and line numbers do not depend on the split, and an unusual slice costs
 only its own time. A coloring slice decodes in bulk when its edge ids
 run consecutively, as in every total coloring emit_coloring writes.
-The writers encode each slice with one `%` format of all its fields,
-but a coloring slice with an uncolored edge with one f-string per line.
+The writers encode each slice with one `%` format of all its fields;
+a coloring slice drops its uncolored edges first.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, sub
 
 from .coloring import PartialColoring
@@ -200,11 +200,9 @@ def emit_coloring(col: PartialColoring) -> str:
     out = []
     for lo in range(0, len(colors), step):
         part = colors[lo : lo + step]
-        if 0 in part:
-            out.append("".join([f"{e} {c}\n" for e, c in enumerate(part, lo) if c]))
-        else:
-            fields = [0] * (2 * len(part))  # edge id, color, edge id, ...
-            fields[::2] = range(lo, lo + len(part))
-            fields[1::2] = part
-            out.append("%d %d\n" * len(part) % tuple(fields))
+        ids = list(compress(range(lo, lo + len(part)), part))  # the colored edges
+        fields = [0] * (2 * len(ids))  # edge id, color, edge id, ...
+        fields[::2] = ids
+        fields[1::2] = filter(None, part)
+        out.append("%d %d\n" * len(ids) % tuple(fields))
     return "".join(out)
