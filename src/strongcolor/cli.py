@@ -78,10 +78,12 @@ def _cmd_color(args) -> int:
         col, report = solve(g)
     except Unsatisfiable as exc:
         return _error(exc)
-    for k, comp in enumerate(report.components, start=1):
-        print(f"component {k}: strategy={comp.strategy} edges={comp.edge_count} colors={comp.colors_used}")
-    print(f"colors_used={report.colors_used}")
-    print(f"FALLBACK={report.fallback_invocations}")
+    lines = [
+        f"component {k}: strategy={comp.strategy} edges={comp.edge_count} colors={comp.colors_used}\n"
+        for k, comp in enumerate(report.components, start=1)
+    ]
+    lines.append(f"colors_used={report.colors_used}\nFALLBACK={report.fallback_invocations}\n")
+    sys.stdout.write("".join(lines))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(emit_coloring(col))

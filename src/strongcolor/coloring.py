@@ -8,6 +8,7 @@ sense) share a color.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 
 from .multigraph import MultiGraph
 
@@ -34,10 +35,11 @@ class PartialColoring:
     for verify to check; fallback_exact's search and the exact oracle's
     witness go through _set_unchecked.
 
-    Conflict queries (available_colors, assign, greedy_color) read one
-    per-vertex mask array, _at[x] holding bit c when an edge at x has
-    color c. It is built on the first query, which raises ValueError if a
-    color above 62 is present, and every write keeps it exact: a color
+    Conflict queries (available_mask and its set view available_colors,
+    assign, greedy_color) read one per-vertex mask array, _at[x] holding
+    bit c when an edge at x has color c. The first query builds it from
+    the colored edges only, and raises ValueError if a color above 62 is
+    present; every write keeps it exact: a color
     given to an uncolored edge ORs its bit in at the edge's ends (assign,
     greedy_color), any other write through unassign or _set_unchecked
     recomputes the ends' masks, and a write above 62 drops the array.
@@ -69,10 +71,13 @@ class PartialColoring:
             if max(self._colors, default=0) > 62:
                 raise ValueError(f"conflict queries need colors <= 62, found {max(self._colors)}")
             at = self._at = array("q", bytes(8 * g.vertex_count))
-            for u, v, c in zip(g.eu, g.ev, self._colors):
-                if c:
-                    at[u] |= 1 << c
-                    at[v] |= 1 << c
+            colors = self._colors
+            eu = g.eu
+            ev = g.ev
+            for e in compress(range(len(colors)), colors):
+                bit = 1 << colors[e]
+                at[eu[e]] |= bit
+                at[ev[e]] |= bit
         return at
 
     def _conflict_colors(self, e: int) -> int:
@@ -87,12 +92,18 @@ class PartialColoring:
                 used |= at[y]
         return used
 
-    def available_colors(self, e: int) -> set[int]:
-        """Palette colors not used on any edge conflicting with e."""
+    def available_mask(self, e: int) -> int:
+        """The palette colors not used on any edge conflicting with e, as
+        a mask: bit c set when color c is free."""
         if self._colors[e]:
             raise ValueError(f"edge {e} is already colored")
-        used = self._conflict_colors(e)
-        return {c for c in range(1, self.palette_size + 1) if not used >> c & 1}
+        return ((1 << (self.palette_size + 1)) - 2) & ~self._conflict_colors(e)
+
+    def available_colors(self, e: int) -> set[int]:
+        """Palette colors not used on any edge conflicting with e: the set
+        view of available_mask."""
+        free = self.available_mask(e)
+        return {c for c in range(1, self.palette_size + 1) if free >> c & 1}
 
     def assign(self, e: int, c: int) -> None:
         if not (1 <= c <= self.palette_size):

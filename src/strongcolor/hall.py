@@ -1,15 +1,17 @@
 """Systems of distinct representatives and set-family discrepancy.
 
-A family maps edge ids to their sets of available colors. An SDR picks a
-distinct color for every edge; Hall's condition says one exists exactly
-when no subfamily has more edges than colors in its union. Discrepancy
-measures how badly a subfamily fails: disc(S) = |S| - |union of avails|.
+A family maps edge ids to color masks: bit c is set when color c is
+available to the edge, as PartialColoring.available_mask returns them.
+An SDR picks a distinct color for every edge; Hall's condition says one
+exists exactly when no subfamily has more edges than colors in its
+union. Discrepancy measures how badly a subfamily fails: disc(S) = |S| -
+|union of avails|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, AbstractSet
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -18,34 +20,39 @@ class DiscrepancyResult:
     disc: int
 
 
-def find_sdr(family: Mapping[int, AbstractSet[int]]) -> dict[int, int] | None:
+def find_sdr(family: Mapping[int, int]) -> dict[int, int] | None:
     """Distinct representative color per edge, or None if impossible.
 
     Augmenting-path bipartite matching; edges are processed in family
-    order and colors ascending, so the result is deterministic. Each set
-    is sorted once, before the search.
+    order and colors ascending (lowest bit first), so the result is
+    deterministic. A color banned during an augmenting path is skipped
+    when the search reaches it: each step takes the lowest bit of the
+    edge's mask that is not banned yet.
     """
     keys = list(family)
-    avail = [sorted(s) for s in family.values()]
-    owner: dict[int, int] = {}  # color -> index into keys
+    avail = list(family.values())
+    owner: dict[int, int] = {}  # color bit -> index into keys
+    banned = 0
 
-    def try_assign(i: int, banned: set[int]) -> bool:
-        for c in avail[i]:
-            if c in banned:
-                continue
-            banned.add(c)
-            if c not in owner or try_assign(owner[c], banned):
-                owner[c] = i
+    def try_assign(i: int) -> bool:
+        nonlocal banned
+        while free := avail[i] & ~banned:
+            bit = free & -free
+            banned |= bit
+            j = owner.get(bit)
+            if j is None or try_assign(j):
+                owner[bit] = i
                 return True
         return False
 
     for i in range(len(keys)):
-        if not try_assign(i, set()):
+        banned = 0
+        if not try_assign(i):
             return None
-    return {keys[i]: c for c, i in owner.items()}
+    return {keys[i]: bit.bit_length() - 1 for bit, i in owner.items()}
 
 
-def max_discrepancy_subset(family: Mapping[int, AbstractSet[int]]) -> DiscrepancyResult:
+def max_discrepancy_subset(family: Mapping[int, int]) -> DiscrepancyResult:
     """Nonempty subfamily maximizing |S| - |union of availabilities|.
 
     Ties prefer the larger subset, then the lexicographically smallest
@@ -61,16 +68,8 @@ def max_discrepancy_subset(family: Mapping[int, AbstractSet[int]]) -> Discrepanc
     if k == 0:
         return DiscrepancyResult(frozenset(), 0)
 
-    # Color sets as bitmasks so subset unions are ORs over a DP table.
-    color_ids: dict[int, int] = {}
-    masks = []
-    for _, avail in items:
-        m = 0
-        for c in avail:
-            bit = color_ids.setdefault(c, len(color_ids))
-            m |= 1 << bit
-        masks.append(m)
-
+    # subset unions are ORs over a DP table
+    masks = [m for _, m in items]
     union = [0] * (1 << k)
     best_subset = None
     best_key = None
@@ -86,9 +85,7 @@ def max_discrepancy_subset(family: Mapping[int, AbstractSet[int]]) -> Discrepanc
     return DiscrepancyResult(frozenset(best_subset), -best_key[0])
 
 
-def common_color(
-    family: Mapping[int, AbstractSet[int]], e1: int, e2: int
-) -> int | None:
+def common_color(family: Mapping[int, int], e1: int, e2: int) -> int | None:
     """Smallest color available to both edges, or None."""
-    shared = set(family[e1]) & set(family[e2])
-    return min(shared) if shared else None
+    shared = family[e1] & family[e2]
+    return (shared & -shared).bit_length() - 1 if shared else None

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, compress, islice
 from operator import or_, sub
-from typing import Callable, Sequence
+from typing import AbstractSet, Callable, Sequence
 
 from . import metrics
 from .coloring import ConflictError, PaletteExhausted, PartialColoring, greedy_color
@@ -148,6 +148,37 @@ Plan = tuple[list[int], Sequence[tuple[int, int]], tuple[int, int], Finish | Non
 # tail lemmas, and the strategies that end in a tail
 
 
+def _degree_bound(g: MultiGraph, e: int, later: AbstractSet[int]) -> int:
+    """An upper bound on the edges of e's conflict set outside `later`
+    (which must not hold e), from degrees alone. For e = (u, v), e's
+    conflict set and e itself are the edges at the vertices of N(u) |
+    N(v), which holds u and v. An edge at u or v whose other end lies in
+    W, the rest of N(u) | N(v), is one of the edges at that end; so the
+    set has at most sum(deg(y) for y in W) edges, plus the edges with both
+    ends in {u, v} (the loops there and the edges joining u and v, read
+    from the neighbor slices), less e. Every edge of `later` with an end
+    in N(u) | N(v) is in the set, and is subtracted."""
+    off, _, nbr_flat = g.csr()
+    eu = g.eu
+    ev = g.ev
+    u = eu[e]
+    v = ev[e]
+    nu = nbr_flat[off[u] : off[u + 1]]
+    ball = set(nu)
+    if u == v:
+        bound = nu.count(u) // 2 - 1 - len(nu)
+    else:
+        nv = nbr_flat[off[v] : off[v + 1]]
+        ball.update(nv)
+        bound = nu.count(v) + (nu.count(u) + nv.count(v)) // 2 - 1 - len(nu) - len(nv)
+    for y in ball:
+        bound += off[y + 1] - off[y]
+    for f in later:
+        if eu[f] in ball or ev[f] in ball:
+            bound -= 1
+    return bound
+
+
 def _check_caps(
     g: MultiGraph, tail: Sequence[int], caps: Sequence[int], label: str, pending: Sequence[int], tel: Telemetry
 ) -> None:
@@ -155,26 +186,16 @@ def _check_caps(
     colored edges conflict with tail[i] at its turn. Then every edge of
     its component is colored except the edges of `pending` (the held-back
     edges still uncolored when the tail starts) not yet reached, so the
-    count is read from the structure, exactly over tail[i]'s conflict set
-    (a popcount of the color masks would count colors, a weaker claim).
-    That set is near[u] | near[v] less tail[i] itself, for tail[i] =
-    (u, v), where near[x] holds the edges with an end adjacent to x: it
-    is built once per call for each end x and shared by the tail edges
-    that meet there. caps has an entry per tail edge at least. Raises at
-    the first failing cap, with the checks before it counted."""
-    off, inc_flat, nbr_flat = g.csr()
-    eu = g.eu
-    ev = g.ev
-    near: dict[int, set[int]] = {}
-    for x in chain(map(eu.__getitem__, tail), map(ev.__getitem__, tail)):
-        if x not in near:
-            near[x] = s = set()
-            for y in nbr_flat[off[x] : off[x + 1]]:
-                s.update(inc_flat[off[y] : off[y + 1]])
+    count is read from the structure, over tail[i]'s conflict set (a
+    popcount of the color masks would count colors, a weaker claim).
+    _degree_bound proves most caps; where it exceeds the cap, the exact
+    census of the conflict set decides. caps has an entry per tail edge
+    at least. Raises at the first failing cap, with the checks before it
+    counted."""
     later = set(pending)
     for i, (e, cap) in enumerate(zip(tail, caps)):
         later.discard(e)
-        if len((near[eu[e]] | near[ev[e]]) - later) - 1 > cap:
+        if _degree_bound(g, e, later) > cap and len(g.conflict_set(e) - later) > cap:
             tel.passed(label, i)
             tel.check(False, label)
     tel.passed(label, len(tail))
@@ -297,7 +318,7 @@ def _girth4_cycle(col: PartialColoring, cycle_edges: Sequence[int], tel: Telemet
     """Color the 4-cycle (c1..c4), which every branch leaves at least 4
     free colors per edge."""
     for e in cycle_edges:
-        tel.check(len(col.available_colors(e)) >= 4, "girth4.cycle-availability")
+        tel.check(col.available_mask(e).bit_count() >= 4, "girth4.cycle-availability")
     greedy_color(col, sorted(cycle_edges), telemetry=tel, max_color=PALETTE)
 
 
@@ -427,7 +448,8 @@ def _complete_girth5(
     Availability is rich (>= 8 on cycle edges, >= 5 on incident edges,
     checked here). If the sets admit distinct representatives we are done;
     otherwise the subfamily of maximum discrepancy pins down which planted
-    repeat rescues the completion.
+    repeat rescues the completion. The sets are color masks throughout
+    (PartialColoring.available_mask), which hall takes as they are.
     """
     c1, c2, _, c4, c5 = c
     a1, a2, a3, a4, _ = a
@@ -436,12 +458,12 @@ def _complete_girth5(
     incident = sorted(a + b)
     uncolored = [e for e in sorted(cset.union(incident)) if not col.is_colored(e)]
     tel.check(len(uncolored) == 11, "girth5.uncolored-count")
-    fam = {e: frozenset(col.available_colors(e)) for e in uncolored}
+    fam = {e: col.available_mask(e) for e in uncolored}
     for e in uncolored:
         if e in cset:
-            tel.check(len(fam[e]) >= 8, "girth5.cycle-availability")
+            tel.check(fam[e].bit_count() >= 8, "girth5.cycle-availability")
         else:
-            tel.check(len(fam[e]) >= 5, "girth5.incident-availability")
+            tel.check(fam[e].bit_count() >= 5, "girth5.incident-availability")
 
     sdr = find_sdr(fam)
     if sdr is not None:
@@ -461,7 +483,7 @@ def _complete_girth5(
         _check_caps(col.graph, first, (21,) * len(first), "girth5.subset-neighborhood", uncolored, tel)
         greedy_color(col, first, telemetry=tel, max_color=PALETTE)
         rest = [e for e in uncolored if not col.is_colored(e)]
-        fam2 = {e: frozenset(col.available_colors(e)) for e in rest}
+        fam2 = {e: col.available_mask(e) for e in rest}
         sdr2 = find_sdr(fam2)
         tel.check(sdr2 is not None, "girth5.extension")
         for e in rest:
@@ -497,24 +519,23 @@ def _complete_girth5(
     # |subset| == 11 and no pair shares a color: the availability sets of
     # each pair partition the whole union, so a color shared by c1 and a4
     # hits exactly one edge of every pair
-    shared = set(fam[c1]) & set(fam[a4])
-    tel.check(bool(shared), "girth5.crossing-color")
-    x = min(shared)
+    x = common_color(fam, c1, a4)
+    tel.check(x is not None, "girth5.crossing-color")
     col.assign(c1, x)
     col.assign(a4, x)
     first_wave = []
     for p, q in pairs:
-        holders = [e for e in (p, q) if x in fam[e]]
+        holders = [e for e in (p, q) if fam[e] >> x & 1]
         tel.check(len(holders) == 1, "girth5.unique-crossing")
         first_wave.append(holders[0])
     for e in first_wave:
-        tel.check(x not in col.available_colors(e), "girth5.crossing-blocked")
+        tel.check(not col.available_mask(e) >> x & 1, "girth5.crossing-blocked")
         greedy_color(col, [e], telemetry=tel, max_color=PALETTE)
     second = [e for p in pairs for e in p if not col.is_colored(e)]
     # the >= 3 bound is a pre-stage guarantee; coloring one second-wave
     # edge may shrink another's set, so check all three up front
     for e in second:
-        tel.check(len(col.available_colors(e)) >= 3, "girth5.second-wave-availability")
+        tel.check(col.available_mask(e).bit_count() >= 3, "girth5.second-wave-availability")
     greedy_color(col, second + [c2, c4, c5], telemetry=tel, max_color=PALETTE)
 
 

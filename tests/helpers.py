@@ -11,7 +11,7 @@ import random
 import time
 from array import array
 from collections import deque
-from itertools import compress
+from itertools import combinations, compress
 from operator import eq
 
 from strongcolor import GraphFormatError, MultiGraph, PartialColoring, graphio, greedy_color, metrics, random_max4, solve
@@ -239,6 +239,81 @@ def ref_color_tail(col: PartialColoring, tail, caps, label: str, telemetry, ceil
     for cap, e in zip(caps, tail):
         telemetry.check(sum(1 for f in col.graph.conflict_set(e) if colors[f]) <= cap, label)
         greedy_color(col, [e], telemetry=telemetry, max_color=ceiling)
+
+
+def ref_check_caps(g: MultiGraph, tail, caps, label: str, pending, telemetry) -> None:
+    """solver._check_caps as an exact census of every tail edge, with no
+    degree bound in front: tail[i] = (u, v) is counted against near[u] |
+    near[v] less itself and the pending edges not yet reached, where
+    near[x] holds the edges with an end adjacent to x. Raises at the first
+    failing cap, with the checks before it counted."""
+    off, inc_flat, nbr_flat = g.csr()
+    near: dict[int, set[int]] = {}
+    for x in [g.eu[e] for e in tail] + [g.ev[e] for e in tail]:
+        if x not in near:
+            near[x] = s = set()
+            for y in nbr_flat[off[x] : off[x + 1]]:
+                s.update(inc_flat[off[y] : off[y + 1]])
+    later = set(pending)
+    for i, (e, cap) in enumerate(zip(tail, caps)):
+        later.discard(e)
+        if len((near[g.eu[e]] | near[g.ev[e]]) - later) - 1 > cap:
+            telemetry.passed(label, i)
+            telemetry.check(False, label)
+    telemetry.passed(label, len(tail))
+
+
+def ref_find_sdr(family) -> dict[int, int] | None:
+    """hall.find_sdr on a family of color sets: edges in family order,
+    each set sorted ascending once, and a color banned during the current
+    augmenting path skipped when the search reaches it."""
+    keys = list(family)
+    avail = [sorted(s) for s in family.values()]
+    owner: dict[int, int] = {}  # color -> index into keys
+
+    def try_assign(i: int, banned: set[int]) -> bool:
+        for c in avail[i]:
+            if c in banned:
+                continue
+            banned.add(c)
+            if c not in owner or try_assign(owner[c], banned):
+                owner[c] = i
+                return True
+        return False
+
+    for i in range(len(keys)):
+        if not try_assign(i, set()):
+            return None
+    return {keys[i]: c for c, i in owner.items()}
+
+
+def ref_max_discrepancy_subset(family) -> tuple[frozenset[int], int]:
+    """(subset, disc) of hall.max_discrepancy_subset on a family of color
+    sets, by enumerating the subfamilies as sorted id tuples: the largest
+    |S| - |union|, then the larger S, then the smallest tuple; (empty, 0)
+    for an empty family."""
+    ids = sorted(family)
+    best = None
+    for r in range(1, len(ids) + 1):
+        for subset in combinations(ids, r):
+            union = set().union(*(family[e] for e in subset))
+            key = (len(union) - r, -r, subset)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return frozenset(), 0
+    return frozenset(best[2]), -best[0]
+
+
+def ref_common_color(family, e1: int, e2: int) -> int | None:
+    """hall.common_color on a family of color sets."""
+    shared = set(family[e1]) & set(family[e2])
+    return min(shared) if shared else None
+
+
+def as_masks(family) -> dict[int, int]:
+    """A family of color sets as hall takes it: bit c set for color c."""
+    return {e: sum(1 << c for c in set(s)) for e, s in family.items()}
 
 
 def copy(col: PartialColoring) -> PartialColoring:

@@ -32,6 +32,7 @@ from strongcolor import (
 )
 from strongcolor.solver import solve_girth5
 from helpers import (
+    as_masks,
     bench_rows,
     colors_used,
     complete,
@@ -256,8 +257,8 @@ def test_criterion_6_duality_and_instrumentation(corpus):
             e: set(rng.sample(range(1, 7), rng.randint(1, 6)))
             for e in range(rng.randint(1, 10))
         }
-        has_sdr = find_sdr(fam) is not None
-        disc = max_discrepancy_subset(fam).disc
+        has_sdr = find_sdr(as_masks(fam)) is not None
+        disc = max_discrepancy_subset(as_masks(fam)).disc
         assert has_sdr == (disc <= 0), fam
         agreements += 1
 

@@ -36,10 +36,12 @@ from strongcolor.solver import (
     solve_loop,
     solve_low_degree,
 )
+from strongcolor.hall import DiscrepancyResult
 from strongcolor.metrics import CycleDescriptor
 from helpers import (
     CountingSlices,
     as_dict,
+    brute_conflict_set,
     cayley_sl2,
     color_of,
     colors_used,
@@ -57,6 +59,7 @@ from helpers import (
     parallel_pair,
     path,
     random_multigraph,
+    ref_check_caps,
     ref_class_orders,
     ref_color_tail,
     ref_component_report,
@@ -357,6 +360,89 @@ def test_color_tail_equals_one_greedy_call_per_edge(seed):
         assert got[3] == {**want[3], "lemma": len(tail)}
 
 
+def test_degree_bound_covers_the_conflict_set():
+    """_degree_bound, which proves a cap without building a set, is never
+    below the exact count it stands for: the edges of e's conflict set
+    outside `later`, for every edge of 300 multigraphs and random later
+    sets, the empty one and every other edge among them. The graphs hold
+    loops and parallel edges."""
+    rng = random.Random(20)
+    loops = parallels = 0
+    for seed in range(300):
+        g = random_multigraph(seed)
+        loops += any(u == v for u, v in g.edges)
+        parallels += parallel_pair(g) is not None
+        for e in range(g.edge_count):
+            others = [f for f in range(g.edge_count) if f != e]
+            for later in (set(), set(others), set(rng.sample(others, rng.randint(0, len(others))))):
+                assert solver._degree_bound(g, e, later) >= len(brute_conflict_set(g, e) - later)
+    assert loops > 50 and parallels > 50
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 100_000))
+def test_caps_one_below_the_exact_count_fail_where_the_census_fails(seed):
+    """With every cap at its exact count, _check_caps passes, as the
+    near-set census (ref_check_caps) does; with one cap one below it, both
+    raise at that tail index with the same label counts, and so they do
+    with random caps. The degree bound can prove no cap below the exact
+    count, so the census decides there. Random multigraphs with loops and
+    parallel edges, a shuffled tail and pending edges beyond it."""
+    rng = random.Random(seed)
+    g = random_multigraph(seed, max_n=12, max_m=24)
+    if not g.edge_count:
+        return
+    tail = rng.sample(range(g.edge_count), rng.randint(1, g.edge_count))
+    pending = tail + rng.sample(range(g.edge_count), rng.randint(0, g.edge_count))
+    rng.shuffle(pending)
+    exact = []
+    later = set(pending)
+    for e in tail:
+        later.discard(e)
+        exact.append(len(brute_conflict_set(g, e) - later))
+
+    def outcome(check, caps):
+        tel = Telemetry()
+        try:
+            check(g, tail, caps, "lemma", pending, tel)
+            failure = None
+        except LemmaAssertionError as exc:
+            failure = str(exc)
+        return failure, tel.labels
+
+    assert outcome(solver._check_caps, exact) == outcome(ref_check_caps, exact) == (None, {"lemma": len(tail)})
+    i = rng.randrange(len(tail))
+    if exact[i]:
+        lowered = exact[:i] + [exact[i] - 1] + exact[i + 1 :]
+        got = outcome(solver._check_caps, lowered)
+        assert got == outcome(ref_check_caps, lowered) == ("lemma", {"lemma": i + 1})
+    caps = [rng.randint(0, 24) for _ in tail]
+    assert outcome(solver._check_caps, caps) == outcome(ref_check_caps, caps)
+
+
+def test_solve_reaches_the_census_on_the_girth4_diagonals(monkeypatch):
+    """The degree bound of a reserved girth-4 diagonal exceeds its cap of
+    21, so solve proves it by the exact census, which passes: every
+    diagonal's count is checked, the bound never falls below the exact
+    count, and no component is rescued."""
+    real = solver._degree_bound
+    bounds = []
+
+    def spy(g, e, later):
+        b = real(g, e, later)
+        bounds.append((b, len(brute_conflict_set(g, e) - later)))
+        return b
+
+    monkeypatch.setattr(solver, "_degree_bound", spy)
+    g, _ = random_4regular(12, seed=24, min_girth=4)
+    col, rep = solve(g)
+    assert rep.strategies() == ["girth4"] and rep.fallback_invocations == 0
+    assert col.is_total() and verify(col) == []
+    assert rep.labels["girth4.diagonal-neighborhood"] == 4
+    assert len(bounds) == 4 and all(b >= exact for b, exact in bounds)
+    assert any(b > 21 >= exact for b, exact in bounds)
+
+
 # --- cycle context labeling ------------------------------------------------
 
 
@@ -437,6 +523,52 @@ def test_girth5_disc_incident_branch_on_a_hand_built_prestate():
     assert tel.labels["girth5.extension"] == 1
     assert col.is_total() and verify(col) == []
     assert colors_used(col) <= 22
+
+
+@pytest.mark.parametrize(
+    "branch, want",
+    [
+        ("pair", {"girth5.pair-containment": 1, "girth5.pair-common-color": 1, "girth5.incident-neighborhood": 5}),
+        (
+            "crossing",
+            {"girth5.unique-crossing": 3, "girth5.crossing-blocked": 3, "girth5.second-wave-availability": 3},
+        ),
+    ],
+)
+def test_girth5_cycle_subset_branches_read_the_masks(monkeypatch, robertson, branch, want):
+    """The finish's branches for a maximum-discrepancy subfamily that
+    holds cycle edges, which no real pre-state reaches, run on the masks
+    of a real one: a stand-in SDR search fails, and the stand-in
+    subfamily is the nine edges without c4 and c5 on the Robertson graph
+    ("pair": a1 and b3 share a color, which is planted on both, and the
+    rest is colored greedily), or all eleven on random_4regular(3000,
+    seed=2, min_girth=5), where no pair may share a color ("crossing":
+    the least color c1 and a4 share, 1, is held by one edge of each pair).
+    Both complete a valid coloring with every girth-5 check passed."""
+    g = robertson if branch == "pair" else random_4regular(3000, seed=2, min_girth=5)[0]
+    c = find_shortest_cycle(g)
+    tel = Telemetry()
+    held, plants, bounds, _ = solve_girth5(g, c, tel)
+    col = greedy_phase(g, c, held, plants, bounds, tel)
+    ctx = label_cycle_context(g, c, Telemetry())
+    uncolored = [e for e in held if not col.is_colored(e)]
+    subset = set(uncolored) - {ctx.c[4], ctx.c[5]} if branch == "pair" else set(uncolored)
+    monkeypatch.setattr(solver, "find_sdr", lambda fam: None)
+    monkeypatch.setattr(solver, "max_discrepancy_subset", lambda fam: DiscrepancyResult(frozenset(subset), 1))
+    if branch == "crossing":  # the pairs share no color; c1 and a4 keep theirs
+        real = solver.common_color
+        monkeypatch.setattr(solver, "common_color", lambda fam, p, q: real(fam, p, q) if p == ctx.c[1] else None)
+    a = tuple(ctx.a[i] for i in range(1, 6))
+    b = tuple(ctx.b[i] for i in range(1, 6))
+    solver._complete_girth5(col, c.edges, a, b, tel)
+    assert col.is_total() and verify(col) == []
+    assert tel.labels["girth5.subset-size"] == 1
+    assert {k: tel.labels.get(k) for k in want} == want
+    if branch == "pair":
+        assert color_of(col, ctx.a[1]) == color_of(col, ctx.b[3])
+    else:
+        assert tel.labels["girth5.crossing-color"] == 1
+        assert [color_of(col, e) for e in (ctx.c[1], ctx.a[4])] == [1, 1]
 
 
 def test_girth6_instrumentation_counts(cage46):
