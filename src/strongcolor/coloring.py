@@ -35,14 +35,14 @@ class PartialColoring:
     for verify to check; fallback_exact's search and the exact oracle's
     witness go through _set_unchecked.
 
-    Conflict queries (available_mask and its set view available_colors,
-    assign, greedy_color) read one per-vertex mask array, _at[x] holding
-    bit c when an edge at x has color c. The first query builds it from
-    the colored edges only, and raises ValueError if a color above 62 is
-    present; every write keeps it exact: a color
-    given to an uncolored edge ORs its bit in at the edge's ends (assign,
-    greedy_color), any other write through unassign or _set_unchecked
-    recomputes the ends' masks, and a write above 62 drops the array.
+    Conflict queries (available_mask, assign, greedy_color) read one
+    per-vertex mask array, _at[x] holding bit c when an edge at x has
+    color c. The first query builds it from the colored edges only, and
+    raises ValueError if a color above 62 is present; every write keeps it
+    exact: a color given to an uncolored edge ORs its bit in at the edge's
+    ends (assign, greedy_color), any other write through unassign or
+    _set_unchecked recomputes the ends' masks, and a write above 62 drops
+    the array.
     """
 
     __slots__ = ("graph", "palette_size", "_colors", "_at")
@@ -98,12 +98,6 @@ class PartialColoring:
         if self._colors[e]:
             raise ValueError(f"edge {e} is already colored")
         return ((1 << (self.palette_size + 1)) - 2) & ~self._conflict_colors(e)
-
-    def available_colors(self, e: int) -> set[int]:
-        """Palette colors not used on any edge conflicting with e: the set
-        view of available_mask."""
-        free = self.available_mask(e)
-        return {c for c in range(1, self.palette_size + 1) if free >> c & 1}
 
     def assign(self, e: int, c: int) -> None:
         if not (1 <= c <= self.palette_size):

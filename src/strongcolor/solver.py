@@ -249,97 +249,84 @@ def solve_girth3(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
 
 
 # ---------------------------------------------------------------------------
-# short-cycle context labeling (girth 4 and 5)
+# short-cycle corners (girth 4 and 5)
 
 
-@dataclass(slots=True)
-class CycleContext:
-    """1-based labels around a chordless 4- or 5-cycle in a 4-regular
-    graph: c[i] is the i-th cycle edge, a[i]/b[i] the two non-cycle edges
-    at the corner where c[i-1] meets c[i]. far[e] is the end off the
-    cycle of each such edge e, and incident lists those edges ascending.
+def label_cycle_context(
+    g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry
+) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """The corners of a chordless 4- or 5-cycle in a 4-regular graph, as
+    (corners, far): corners[i] holds the two non-cycle edges at
+    cycle.vertices[i] (where cycle.edges[i - 1] meets cycle.edges[i]),
+    ascending, and far maps each of those edges to its end off the cycle.
 
-    For 5-cycles the a/b roles are swapped where needed so that the four
-    corner pairs (1,3), (3,5), (5,2), (2,4) satisfy: a at the first corner
-    and b at the second are conflict-free. Girth 5 guarantees one of the
-    two choices works at each corner.
+    For 5-cycles a corner's two edges are swapped where needed so that at
+    the corner pairs (0, 2), (2, 4), (4, 1), (1, 3) the first edge at the
+    first corner and the second edge at the second are conflict-free.
+    Girth 5 guarantees one of the two orders works at each corner.
     """
-
-    cycle: CycleDescriptor
-    c: dict[int, int]
-    a: dict[int, int]
-    b: dict[int, int]
-    far: dict[int, int]
-    incident: list[int]
-
-
-def label_cycle_context(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> CycleContext:
     k = len(cycle)
     tel.check(k in (4, 5), "cycle-context.length")
     off, inc_flat, nbr_flat = g.csr()
     cset = set(cycle.edges)
-    c = {i: cycle.edges[i - 1] for i in range(1, k + 1)}
-    a: dict[int, int] = {}
-    b: dict[int, int] = {}
+    corners = []
     far: dict[int, int] = {}
-    for i in range(1, k + 1):
-        vi = cycle.vertices[i - 1]
-        lo = off[vi]
-        hi = off[vi + 1]
+    for v in cycle.vertices:
+        lo = off[v]
+        hi = off[v + 1]
         tel.check(hi - lo == 4, "cycle-context.regular-corner")
         # the corner's slots hold its edges ascending, each with its far end
         rest = {e: w for e, w in zip(inc_flat[lo:hi], nbr_flat[lo:hi]) if e not in cset}
         tel.check(len(rest) == 2, "cycle-context.two-incident")
-        a[i], b[i] = rest
+        corners.append(tuple(rest))
         far.update(rest)
     tel.check(len(far) == 2 * k, "cycle-context.incident-distinct")
     if k == 5:
-        for s, t in ((1, 3), (3, 5), (5, 2), (2, 4)):
-            if g.conflicts(a[s], b[t]):
-                a[t], b[t] = b[t], a[t]
-            tel.check(not g.conflicts(a[s], b[t]), "cycle-context.separation")
-    return CycleContext(cycle, c, a, b, far, sorted(far))
+        for s, t in ((0, 2), (2, 4), (4, 1), (1, 3)):
+            if g.conflicts(corners[s][0], corners[t][1]):
+                corners[t] = corners[t][::-1]
+            tel.check(not g.conflicts(corners[s][0], corners[t][1]), "cycle-context.separation")
+    return corners, far
 
 
 # ---------------------------------------------------------------------------
 # girth 4
 
 
-def _free_cross_pair(g: MultiGraph, ctx: CycleContext, i: int, j: int) -> tuple[int, int] | None:
-    """First conflict-free pair with one edge at corner i, one at corner j."""
-    for p in (ctx.a[i], ctx.b[i]):
-        for q in (ctx.a[j], ctx.b[j]):
-            if not g.conflicts(p, q):
-                return (p, q)
-    return None
-
-
 def _girth4_cycle(col: PartialColoring, cycle_edges: Sequence[int], tel: Telemetry) -> None:
-    """Color the 4-cycle (c1..c4), which every branch leaves at least 4
-    free colors per edge."""
+    """Color the 4-cycle, which every branch leaves at least 4 free colors
+    per edge."""
     for e in cycle_edges:
         tel.check(col.available_mask(e).bit_count() >= 4, "girth4.cycle-availability")
     greedy_color(col, sorted(cycle_edges), telemetry=tel, max_color=PALETTE)
 
 
-def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: int, j: int) -> Plan:
+def _girth4_with_diagonals(
+    g: MultiGraph,
+    cycle: CycleDescriptor,
+    corners: list[tuple[int, int]],
+    far: dict[int, int],
+    tel: Telemetry,
+    i: int,
+    j: int,
+) -> Plan:
     """No two edges of the (i, j) pack can share a color, which forces an
     edge between the far ends of each non-adjacent pack pair. Reserving
     those four diagonals until after the cycle keeps the cycle colorable:
     both stay inside every cycle edge's conflict set while uncolored."""
     off, inc_flat, nbr_flat = g.csr()
     diagonals = []
-    for p in (ctx.a[i], ctx.b[i]):
-        x = ctx.far[p]
-        for q in (ctx.a[j], ctx.b[j]):
-            y = ctx.far[q]
+    for p in corners[i]:
+        x = far[p]
+        for q in corners[j]:
+            y = far[q]
             # x's slots ascend by edge id: the first reaching y is the smallest
             d = next((inc_flat[t] for t in range(off[x], off[x + 1]) if nbr_flat[t] == y), None)
             tel.check(d is not None, "girth4.diagonal-exists")
             diagonals.append(d)
     tel.check(len(set(diagonals)) == 4, "girth4.diagonals-distinct")
     diagonals = sorted(diagonals)
-    cycle_edges = ctx.cycle.edges
+    cycle_edges = cycle.edges
 
     def finish(col):
         _girth4_cycle(col, cycle_edges, tel)
@@ -349,42 +336,31 @@ def _girth4_with_diagonals(g: MultiGraph, ctx: CycleContext, tel: Telemetry, i: 
     return list(cycle_edges) + diagonals, (), (20, 21), finish
 
 
-def _girth4_with_precolor(ctx: CycleContext, tel: Telemetry, plants: list[tuple[int, int]]) -> Plan:
-    """Plant repeated colors on conflict-free incident pairs, color all
-    remaining non-cycle edges greedily, then the cycle: each cycle edge
-    sees every planted edge, so the repeats leave it at least 4 colors."""
-    cycle_edges = ctx.cycle.edges
-    held = list(cycle_edges) + [e for e, _ in plants]
-    return held, plants, (21, 22), lambda col: _girth4_cycle(col, cycle_edges, tel)
-
-
 def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     """Simple 4-regular, shortest cycle of length 4.
 
     The eight non-cycle edges at the cycle's corners steer the case split:
     pairs of them sharing a far endpoint ("adjacent pairs", only possible
-    between opposite corners) shrink the cycle edges' neighborhoods; when
-    they are scarce, same-colored planted pairs or reserved diagonal edges
-    make up the difference. The branch depends on the structure alone.
+    within the packs of opposite corners, (0, 2) and (1, 3)) shrink the
+    cycle edges' neighborhoods. With fewer than two, each pack without
+    one plants a repeated color on its first conflict-free pair (22, and
+    21 on the first pack when both are open): every cycle edge sees every
+    planted edge, so the repeats leave it at least 4 colors. A pack with
+    no free pair has its diagonals reserved instead. The branch depends
+    on the structure alone.
     """
-    ctx = label_cycle_context(g, cycle, tel)
-    far = ctx.far
-
-    adjacent_pairs = []
-    for i, j in ((1, 3), (2, 4)):
-        for p in (ctx.a[i], ctx.b[i]):
-            for q in (ctx.a[j], ctx.b[j]):
-                if far[p] == far[q]:
-                    adjacent_pairs.append(((i, j), p, q))
+    corners, far = label_cycle_context(g, cycle, tel)
+    cycle_edges = cycle.edges
+    packs = ((0, 2), (1, 3))
+    adjacent = [(i, j) for i, j in packs for p in corners[i] for q in corners[j] if far[p] == far[q]]
     # sharing with a neighboring corner would be a triangle
-    for i, j in ((1, 2), (2, 3), (3, 4), (1, 4)):
-        for p in (ctx.a[i], ctx.b[i]):
-            for q in (ctx.a[j], ctx.b[j]):
+    for i, j in ((0, 1), (1, 2), (2, 3), (0, 3)):
+        for p in corners[i]:
+            for q in corners[j]:
                 tel.check(far[p] != far[q], "girth4.no-skew-pairs")
 
-    if len(adjacent_pairs) >= 2:
-        cycle_edges = ctx.cycle.edges
-        incident = tuple(ctx.incident)
+    if len(adjacent) >= 2:
+        incident = tuple(sorted(far))
 
         def finish(col):
             caps = (20,) * len(incident)
@@ -392,26 +368,16 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
             greedy_color(col, incident, telemetry=tel, max_color=21)
             _girth4_cycle(col, cycle_edges, tel)
 
-        return list(cycle_edges) + ctx.incident, (), (20, 21), finish
+        return list(cycle_edges + incident), (), (20, 21), finish
 
-    if len(adjacent_pairs) == 1:
-        taken = adjacent_pairs[0][0]
-        i, j = (2, 4) if taken == (1, 3) else (1, 3)
-        pair = _free_cross_pair(g, ctx, i, j)
-        if pair is not None:
-            return _girth4_with_precolor(ctx, tel, [(pair[0], 22), (pair[1], 22)])
-        return _girth4_with_diagonals(g, ctx, tel, i, j)
-
-    # no adjacent pair at all: plant 21s on one pack and 22s on the other,
-    # or fall back to the diagonal reservation on a pack with no free pair
-    pair13 = _free_cross_pair(g, ctx, 1, 3)
-    pair24 = _free_cross_pair(g, ctx, 2, 4)
-    if pair13 is not None and pair24 is not None:
-        plants = [(pair13[0], 21), (pair13[1], 21), (pair24[0], 22), (pair24[1], 22)]
-        return _girth4_with_precolor(ctx, tel, plants)
-    if pair13 is None:
-        return _girth4_with_diagonals(g, ctx, tel, 1, 3)
-    return _girth4_with_diagonals(g, ctx, tel, 2, 4)
+    plants = []
+    for (i, j), color in zip([pk for pk in packs if pk not in adjacent], (22,) if adjacent else (21, 22)):
+        pair = next(((p, q) for p in corners[i] for q in corners[j] if not g.conflicts(p, q)), None)
+        if pair is None:
+            return _girth4_with_diagonals(g, cycle, corners, far, tel, i, j)
+        plants += [(pair[0], color), (pair[1], color)]
+    held = list(cycle_edges) + [e for e, _ in plants]
+    return held, plants, (21, 22), lambda col: _girth4_cycle(col, cycle_edges, tel)
 
 
 # ---------------------------------------------------------------------------
@@ -421,29 +387,31 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
 def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     """Simple 4-regular, shortest cycle of length 5.
 
-    Two conflict-free pairs get planted colors (21 on b1 and the opposite
-    cycle edge c3, 22 on a5 and b2), everything off the cycle's corners is
-    colored greedily, and the remaining 11 edges are finished through a
-    distinct-representative argument on their availability sets.
+    Two conflict-free pairs get planted colors (21 on b[0] and the
+    opposite cycle edge c[2], 22 on a[4] and b[1], where a[i] and b[i]
+    are the first and second edge at corner i), everything off the
+    cycle's corners is colored greedily, and the remaining 11 edges are
+    finished through a distinct-representative argument on their
+    availability sets.
     """
-    ctx = label_cycle_context(g, cycle, tel)
-    tel.check(not g.conflicts(ctx.b[1], ctx.c[3]), "girth5.planted-pair-free")
-    planted = (ctx.b[1], ctx.c[3], ctx.a[5], ctx.b[2])
+    corners, far = label_cycle_context(g, cycle, tel)
+    a, b = zip(*corners)
+    c = cycle.edges
+    tel.check(not g.conflicts(b[0], c[2]), "girth5.planted-pair-free")
+    planted = (b[0], c[2], a[4], b[1])
     ends = {w for e in planted for w in g.endpoints(e)}
     tel.check(len(ends) == 8, "girth5.planted-endpoints-distinct")
-    held = list(cycle.edges) + ctx.incident
+    held = list(c) + sorted(far)
     plants = tuple(zip(planted, (21, 21, 22, 22)))
-    c = cycle.edges
-    a = tuple(ctx.a[i] for i in range(1, 6))
-    b = tuple(ctx.b[i] for i in range(1, 6))
     return held, plants, (21, 22), lambda col: _complete_girth5(col, c, a, b, tel)
 
 
 def _complete_girth5(
     col: PartialColoring, c: Sequence[int], a: Sequence[int], b: Sequence[int], tel: Telemetry
 ) -> None:
-    """Finish the 11 uncolored edges around the 5-cycle, given the edge
-    ids c1..c5, a1..a5 and b1..b5 of its CycleContext as c, a and b.
+    """Finish the 11 uncolored edges around the 5-cycle, given its edges
+    c1..c5 (cycle.edges) and the first and second edges a1..a5 and b1..b5
+    of its corners (label_cycle_context) as c, a and b.
 
     Availability is rich (>= 8 on cycle edges, >= 5 on incident edges,
     checked here). If the sets admit distinct representatives we are done;
@@ -582,7 +550,9 @@ def fallback_exact(col: PartialColoring, uncolored) -> PartialColoring:
     """Complete a valid partial coloring in place by backtracking within
     its palette, and return it.
 
-    Most-constrained-first search over at most FALLBACK_LIMIT edges. This
+    Most-constrained-first search over at most FALLBACK_LIMIT edges: the
+    edge with the fewest free colors (ties to the smaller id) takes each
+    of its free colors in turn, lowest first, read off available_mask. This
     is the safety net behind the runtime assertions; it raises
     Unsatisfiable (with the serialized graph) rather than give up quietly.
     The search uncolors every edge it backs out of, so a failed search
@@ -598,11 +568,13 @@ def fallback_exact(col: PartialColoring, uncolored) -> PartialColoring:
     def attempt(pending: list[int]) -> bool:
         if not pending:
             return True
-        ranked = sorted(pending, key=lambda e: (len(col.available_colors(e)), e))
-        e = ranked[0]
+        e = min(pending, key=lambda e: (col.available_mask(e).bit_count(), e))
         rest = [f for f in pending if f != e]
-        for c in sorted(col.available_colors(e)):
-            col._set_unchecked(e, c)
+        free = col.available_mask(e)
+        while free:
+            low = free & -free
+            free ^= low
+            col._set_unchecked(e, low.bit_length() - 1)
             if attempt(rest):
                 return True
             col._set_unchecked(e, 0)

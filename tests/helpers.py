@@ -332,6 +332,13 @@ def ref_component_report(col: PartialColoring) -> tuple[list[tuple[int, set[int]
     return per_component, len(set(colors) - {0})
 
 
+def available_colors(col: PartialColoring, e: int) -> set[int]:
+    """The palette colors free for the uncolored e: the set view of
+    col.available_mask(e)."""
+    free = col.available_mask(e)
+    return {c for c in range(1, col.palette_size + 1) if free >> c & 1}
+
+
 def color_of(col: PartialColoring, e: int) -> int | None:
     """Color of edge e, or None while it is uncolored."""
     return col._colors[e] or None

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     as_dict,
+    available_colors,
     brute_conflict_set,
     color_of,
     colors_used,
@@ -50,14 +51,16 @@ def ref_greedy(g, order, colors, palette):
 def test_available_colors_full_on_empty_coloring():
     g = path(3)
     col = PartialColoring(g, 22)
-    assert col.available_colors(0) == set(range(1, 23))
+    assert col.available_mask(0) == (1 << 23) - 2
+    assert available_colors(col, 0) == set(range(1, 23))
 
 
 def test_available_colors_after_one_assignment():
     g = path(3)
     col = PartialColoring(g, 22)
     col.assign(0, 1)
-    assert col.available_colors(1) == set(range(2, 23))
+    assert col.available_mask(1) == (1 << 23) - 4
+    assert available_colors(col, 1) == set(range(2, 23))
 
 
 def test_available_colors_rejects_colored_edge():
@@ -65,7 +68,7 @@ def test_available_colors_rejects_colored_edge():
     col = PartialColoring(g, 22)
     col.assign(0, 1)
     with pytest.raises(ValueError):
-        col.available_colors(0)
+        col.available_mask(0)
 
 
 def test_assign_rejects_conflict():
@@ -193,7 +196,7 @@ def test_greedy_matches_reference_on_random_multigraphs():
         # sprinkle a valid partial coloring first
         col = PartialColoring(g, 25)
         for e in order[: g.edge_count // 3]:
-            avail = sorted(col.available_colors(e))
+            avail = sorted(available_colors(col, e))
             if avail:
                 c = rng.choice(avail)
                 col.assign(e, c)
@@ -216,7 +219,7 @@ def test_greedy_minimality_replay():
         for e in order:
             c = color_of(col, e)
             for lower in range(1, c):
-                assert lower not in replay.available_colors(e) or any(
+                assert lower not in available_colors(replay, e) or any(
                     replay._colors[f] == lower for f in g.conflict_set(e)
                 )
             replay._set_unchecked(e, c)
@@ -455,21 +458,22 @@ def test_color_masks_stay_exact_under_every_write(g, palette, steps):
         for f in range(m):
             if not colors[f]:
                 used = {colors[h] for h in near[f]}
-                assert col.available_colors(f) == set(range(1, palette + 1)) - used
+                assert available_colors(col, f) == set(range(1, palette + 1)) - used
 
 
 @pytest.mark.parametrize("built", [False, True], ids=["unbuilt", "built"])
 @pytest.mark.parametrize("query", ["available_colors", "assign", "greedy_color"])
 def test_conflict_query_with_a_color_above_62_raises(query, built):
+    """available_colors is the tests' set view of available_mask."""
     g = path(5)
     col = PartialColoring(g, 22)
     if built:
-        col.available_colors(3)
+        col.available_mask(3)
     col._set_unchecked(0, 63)
     assert col._at is None
     with pytest.raises(ValueError):
         if query == "available_colors":
-            col.available_colors(3)
+            available_colors(col, 3)
         elif query == "assign":
             col.assign(3, 1)
         else:

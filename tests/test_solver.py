@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import chain
@@ -15,6 +16,7 @@ from strongcolor import (
     PartialColoring,
     Telemetry,
     Unsatisfiable,
+    emit_coloring,
     emit_graph,
     erdos_nesetril_5,
     find_shortest_cycle,
@@ -41,6 +43,7 @@ from strongcolor.metrics import CycleDescriptor
 from helpers import (
     CountingSlices,
     as_dict,
+    available_colors,
     brute_conflict_set,
     cayley_sl2,
     color_of,
@@ -48,6 +51,7 @@ from helpers import (
     complete,
     complete_bipartite,
     components,
+    conflicting,
     copy,
     cycle,
     disjoint_union,
@@ -217,33 +221,87 @@ def test_girth4_strategy_reserves_diagonals():
     assert_total_valid(g, col)
 
 
+GIRTH4_BRANCH_DIGESTS = {
+    "plant-21-22": (
+        "7471aff0ad0caccb08000dcea9d34bf8350456b86975dbe81d9f94eca69058b3",
+        {"greedy.color-ceiling": 28, "greedy.conflict-color-bound": 24},
+    ),
+    "plant-22": (
+        "65ea6f77b57c37133b17d92e62e73f6a41f97c19b5534b9f567b5d548aea3771",
+        {"greedy.color-ceiling": 20, "greedy.conflict-color-bound": 16},
+    ),
+    "diagonals": (
+        "3eec6a7f60169437f86187d31f407af59a1fce676df810589bfe1994eb21765e",
+        {
+            "girth4.diagonal-exists": 4,
+            "girth4.diagonal-neighborhood": 4,
+            "girth4.diagonals-distinct": 1,
+            "greedy.color-ceiling": 24,
+            "greedy.conflict-color-bound": 16,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "branch, make",
+    [
+        ("plant-21-22", hypercube4),
+        ("plant-22", lambda: random_4regular(11, seed=2, min_girth=4)[0]),
+        ("diagonals", lambda: random_4regular(12, seed=24, min_girth=4)[0]),
+    ],
+    ids=["plant-21-22", "plant-22", "diagonals"],
+)
+def test_girth4_branch_goldens(branch, make):
+    """solve's coloring and check counts on one graph per girth-4 branch
+    that the golden graph and the workloads never reach: no adjacent pair
+    and a free pair in both packs (21s and 22s planted), one adjacent pair
+    and a free pair in the other pack (22s planted), and a pack with no
+    free pair (its diagonals reserved). Every one labels the 4-cycle's
+    corners and checks the 16 skew pairs and the cycle's availability
+    alike; the constants were recorded before the corner labels were
+    flattened."""
+    col, rep = solve(make())
+    sha, labels = GIRTH4_BRANCH_DIGESTS[branch]
+    common = {
+        "cycle-context.incident-distinct": 1,
+        "cycle-context.length": 1,
+        "cycle-context.regular-corner": 4,
+        "cycle-context.two-incident": 4,
+        "girth4.cycle-availability": 4,
+        "girth4.no-skew-pairs": 16,
+    }
+    assert rep.strategies() == ["girth4"] and rep.fallback_invocations == 0
+    assert hashlib.sha256(emit_coloring(col).encode("ascii")).hexdigest() == sha
+    assert Counter(rep.labels) == Counter({**common, **labels})
+
+
 @pytest.mark.parametrize(
     "n, seed, perm, adjacent, pack, colors",
     [
-        (12, 24, None, 0, (1, 3), 13),
-        (14, 31, None, 0, (1, 3), 17),
-        (13, 16, [1, 5, 8, 7, 2, 4, 10, 12, 0, 3, 9, 6, 11], 1, (2, 4), 15),
-        (15, 24, [13, 9, 3, 12, 0, 6, 11, 1, 8, 2, 10, 7, 5, 14, 4], 1, (1, 3), 16),
-        (14, 26, [11, 5, 12, 10, 7, 9, 1, 3, 13, 8, 6, 2, 0, 4], 0, (2, 4), 17),
+        (12, 24, None, 0, (0, 2), 13),
+        (14, 31, None, 0, (0, 2), 17),
+        (13, 16, [1, 5, 8, 7, 2, 4, 10, 12, 0, 3, 9, 6, 11], 1, (1, 3), 15),
+        (15, 24, [13, 9, 3, 12, 0, 6, 11, 1, 8, 2, 10, 7, 5, 14, 4], 1, (0, 2), 16),
+        (14, 26, [11, 5, 12, 10, 7, 9, 1, 3, 13, 8, 6, 2, 0, 4], 0, (1, 3), 17),
     ],
     ids=["12-24-13", "14-31-17", "one-adjacent-pair-24", "one-adjacent-pair-13", "no-adjacent-pair-24"],
 )
 def test_solve_dispatches_girth4_to_the_diagonals(monkeypatch, n, seed, perm, adjacent, pack, colors):
     """solve_girth4 reserves the diagonals of a pack with no free pair on
-    every branch that gets there: with no adjacent pair, on (1, 3), or on
-    (2, 4) when only (2, 4) has none; with one adjacent pair, on the other
-    pack, (1, 3) or (2, 4). The spy counts the anchor's adjacent pairs as
+    every branch that gets there: with no adjacent pair, on (0, 2), or on
+    (1, 3) when only (1, 3) has none; with one adjacent pair, on the other
+    pack, (0, 2) or (1, 3). The spy counts the anchor's adjacent pairs as
     solve_girth4 does. The relabelled graphs anchor at another 4-cycle:
     each perm is the 3rd, 3rd and 24th list(range(n)) shuffled by
     random.Random(1000 * seed + n), one after another."""
     real = solver._girth4_with_diagonals
     calls = []
 
-    def spy(g, ctx, tel, i, j):
-        ends = [(ctx.a[k], ctx.b[k]) for k in range(1, 5)]
-        pairs = sum(ctx.far[p] == ctx.far[q] for s, t in ((0, 2), (1, 3)) for p in ends[s] for q in ends[t])
+    def spy(g, cycle, corners, far, tel, i, j):
+        pairs = sum(far[p] == far[q] for s, t in ((0, 2), (1, 3)) for p in corners[s] for q in corners[t])
         calls.append((pairs, (i, j)))
-        return real(g, ctx, tel, i, j)
+        return real(g, cycle, corners, far, tel, i, j)
 
     monkeypatch.setattr(solver, "_girth4_with_diagonals", spy)
     g, _ = random_4regular(n, seed=seed, min_girth=4)
@@ -257,45 +315,56 @@ def test_solve_dispatches_girth4_to_the_diagonals(monkeypatch, n, seed, perm, ad
     assert rep.labels["girth4.diagonals-distinct"] == 1
 
 
-def test_girth4_far_ends_and_diagonals_equal_brute_force():
-    """On every girth-4 anchor of small random 4-regular graphs, the far
-    ends the cycle context reads from the CSR and the diagonals of each
-    pack equal a search over the edge list: the non-cycle edges at each
-    corner with their other ends, and the smallest edge id joining two
-    far ends. A pack whose diagonals are missing or not distinct is
-    refused by the matching check."""
+def test_girth4_far_ends_and_diagonals_equal_brute_force(robertson):
+    """On every girth-4 and girth-5 anchor of small random 4-regular
+    graphs (and the Robertson graph's), the corners and far ends that
+    label_cycle_context reads from the CSR equal a search over the edge
+    list: the non-cycle edges at each corner with their other ends. On a
+    4-cycle the diagonals of each pack equal the smallest edge id joining
+    two far ends, and a pack whose diagonals are missing or not distinct
+    is refused by the matching check; on a 5-cycle the four separation
+    pairs are conflict-free by the definition."""
     reserved = 0
-    for n in (10, 12, 14, 16):
-        for seed in range(30):
-            g, _ = random_4regular(n, seed=seed, min_girth=4)
-            comp, k = metrics.label_components(g)
-            for cyc in metrics.shortest_cycles(g, comp, [True] * k):
-                if cyc is None or len(cyc) != 4:
-                    continue
-                ctx = label_cycle_context(g, cyc, Telemetry())
-                far = {}
-                for i, v in enumerate(cyc.vertices, start=1):
-                    at = {e: b if a == v else a for e, (a, b) in enumerate(g.edges) if v in (a, b)}
-                    rest = {e: w for e, w in at.items() if e not in cyc.edges}
-                    assert sorted(rest) == [ctx.a[i], ctx.b[i]]
-                    far.update(rest)
-                assert ctx.far == far and ctx.incident == sorted(far)
-                for i, j in ((1, 3), (2, 4)):
-                    diagonals = []
-                    for p in (ctx.a[i], ctx.b[i]):
-                        for q in (ctx.a[j], ctx.b[j]):
-                            ends = {far[p], far[q]}
-                            joins = [f for f, (a, b) in enumerate(g.edges) if {a, b} == ends]
-                            diagonals.append(min(joins, default=None))
-                    if None in diagonals or len(set(diagonals)) < 4:
-                        label = "girth4.diagonal-exists" if None in diagonals else "girth4.diagonals-distinct"
-                        with pytest.raises(LemmaAssertionError, match=label):
-                            solver._girth4_with_diagonals(g, ctx, Telemetry(), i, j)
-                    else:
-                        held = solver._girth4_with_diagonals(g, ctx, Telemetry(), i, j)[0]
-                        assert held == list(ctx.c.values()) + sorted(diagonals)
-                        reserved += 1
-    assert reserved
+    lengths = Counter()
+    graphs = [random_4regular(n, seed=seed, min_girth=4)[0] for n in (10, 12, 14, 16) for seed in range(30)]
+    graphs += [random_4regular(n, seed=seed, min_girth=5)[0] for n in (35, 40) for seed in range(3)]
+    for g in graphs + [robertson]:
+        comp, k = metrics.label_components(g)
+        for cyc in metrics.shortest_cycles(g, comp, [True] * k):
+            if cyc is None or len(cyc) not in (4, 5):
+                continue
+            lengths[len(cyc)] += 1
+            corners, far = label_cycle_context(g, cyc, Telemetry())
+            assert len(corners) == len(cyc)
+            want = {}
+            for i, v in enumerate(cyc.vertices):
+                at = {e: b if a == v else a for e, (a, b) in enumerate(g.edges) if v in (a, b)}
+                rest = {e: w for e, w in at.items() if e not in cyc.edges}
+                assert sorted(rest) == sorted(corners[i])
+                if len(cyc) == 4:
+                    assert list(rest) == list(corners[i])
+                want.update(rest)
+            assert far == want
+            if len(cyc) == 5:
+                for s, t in ((0, 2), (2, 4), (4, 1), (1, 3)):
+                    assert not conflicting(g, corners[s][0], corners[t][1])
+                continue
+            for i, j in ((0, 2), (1, 3)):
+                diagonals = []
+                for p in corners[i]:
+                    for q in corners[j]:
+                        ends = {far[p], far[q]}
+                        joins = [f for f, (a, b) in enumerate(g.edges) if {a, b} == ends]
+                        diagonals.append(min(joins, default=None))
+                if None in diagonals or len(set(diagonals)) < 4:
+                    label = "girth4.diagonal-exists" if None in diagonals else "girth4.diagonals-distinct"
+                    with pytest.raises(LemmaAssertionError, match=label):
+                        solver._girth4_with_diagonals(g, cyc, corners, far, Telemetry(), i, j)
+                else:
+                    held = solver._girth4_with_diagonals(g, cyc, corners, far, Telemetry(), i, j)[0]
+                    assert held == list(cyc.edges) + sorted(diagonals)
+                    reserved += 1
+    assert reserved and lengths[4] and lengths[5]
 
 
 def test_girth5_strategy(robertson):
@@ -449,22 +518,22 @@ def test_solve_reaches_the_census_on_the_girth4_diagonals(monkeypatch):
 def test_cycle_context_k44():
     g = complete_bipartite(4, 4)
     c = find_shortest_cycle(g)
-    ctx = label_cycle_context(g, c, Telemetry())
-    assert sorted(ctx.c) == [1, 2, 3, 4]
-    incident = ctx.incident
+    corners, far = label_cycle_context(g, c, Telemetry())
+    assert len(corners) == 4
+    incident = sorted(far)
     assert len(incident) == 8
     assert len(set(incident)) == 8
     assert not set(incident) & set(c.edges)
-    for i in range(1, 5):
-        assert ctx.a[i] != ctx.b[i]
+    for first, second in corners:
+        assert first != second
 
 
 def test_cycle_context_girth5_separation(robertson):
     c = find_shortest_cycle(robertson)
-    ctx = label_cycle_context(robertson, c, Telemetry())
-    assert len(ctx.incident) == 10
-    for s, t in ((1, 3), (3, 5), (5, 2), (2, 4)):
-        assert ctx.b[t] not in robertson.conflict_set(ctx.a[s])
+    corners, far = label_cycle_context(robertson, c, Telemetry())
+    assert len(far) == 10
+    for s, t in ((0, 2), (2, 4), (4, 1), (1, 3)):
+        assert corners[t][1] not in robertson.conflict_set(corners[s][0])
 
 
 def test_cycle_context_rejects_wrong_length():
@@ -495,13 +564,13 @@ def test_girth5_disc_incident_branch_on_a_hand_built_prestate():
     g = random_4regular(3000, seed=0, min_girth=5)[0]
     cycle = find_shortest_cycle(g)
     held, plants, _, _ = solve_girth5(g, cycle, Telemetry())
-    ctx = label_cycle_context(g, cycle, Telemetry())
+    corners, far = label_cycle_context(g, cycle, Telemetry())
     col = PartialColoring(g, 22)
     for e, c in plants:
         col.assign(e, c)
-    for i in range(1, 6):
-        for e, first in ((ctx.a[i], 1), (ctx.b[i], 13)):
-            x = ctx.far[e]
+    for a, b in corners:
+        for e, first in ((a, 1), (b, 13)):
+            x = far[e]
             others = [f for f in g.incident_edges(x) if f != e]
             for c, f in enumerate(others, start=first):
                 col.assign(f, c)
@@ -511,12 +580,11 @@ def test_girth5_disc_incident_branch_on_a_hand_built_prestate():
     skip = set(held)
     order = one_order(g, metrics.bfs_from_sources(g, cycle.vertices))
     greedy_color(col, [e for e in order if e not in skip and not col.is_colored(e)])
-    uncolored = [e for e in ctx.incident if not col.is_colored(e)]
+    uncolored = [e for e in sorted(far) if not col.is_colored(e)]
     assert len(uncolored) == 7
-    assert all(col.available_colors(e) == set(range(16, 21)) for e in uncolored)
+    assert all(available_colors(col, e) == set(range(16, 21)) for e in uncolored)
     tel = Telemetry()
-    a = tuple(ctx.a[i] for i in range(1, 6))
-    b = tuple(ctx.b[i] for i in range(1, 6))
+    a, b = zip(*corners)
     solver._complete_girth5(col, cycle.edges, a, b, tel)
     assert tel.labels["girth5.discrepancy-positive"] == 1
     assert tel.labels["girth5.subset-neighborhood"] == 7
@@ -550,25 +618,23 @@ def test_girth5_cycle_subset_branches_read_the_masks(monkeypatch, robertson, bra
     tel = Telemetry()
     held, plants, bounds, _ = solve_girth5(g, c, tel)
     col = greedy_phase(g, c, held, plants, bounds, tel)
-    ctx = label_cycle_context(g, c, Telemetry())
+    a, b = zip(*label_cycle_context(g, c, Telemetry())[0])
     uncolored = [e for e in held if not col.is_colored(e)]
-    subset = set(uncolored) - {ctx.c[4], ctx.c[5]} if branch == "pair" else set(uncolored)
+    subset = set(uncolored) - {c.edges[3], c.edges[4]} if branch == "pair" else set(uncolored)
     monkeypatch.setattr(solver, "find_sdr", lambda fam: None)
     monkeypatch.setattr(solver, "max_discrepancy_subset", lambda fam: DiscrepancyResult(frozenset(subset), 1))
     if branch == "crossing":  # the pairs share no color; c1 and a4 keep theirs
         real = solver.common_color
-        monkeypatch.setattr(solver, "common_color", lambda fam, p, q: real(fam, p, q) if p == ctx.c[1] else None)
-    a = tuple(ctx.a[i] for i in range(1, 6))
-    b = tuple(ctx.b[i] for i in range(1, 6))
+        monkeypatch.setattr(solver, "common_color", lambda fam, p, q: real(fam, p, q) if p == c.edges[0] else None)
     solver._complete_girth5(col, c.edges, a, b, tel)
     assert col.is_total() and verify(col) == []
     assert tel.labels["girth5.subset-size"] == 1
     assert {k: tel.labels.get(k) for k in want} == want
     if branch == "pair":
-        assert color_of(col, ctx.a[1]) == color_of(col, ctx.b[3])
+        assert color_of(col, a[0]) == color_of(col, b[2])
     else:
         assert tel.labels["girth5.crossing-color"] == 1
-        assert [color_of(col, e) for e in (ctx.c[1], ctx.a[4])] == [1, 1]
+        assert [color_of(col, e) for e in (c.edges[0], a[3])] == [1, 1]
 
 
 def test_girth6_instrumentation_counts(cage46):
@@ -1234,14 +1300,16 @@ def test_rescue_shares_follow_the_one_distance_order(monkeypatch, en_graph, robe
 
 def test_finishes_keep_no_cycle_context(en_graph, robertson, cage46, petersen):
     """The girth 4, 5 and 6 finishes close over edge ids (and the
-    telemetry), not over a CycleContext with its far ends and incident
-    list, so planning frees every context before the shared pass."""
+    telemetry), not over the corner list or far ends of a cycle's
+    labelling, so planning frees them before the shared pass: no cell
+    holds a dict, or a sequence of corner pairs."""
     g = shuffled_union([en_graph, hypercube4(), robertson, cage46, petersen, complete(5)], seed=2)
     comp, k = metrics.label_components(g)
     plans = solver._plan_components(g, comp, k, PartialColoring(g, 22), Telemetry())
     assert sorted(plans.strategy[c] for c, _ in plans.finishes) == ["girth4", "girth4", "girth5", "girth6"]
     cells = [cell.cell_contents for _, finish in plans.finishes for cell in finish.__closure__]
-    assert cells and not [x for x in cells if isinstance(x, (solver.CycleContext, dict))]
+    nested = [x for x in cells if isinstance(x, (list, tuple)) and any(isinstance(y, tuple) for y in x)]
+    assert cells and not [x for x in cells if isinstance(x, dict)] and not nested
 
 
 def test_high_girth_dispatch_scans_only_radius_two_balls(monkeypatch):
