@@ -176,8 +176,11 @@ def random_4regular(n: int, seed: int = 0, min_girth: int = 3) -> tuple[MultiGra
     girth (plain rejection is hopeless there: the acceptance rate is on
     the order of 1e-7 regardless of n). Returns (graph, achieved girth).
 
-    Practical ranges: min_girth 3 needs n >= 5, 4-regular girth 5 exists
-    from n = 19 up. Girth 6 exists from n = 26 up, but the repair stalls
+    Practical ranges: min_girth 3 needs n >= 5. Girth 5 exists from n = 19
+    up, but the repair stalls with RejectionBudgetExhausted (after 2-4 s)
+    for seeds 0-2 at every n from 19 to 24 and for about half of them at
+    n = 25 to 28; it succeeded for seeds 0-4 at every n from 29 to 60,
+    within 2 s. Girth 6 exists from n = 26 up, but the repair stalls
     with RejectionBudgetExhausted for n up to about 60 and only works
     reliably from about n = 100 (seconds there, well under a second from
     n = 200).

@@ -8,8 +8,9 @@ finishes the few held-back edges with whatever bookkeeping makes the
 counting work. `solve` runs all components in one pass over the whole
 graph and keeps what they ask of it in flat lists indexed by component
 id, not in an object per component. Every strategy returns one plan
-shape: held-back edges, planted colors, a bound class and a finish. The
-low_degree, loop, double_edge and girth3 strategies have no finish:
+shape: held-back edges, planted colors and a finish; the plants alone
+decide the bounds the greedy pass checks. The low_degree, loop,
+double_edge and girth3 strategies have no finish:
 their held-back edges are a tail whose lemma caps (at most so many
 colored edges conflict with each tail edge at its turn) are read from
 the structure while planning, and one greedy_color call colors every
@@ -46,8 +47,8 @@ FALLBACK_LIMIT = 32
 # (distinct colors among an edge's colored conflicts, color) that a
 # greedy pass checks on every edge. Along a distance-compatible order the
 # edges one step closer to the anchor are still uncolored, so an edge
-# meets at most 20 distinct colors and 21 suffice; strategies with
-# planted repeats take one more of each.
+# meets at most 20 distinct colors and 21 suffice; plans that plant
+# repeated colors take one more of each, so the plants decide the class.
 BOUND_CLASSES = ((20, 21), (21, 22))
 
 
@@ -130,18 +131,18 @@ class SolveReport:
         return [c.strategy for c in self.components]
 
 
-# A strategy's plan is a plain tuple (held, plants, bounds, finish): the
-# pass colors `plants` first, then every other edge of the component
-# except `held`, greedily along the distance order from the anchor and
-# checking `bounds` (distinct colors among an edge's colored conflicts,
-# and its color) on each; finish(col) then colors the held-back edges,
+# A strategy's plan is a plain tuple (held, plants, finish): the pass
+# colors `plants` first, then every other edge of the component except
+# `held` and the planted edges, greedily along the distance order from
+# the anchor and checking the bound class that the plants select (see
+# BOUND_CLASSES) on each; finish(col) then colors the held-back edges,
 # keeping only ids from planning and reading everything else from the
 # graph and the coloring. The low_degree, loop, double_edge and girth3
 # strategies have no finish (None): their held-back edges are a tail,
 # whose lemma caps they check when planning, and the pass colors it
 # greedily within 21 colors last.
 Finish = Callable[[PartialColoring], None]
-Plan = tuple[list[int], Sequence[tuple[int, int]], tuple[int, int], Finish | None]
+Plan = tuple[list[int], Sequence[tuple[int, int]], Finish | None]
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +209,25 @@ def solve_low_degree(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
     tel.check(g.degree(v) <= 3, "low-degree.anchor-degree")
     tail = sorted(set(g.incident_edges(v)))
     _check_caps(g, tail, (18, 19, 20), "low-degree.final-neighborhood", tail, tel)
-    return tail, (), (20, 21), None
+    return tail, (), None
 
 
-def solve_loop(g: MultiGraph, loop_edge: int, tel: Telemetry) -> Plan:
+def solve_loop(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     """4-regular component with a loop: anchor at the loop's vertex, which
     carries at most three distinct edges, and finish there last."""
-    tel.check(g.is_loop(loop_edge), "loop.anchor-is-loop")
-    v = g.endpoints(loop_edge)[0]
+    tel.check(g.is_loop(cycle.edges[0]), "loop.anchor-is-loop")
+    v = cycle.vertices[0]
     vedges = sorted(set(g.incident_edges(v)))
     tail = [e for e in vedges if not g.is_loop(e)] + [e for e in vedges if g.is_loop(e)]
     _check_caps(g, tail, (20, 20, 20), "loop.final-neighborhood", tail, tel)
-    return tail, (), (20, 21), None
+    return tail, (), None
 
 
-def solve_double_edge(g: MultiGraph, pair: tuple[int, int], tel: Telemetry) -> Plan:
+def solve_double_edge(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     """4-regular component with parallel edges: anchor at the smaller
     endpoint. Coloring its other two edges first and the pair last keeps
     the colored neighborhoods at 17/18 then 16/17 edges."""
-    p, q = sorted(pair)
+    p, q = sorted(cycle.edges)
     tel.check(
         tuple(sorted(g.endpoints(p))) == tuple(sorted(g.endpoints(q))),
         "double-edge.anchor-parallel",
@@ -235,7 +236,7 @@ def solve_double_edge(g: MultiGraph, pair: tuple[int, int], tel: Telemetry) -> P
     tail = sorted(set(g.incident_edges(v)) - {p, q}) + [p, q]
     tel.check(len(tail) == 4, "double-edge.vertex-shape")
     _check_caps(g, tail, (17, 18, 16, 17), "double-edge.final-neighborhood", tail, tel)
-    return tail, (), (20, 21), None
+    return tail, (), None
 
 
 def solve_girth3(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
@@ -245,7 +246,7 @@ def solve_girth3(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     tel.check(len(cycle) == 3, "girth3.cycle-length")
     tail = sorted(cycle.edges)
     _check_caps(g, tail, (18, 19, 20), "girth3.final-neighborhood", tail, tel)
-    return tail, (), (20, 21), None
+    return tail, (), None
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +334,7 @@ def _girth4_with_diagonals(
         _check_caps(col.graph, diagonals, (21,) * 4, "girth4.diagonal-neighborhood", diagonals, tel)
         greedy_color(col, diagonals, telemetry=tel, max_color=PALETTE)
 
-    return list(cycle_edges) + diagonals, (), (20, 21), finish
+    return list(cycle_edges) + diagonals, (), finish
 
 
 def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
@@ -368,7 +369,7 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
             greedy_color(col, incident, telemetry=tel, max_color=21)
             _girth4_cycle(col, cycle_edges, tel)
 
-        return list(cycle_edges + incident), (), (20, 21), finish
+        return list(cycle_edges + incident), (), finish
 
     plants = []
     for (i, j), color in zip([pk for pk in packs if pk not in adjacent], (22,) if adjacent else (21, 22)):
@@ -376,8 +377,7 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
         if pair is None:
             return _girth4_with_diagonals(g, cycle, corners, far, tel, i, j)
         plants += [(pair[0], color), (pair[1], color)]
-    held = list(cycle_edges) + [e for e, _ in plants]
-    return held, plants, (21, 22), lambda col: _girth4_cycle(col, cycle_edges, tel)
+    return list(cycle_edges), plants, lambda col: _girth4_cycle(col, cycle_edges, tel)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +401,9 @@ def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     planted = (b[0], c[2], a[4], b[1])
     ends = {w for e in planted for w in g.endpoints(e)}
     tel.check(len(ends) == 8, "girth5.planted-endpoints-distinct")
-    held = list(c) + sorted(far)
+    held = sorted(set(c).union(far).difference(planted))
     plants = tuple(zip(planted, (21, 21, 22, 22)))
-    return held, plants, (21, 22), lambda col: _complete_girth5(col, c, a, b, tel)
+    return held, plants, lambda col: _complete_girth5(col, c, a, b, tel)
 
 
 def _complete_girth5(
@@ -539,7 +539,7 @@ def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
             col.assign(e, 22)
         greedy_color(col, vedges, telemetry=tel, max_color=PALETTE)
 
-    return vedges, (), (20, 21), finish
+    return vedges, (), finish
 
 
 # ---------------------------------------------------------------------------
@@ -597,18 +597,16 @@ def _reason(exc: Exception) -> str:
 
 class _Plans:
     """What the components ask of one solve, kept flat: per component id
-    c (components have edges), strategy[c], anchor[c] (its BFS source, a
-    vertex or a cycle), cls[c] (1 + its bound class; 0 once its plan
-    failed) and failure[c] for a failed c (see _reason);
+    c (components have edges), strategy[c], cls[c] (1 + its bound class;
+    0 once its plan failed) and failure[c] for a failed c (see _reason);
     the BFS sources in component order; the held-back edges of the plans
-    without a finish (the tails, in component order) and of those with
-    one, and those finishes as (c, finish)."""
+    without a finish (the tails, in component order), the other held-back
+    and all planted edges, and the finishes as (c, finish)."""
 
-    __slots__ = ("strategy", "anchor", "cls", "failure", "sources", "tail", "held", "finishes")
+    __slots__ = ("strategy", "cls", "failure", "sources", "tail", "held", "finishes")
 
     def __init__(self, k: int):
         self.strategy: list[str] = [""] * k
-        self.anchor: list = [None] * k
         self.cls = bytearray(k)
         self.failure: dict[int, str] = {}
         self.sources: list[int] = []
@@ -618,15 +616,18 @@ class _Plans:
 
 
 def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColoring, tel: Telemetry) -> _Plans:
-    """Strategy, anchor and plan for every component, in component order,
-    with the plants placed in col.
+    """Strategy and plan for every component, in component order, with
+    the plants placed in col.
 
     The anchor is the component's smallest vertex of degree 1..3, else its
     smallest loop, else its first parallel pair, else its shortest cycle
     of length <= 5, else (girth >= 6) its smallest vertex, all from one
-    scan, whose BFS starts the cap of 5 keeps within radius 2. A strategy
-    or plant that raises marks its component failed; the others are
-    unaffected.
+    scan, whose BFS starts the cap of 5 keeps within radius 2. A vertex
+    anchor, a loop's vertex and a parallel pair's smaller end are BFS
+    sources, and so are all vertices of a 3-, 4- or 5-cycle. The plan's
+    bound class is the one its plants select (BOUND_CLASSES), and its
+    planted edges are held back with the others. A strategy or plant that
+    raises marks its component failed; the others are unaffected.
     """
     off = g.csr()[0]
     low = [-1] * k  # smallest vertex of degree 1..3
@@ -641,26 +642,23 @@ def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColorin
 
     plans = _Plans(k)
     strategy = plans.strategy
-    anchor = plans.anchor
     sources = plans.sources
     for c in range(k):
-        cycle = cycles[c]
         if low[c] != -1:
-            name, a, run, arg = "low_degree", low[c], solve_low_degree, low[c]
-        elif cycle is None:
-            name, a, run, arg = "girth6", first[c], solve_girth6, first[c]
-        elif len(cycle) == 1:
-            name, a, run, arg = "loop", cycle.vertices[0], solve_loop, cycle.edges[0]
-        elif len(cycle) == 2:
-            name, a, run, arg = "double_edge", min(cycle.vertices), solve_double_edge, cycle.edges
+            name, run, anchor = "low_degree", solve_low_degree, low[c]
+            sources.append(anchor)
+        elif cycles[c] is None:
+            name, run, anchor = "girth6", solve_girth6, first[c]
+            sources.append(anchor)
         else:
-            name, a, arg = ("girth3", "girth4", "girth5")[len(cycle) - 3], cycle, cycle
-            run = (solve_girth3, solve_girth4, solve_girth5)[len(cycle) - 3]
+            anchor = cycles[c]
+            i = len(anchor) - 1
+            name = ("loop", "double_edge", "girth3", "girth4", "girth5")[i]
+            run = (solve_loop, solve_double_edge, solve_girth3, solve_girth4, solve_girth5)[i]
+            sources.extend(anchor.vertices if i > 1 else (min(anchor.vertices),))
         strategy[c] = name
-        anchor[c] = a
-        sources.extend(a.vertices if isinstance(a, CycleDescriptor) else (a,))
         try:
-            held, plants, bounds, finish = run(g, arg, tel)
+            held, plants, finish = run(g, anchor, tel)
             for e, color in plants:
                 col.assign(e, color)
             if finish is None:
@@ -668,7 +666,8 @@ def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColorin
             else:
                 plans.held.extend(held)
                 plans.finishes.append((c, finish))
-            plans.cls[c] = 1 + BOUND_CLASSES.index(bounds)
+            plans.held.extend(e for e, _ in plants)
+            plans.cls[c] = 2 if plants else 1
         except _RESCUABLE as exc:
             plans.failure[c] = _reason(exc)
     return plans
@@ -713,8 +712,9 @@ def _rescue_components(
 ) -> None:
     """Recolor each failed component in col: uncolor its edges, run the
     guaranteed greedy phase over its share of the distance order (from
-    the BFS distances `dist`) without the edges at the anchor, then
-    backtrack over those. Components never conflict, so each gets the
+    the BFS distances `dist`) without the edges at the anchor, those with
+    an end at distance 0, which the order puts last, then backtrack over
+    those. Components never conflict, so each gets the
     colors it would get alone. One metrics.order_by_distance call orders
     the edges of all failed components, and one pass over it groups their
     shares, so the rescues cost O(n + m) however many there are.
@@ -733,17 +733,10 @@ def _rescue_components(
     for c, share in shares.items():
         for e in share:
             col.unassign(e)
-        anchor = plans.anchor[c]
-        if isinstance(anchor, CycleDescriptor):
-            skip = set(anchor.edges)
-            if len(anchor) > 3:
-                for v in anchor.vertices:
-                    skip.update(g.incident_edges(v))
-        else:
-            skip = set(g.incident_edges(anchor))
+        at_anchor = [e for e in share if not (dist[eu[e]] and dist[ev[e]])]
         try:
-            greedy_color(col, [e for e in share if e not in skip])
-            fallback_exact(col, skip)
+            greedy_color(col, share[: len(share) - len(at_anchor)])
+            fallback_exact(col, at_anchor)
         except (PaletteExhausted, Unsatisfiable) as exc:
             edges = sorted(share)
             local = {v: i for i, v in enumerate(sorted({x for e in edges for x in (eu[e], ev[e])}))}
@@ -794,10 +787,10 @@ def solve(g: MultiGraph) -> tuple[PartialColoring, SolveReport]:
 
     One pass over the whole graph and its edge ids: label the components
     once (metrics.label_components, which `strongcolor stats` shares);
-    plan every component with edges (strategy, anchor, held-back edges,
-    planted colors, bound class, finish), checking the tail
-    strategies' lemma caps from the structure, and place its planted
-    colors; run one BFS from all anchors; bucket the edges once
+    plan every component with edges (strategy, held-back edges, planted
+    colors and finish, with the bound class its plants select), checking
+    the tail strategies' lemma caps from the structure, and place its
+    planted colors; run one BFS from all anchors; bucket the edges once
     (metrics.order_by_distance) into a distance order per bound class,
     without the held-back edges and the failed components; make one
     greedy_color call per bound class and one over all tails; then run

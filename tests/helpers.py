@@ -218,10 +218,13 @@ def bench_rows(sizes, seed: int = 0) -> list[tuple[int, int, int, int]]:
 
 def run_plan(g: MultiGraph, anchor, plan, telemetry) -> PartialColoring:
     """One strategy's plan run on its own, as solve runs it: the greedy
-    phase, then the finish, or for a plan without one (a tail) one
-    greedy_color call over the held-back edges within 21 colors."""
-    held, plants, bounds, finish = plan
-    col = greedy_phase(g, anchor, held, plants, bounds, telemetry)
+    phase without the held-back and planted edges, within the bounds that
+    the plants select, then the finish, or for a plan without one (a
+    tail) one greedy_color call over the held-back edges within 21
+    colors."""
+    held, plants, finish = plan
+    bounds = (21, 22) if plants else (20, 21)
+    col = greedy_phase(g, anchor, [*held, *(e for e, _ in plants)], plants, bounds, telemetry)
     if finish is None:
         greedy_color(col, held, telemetry=telemetry, max_color=21)
     else:

@@ -213,4 +213,4 @@ def test_unsatisfiable_errors(capsys, monkeypatch):
     code, out, err = run_cli(capsys, monkeypatch, ["color", "-"], stdin="p sec 5 10\n" + k5)
     assert code == 1
     assert out == ""
-    assert err == f"error: backtracking completion failed on 3 edges\np sec 5 10\n{k5}\n"
+    assert err == f"error: backtracking completion failed on 9 edges\np sec 5 10\n{k5}\n"

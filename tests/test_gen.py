@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import strongcolor.gen as gen
@@ -88,6 +90,55 @@ def test_random_max4_small_defaults():
     for n in (1, 2, 3):
         g = random_max4(n, seed=5)
         assert g.max_degree() <= 4
+
+
+def _count_shuffles(monkeypatch) -> list[int]:
+    """Count random.Random.shuffle calls: random_max4 shuffles its stubs
+    once to start and once per restart."""
+    real = random.Random.shuffle
+    calls = [0]
+
+    def spy(self, x):
+        calls[0] += 1
+        return real(self, x)
+
+    monkeypatch.setattr(random.Random, "shuffle", spy)
+    return calls
+
+
+def test_random_max4_restarts(monkeypatch):
+    """Six vertices and 12 edges leave little room: seed 4 strands its
+    stubs and reshuffles four times before it pairs them all, and the
+    result is still simple, full and deterministic."""
+    calls = _count_shuffles(monkeypatch)
+    g = random_max4(6, m=12, seed=4)
+    assert calls == [5]
+    assert g.edge_count == 12 and g.max_degree() <= 4
+    assert not has_loop(g) and parallel_pair(g) is None
+    assert emit_graph(random_max4(6, m=12, seed=4)) == emit_graph(g)
+
+
+@pytest.mark.parametrize(
+    "n, m, shuffles",
+    [(6, 12, 21), (100, 1, 1)],
+    ids=["restarts-exhausted", "draw-budget-exhausted"],
+)
+def test_random_max4_gives_up(monkeypatch, n, m, shuffles):
+    """With every draw repeating one stub no edge is ever taken: a small
+    graph stalls through all 20 restarts, and a large one with one edge
+    to place spends its budget of 200 * (m + 1) draws before its first
+    stall."""
+    calls = _count_shuffles(monkeypatch)
+    monkeypatch.setattr(random.Random, "randrange", lambda self, *args: 0)
+    with pytest.raises(RejectionBudgetExhausted, match=f"random_max4\\(n={n}, m={m}, seed=0\\) stalled"):
+        random_max4(n, m=m, seed=0)
+    assert calls == [shuffles]
+
+
+def test_random_4regular_without_a_simple_pairing(monkeypatch):
+    monkeypatch.setattr(gen, "_pairing_4regular", lambda n, rng: None)
+    with pytest.raises(RejectionBudgetExhausted, match="^no simple pairing found for n=8, seed=3$"):
+        random_4regular(8, seed=3)
 
 
 @pytest.mark.parametrize("min_girth,n", [(3, 14), (4, 14), (5, 30)])

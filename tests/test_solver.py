@@ -20,11 +20,14 @@ from strongcolor import (
     emit_graph,
     erdos_nesetril_5,
     find_shortest_cycle,
+    fixture_names,
     greedy_color,
     load_fixture,
     metrics,
     random_4regular,
+    random_max4,
     solve,
+    star_neighborhood,
     verify,
 )
 from strongcolor.solver import (
@@ -155,20 +158,21 @@ def test_low_degree_star():
 
 def test_loop_strategy():
     g = triangle_with_loops()
-    e = next(e for e, (u, v) in enumerate(g.edges) if u == v)
-    col = run_strategy(solve_loop, g, e, g.endpoints(e)[0])
+    c = find_shortest_cycle(g)
+    assert len(c) == 1 and g.is_loop(c.edges[0])
+    col = run_strategy(solve_loop, g, c, c.vertices[0])
     assert_total_valid(g, col, max_colors=21)
 
 
 def test_loop_strategy_rejects_plain_edge():
     g = triangle_with_loops()
     with pytest.raises(LemmaAssertionError):
-        solve_loop(g, 0, Telemetry())
+        solve_loop(g, CycleDescriptor((0,), (0,)), Telemetry())  # edge 0 joins 0 and 1
 
 
 def test_two_loops_need_two_colors():
     g = two_loops_one_vertex()
-    col = run_strategy(solve_loop, g, 0, 0)
+    col = run_strategy(solve_loop, g, CycleDescriptor((0,), (0,)), 0)
     assert_total_valid(g, col, max_colors=21)
     assert colors_used(col) == 2
 
@@ -176,7 +180,8 @@ def test_two_loops_need_two_colors():
 def test_double_edge_strategy():
     g = doubled_triangle()
     pair = parallel_pair(g)
-    col = run_strategy(solve_double_edge, g, pair, min(g.endpoints(pair[0])))
+    c = CycleDescriptor(g.endpoints(pair[0]), pair)
+    col = run_strategy(solve_double_edge, g, c, min(c.vertices))
     assert_total_valid(g, col, max_colors=21)
 
 
@@ -274,6 +279,46 @@ def test_girth4_branch_goldens(branch, make):
     assert rep.strategies() == ["girth4"] and rep.fallback_invocations == 0
     assert hashlib.sha256(emit_coloring(col).encode("ascii")).hexdigest() == sha
     assert Counter(rep.labels) == Counter({**common, **labels})
+
+
+def strategy_corpus():
+    """Small graphs that reach every strategy: the fixtures, the
+    Erdos-Nesetril graph, the star neighborhood and the hypercube, 64
+    girth-4 and 9 girth-5 random 4-regular graphs (girth-5 requests at
+    n = 24..28 stall in the sampler), and 30 random 4-regular multigraphs
+    with loops, parallel edges or both."""
+    yield from (load_fixture(name) for name in fixture_names())
+    yield erdos_nesetril_5()
+    yield star_neighborhood()
+    yield hypercube4()
+    for n in range(10, 26):
+        for seed in range(4):
+            yield random_4regular(n, seed, min_girth=4)[0]
+    for n in (30, 35, 40):
+        for seed in range(3):
+            yield random_4regular(n, seed, min_girth=5)[0]
+    for seed in range(10):
+        for loops, parallel in ((True, False), (False, True), (True, True)):
+            yield random_max4(12, m=24, seed=seed, allow_loops=loops, allow_parallel=parallel)
+
+
+CORPUS_SHA256 = "89ec50c8d82a618ab41b85c3ef232e10672f3610df5161080f26cff86f1d29e1"
+
+
+def test_corpus_golden():
+    """One sha256 over solve's coloring file and report repr on every
+    graph of strategy_corpus, recorded before the plans stopped carrying
+    their bound class and anchor: a change to any strategy's colors,
+    checks or fallback count on these graphs shows up here."""
+    digest = hashlib.sha256()
+    strategies = set()
+    for g in strategy_corpus():
+        col, rep = solve(g)
+        strategies.update(rep.strategies())
+        digest.update(emit_coloring(col).encode("ascii"))
+        digest.update(repr(rep).encode("ascii"))
+    assert strategies == {"low_degree", "loop", "double_edge", "girth3", "girth4", "girth5", "girth6"}
+    assert digest.hexdigest() == CORPUS_SHA256
 
 
 @pytest.mark.parametrize(
@@ -563,7 +608,7 @@ def test_girth5_disc_incident_branch_on_a_hand_built_prestate():
     incident edges keep only 16-20 and cannot all get distinct colors."""
     g = random_4regular(3000, seed=0, min_girth=5)[0]
     cycle = find_shortest_cycle(g)
-    held, plants, _, _ = solve_girth5(g, cycle, Telemetry())
+    held, plants, _ = solve_girth5(g, cycle, Telemetry())
     corners, far = label_cycle_context(g, cycle, Telemetry())
     col = PartialColoring(g, 22)
     for e, c in plants:
@@ -616,8 +661,8 @@ def test_girth5_cycle_subset_branches_read_the_masks(monkeypatch, robertson, bra
     g = robertson if branch == "pair" else random_4regular(3000, seed=2, min_girth=5)[0]
     c = find_shortest_cycle(g)
     tel = Telemetry()
-    held, plants, bounds, _ = solve_girth5(g, c, tel)
-    col = greedy_phase(g, c, held, plants, bounds, tel)
+    held, plants, _ = solve_girth5(g, c, tel)
+    col = greedy_phase(g, c, held + [e for e, _ in plants], plants, (21, 22), tel)
     a, b = zip(*label_cycle_context(g, c, Telemetry())[0])
     uncolored = [e for e in held if not col.is_colored(e)]
     subset = set(uncolored) - {c.edges[3], c.edges[4]} if branch == "pair" else set(uncolored)
@@ -832,9 +877,10 @@ def _rescue_runs_out_of_colors(monkeypatch):
 
 
 def _rescue_backtracking_fails(monkeypatch):
-    """With 9 colors the K5's greedy phase colors its 7 edges off the
-    triangle, and its 3 triangle edges, which conflict with every other
-    edge, are left 2 colors."""
+    """With 9 colors the K5's greedy phase colors its one edge away from
+    the triangle, and backtracking cannot fit the 9 edges at the
+    triangle's vertices, which pairwise conflict, into the 8 colors
+    left."""
     monkeypatch.setattr(solver, "PALETTE", 9)
 
 
@@ -842,7 +888,7 @@ def _rescue_backtracking_fails(monkeypatch):
     "make_rescue_fail, reason",
     [
         (_rescue_runs_out_of_colors, "guaranteed greedy phase ran out of colors"),
-        (_rescue_backtracking_fails, "backtracking completion failed on 3 edges"),
+        (_rescue_backtracking_fails, "backtracking completion failed on 9 edges"),
     ],
     ids=["greedy", "backtracking"],
 )
@@ -1045,10 +1091,10 @@ def test_planting_conflict_is_rescued_and_named(monkeypatch, robertson, petersen
     real = solver.solve_girth5
 
     def clash(g, cycle, tel):
-        held, plants, bounds, finish = real(g, cycle, tel)
+        held, plants, finish = real(g, cycle, tel)
         e = plants[0][0]
         f = min(g.conflict_set(e))
-        return held, ((e, 21), (f, 21)), bounds, finish
+        return held, ((e, 21), (f, 21)), finish
 
     monkeypatch.setattr(solver, "solve_girth5", clash)
     g = disjoint_union(petersen, robertson)
@@ -1065,13 +1111,13 @@ def test_finish_failure_is_rescued(monkeypatch, cage46):
     real = solver.solve_girth6
 
     def late(g, v, tel):
-        held, plants, bounds, finish = real(g, v, tel)
+        held, plants, finish = real(g, v, tel)
 
         def failing(col):
             finish(col)  # the component ends up colored, and still fails
             tel.check(False, "girth6.anchor-degree")
 
-        return held, plants, bounds, failing
+        return held, plants, failing
 
     monkeypatch.setattr(solver, "solve_girth6", late)
     col, rep = solve(g)
@@ -1178,7 +1224,7 @@ def test_clean_solve_runs_each_shared_step_once(monkeypatch, en_graph, robertson
             out = real(*args, **kwargs)
             if name.startswith("solve_"):
                 held.append(set(out[0]))
-                if out[3] is None:
+                if out[2] is None:
                     tails.update(out[0])
             return out
 
@@ -1240,8 +1286,10 @@ def test_rescue_shares_follow_the_one_distance_order(monkeypatch, en_graph, robe
     """Components of a shuffled union of all seven strategies fail, one
     while it is planned (a K5) and one in its finish (the girth-6 cage):
     the rescue greedy-colors each one's share of the distance order of
-    every edge, less the anchor's edges it hands to fallback_exact, in
-    that order, as it did when it filtered the one order for them."""
+    every edge, less the anchor's edges it hands to fallback_exact (those
+    with an end at BFS distance 0: the K5's 9 edges at its triangle, the
+    cage's 4 at its vertex), in that order, as it did when it filtered
+    the one order for them."""
     parts = [complete(5), en_graph, robertson, cage46, petersen, triangle_with_loops(), doubled_triangle(), complete(5)]
     g = shuffled_union(parts, seed=5)
     real_girth3 = solver.solve_girth3
@@ -1257,13 +1305,13 @@ def test_rescue_shares_follow_the_one_distance_order(monkeypatch, en_graph, robe
     real_girth6 = solver.solve_girth6
 
     def late(g, v, tel):
-        held, plants, bounds, finish = real_girth6(g, v, tel)
+        held, plants, finish = real_girth6(g, v, tel)
 
         def failing(col):
             finish(col)
             tel.check(False, "girth6.anchor-degree")
 
-        return held, plants, bounds, failing
+        return held, plants, failing
 
     monkeypatch.setattr(solver, "solve_girth6", late)
     calls = []
@@ -1292,10 +1340,11 @@ def test_rescue_shares_follow_the_one_distance_order(monkeypatch, en_graph, robe
     dist = metrics.bfs_from_sources(g, plans.sources)
     (order,) = ref_class_orders(g, dist, comp, bytearray([1]) * k, ())
     assert len(calls) == 2 * len(failed)
+    assert sorted(map(len, calls[1::2])) == [4, 9]
     for c, greedy_order, skip in zip(failed, calls[::2], calls[1::2]):
         share = [e for e in order if comp[g.eu[e]] == c]
         assert greedy_order == [e for e in share if e not in skip]
-        assert skip <= set(share)
+        assert skip == {e for e in share if 0 in (dist[g.eu[e]], dist[g.ev[e]])}
 
 
 def test_finishes_keep_no_cycle_context(en_graph, robertson, cage46, petersen):
