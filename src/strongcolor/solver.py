@@ -31,7 +31,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain, compress, islice
+from itertools import chain, combinations, compress, islice
 from operator import or_, sub
 from typing import AbstractSet, Callable, Sequence
 
@@ -110,6 +110,15 @@ class Telemetry:
         if not cond:
             raise LemmaAssertionError(label)
 
+    def check_all(self, conds: Sequence[bool], label: str) -> None:
+        """Record the checks `conds` of `label` as one check() call each,
+        in order, would: every one if all hold, else those up to the
+        first that fails, which raises."""
+        if False in conds:
+            self.passed(label, conds.index(False))
+            self.check(False, label)
+        self.passed(label, len(conds))
+
 
 @dataclass(slots=True)
 class ComponentReport:
@@ -140,7 +149,9 @@ class SolveReport:
 # graph and the coloring. The low_degree, loop, double_edge and girth3
 # strategies have no finish (None): their held-back edges are a tail,
 # whose lemma caps they check when planning, and the pass colors it
-# greedily within 21 colors last.
+# greedily within 21 colors last. Every strategy is called as
+# run(g, anchor, m, tel), with m the edge count of the anchor's component,
+# the first proof of each lemma cap (_check_caps).
 Finish = Callable[[PartialColoring], None]
 Plan = tuple[list[int], Sequence[tuple[int, int]], Finish | None]
 
@@ -181,49 +192,63 @@ def _degree_bound(g: MultiGraph, e: int, later: AbstractSet[int]) -> int:
 
 
 def _check_caps(
-    g: MultiGraph, tail: Sequence[int], caps: Sequence[int], label: str, pending: Sequence[int], tel: Telemetry
+    g: MultiGraph,
+    tail: Sequence[int],
+    caps: Sequence[int],
+    label: str,
+    pending: Sequence[int],
+    m: int,
+    tel: Telemetry,
 ) -> None:
     """Check lemma `label` for a tail colored in order: at most caps[i]
     colored edges conflict with tail[i] at its turn. Then every edge of
-    its component is colored except the edges of `pending` (the held-back
-    edges still uncolored when the tail starts) not yet reached, so the
-    count is read from the structure, over tail[i]'s conflict set (a
-    popcount of the color masks would count colors, a weaker claim).
-    _degree_bound proves most caps; where it exceeds the cap, the exact
-    census of the conflict set decides. caps has an entry per tail edge
-    at least. Raises at the first failing cap, with the checks before it
-    counted."""
+    its component, which has m edges, is colored except the edges of
+    `pending` (the held-back edges of that component still uncolored when
+    the tail starts) not yet reached, so the count is read from the
+    structure, over tail[i]'s conflict set (a popcount of the color masks
+    would count colors, a weaker claim). Three proofs of a cap are tried
+    in order, each costlier and tighter than the one before:
+    1. the edge count: the edges colored by then, m - 1 - |later| with
+       `later` the pending edges after tail[i], O(1);
+    2. the degree count, _degree_bound, from the neighbor slices;
+    3. the exact census of the conflict set, which decides.
+    caps has an entry per tail edge at least. Raises at the first failing
+    cap, with the checks before it counted."""
     later = set(pending)
     for i, (e, cap) in enumerate(zip(tail, caps)):
         later.discard(e)
-        if _degree_bound(g, e, later) > cap and len(g.conflict_set(e) - later) > cap:
+        if (
+            m - 1 - len(later) > cap
+            and _degree_bound(g, e, later) > cap
+            and len(g.conflict_set(e) - later) > cap
+        ):
             tel.passed(label, i)
             tel.check(False, label)
     tel.passed(label, len(tail))
 
 
-def solve_low_degree(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
+def solve_low_degree(g: MultiGraph, v: int, m: int, tel: Telemetry) -> Plan:
     """Component with a vertex of degree at most 3: color everything else
     first, then v's edges. Their conflict neighborhoods are capped at
     18/19/20 colored edges respectively, so 21 colors suffice."""
     tel.check(g.degree(v) <= 3, "low-degree.anchor-degree")
     tail = sorted(set(g.incident_edges(v)))
-    _check_caps(g, tail, (18, 19, 20), "low-degree.final-neighborhood", tail, tel)
+    _check_caps(g, tail, (18, 19, 20), "low-degree.final-neighborhood", tail, m, tel)
     return tail, (), None
 
 
-def solve_loop(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
+def solve_loop(g: MultiGraph, cycle: CycleDescriptor, m: int, tel: Telemetry) -> Plan:
     """4-regular component with a loop: anchor at the loop's vertex, which
     carries at most three distinct edges, and finish there last."""
     tel.check(g.is_loop(cycle.edges[0]), "loop.anchor-is-loop")
     v = cycle.vertices[0]
     vedges = sorted(set(g.incident_edges(v)))
     tail = [e for e in vedges if not g.is_loop(e)] + [e for e in vedges if g.is_loop(e)]
-    _check_caps(g, tail, (20, 20, 20), "loop.final-neighborhood", tail, tel)
+    _check_caps(g, tail, (20, 20, 20), "loop.final-neighborhood", tail, m, tel)
     return tail, (), None
 
 
-def solve_double_edge(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
+def solve_double_edge(g: MultiGraph, cycle: CycleDescriptor, m: int, tel: Telemetry) -> Plan:
     """4-regular component with parallel edges: anchor at the smaller
     endpoint. Coloring its other two edges first and the pair last keeps
     the colored neighborhoods at 17/18 then 16/17 edges."""
@@ -235,17 +260,17 @@ def solve_double_edge(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> 
     v = min(g.endpoints(p))
     tail = sorted(set(g.incident_edges(v)) - {p, q}) + [p, q]
     tel.check(len(tail) == 4, "double-edge.vertex-shape")
-    _check_caps(g, tail, (17, 18, 16, 17), "double-edge.final-neighborhood", tail, tel)
+    _check_caps(g, tail, (17, 18, 16, 17), "double-edge.final-neighborhood", tail, m, tel)
     return tail, (), None
 
 
-def solve_girth3(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
+def solve_girth3(g: MultiGraph, cycle: CycleDescriptor, m: int, tel: Telemetry) -> Plan:
     """Simple 4-regular with a triangle: a triangle edge only has about 20
     conflicting edges to begin with, so finishing the triangle last stays
     within 21 colors."""
     tel.check(len(cycle) == 3, "girth3.cycle-length")
     tail = sorted(cycle.edges)
-    _check_caps(g, tail, (18, 19, 20), "girth3.final-neighborhood", tail, tel)
+    _check_caps(g, tail, (18, 19, 20), "girth3.final-neighborhood", tail, m, tel)
     return tail, (), None
 
 
@@ -272,21 +297,29 @@ def label_cycle_context(
     cset = set(cycle.edges)
     corners = []
     far: dict[int, int] = {}
-    for v in cycle.vertices:
+    for i, v in enumerate(cycle.vertices):
         lo = off[v]
         hi = off[v + 1]
-        tel.check(hi - lo == 4, "cycle-context.regular-corner")
         # the corner's slots hold its edges ascending, each with its far end
         rest = {e: w for e, w in zip(inc_flat[lo:hi], nbr_flat[lo:hi]) if e not in cset}
-        tel.check(len(rest) == 2, "cycle-context.two-incident")
+        if hi - lo != 4 or len(rest) != 2:
+            tel.passed("cycle-context.regular-corner", i)
+            tel.passed("cycle-context.two-incident", i)
+            tel.check(hi - lo == 4, "cycle-context.regular-corner")
+            tel.check(False, "cycle-context.two-incident")
         corners.append(tuple(rest))
         far.update(rest)
+    tel.passed("cycle-context.regular-corner", k)
+    tel.passed("cycle-context.two-incident", k)
     tel.check(len(far) == 2 * k, "cycle-context.incident-distinct")
     if k == 5:
-        for s, t in ((0, 2), (2, 4), (4, 1), (1, 3)):
+        for i, (s, t) in enumerate(((0, 2), (2, 4), (4, 1), (1, 3))):
             if g.conflicts(corners[s][0], corners[t][1]):
                 corners[t] = corners[t][::-1]
-            tel.check(not g.conflicts(corners[s][0], corners[t][1]), "cycle-context.separation")
+                if g.conflicts(corners[s][0], corners[t][1]):
+                    tel.passed("cycle-context.separation", i)
+                    tel.check(False, "cycle-context.separation")
+        tel.passed("cycle-context.separation", 4)
     return corners, far
 
 
@@ -297,8 +330,7 @@ def label_cycle_context(
 def _girth4_cycle(col: PartialColoring, cycle_edges: Sequence[int], tel: Telemetry) -> None:
     """Color the 4-cycle, which every branch leaves at least 4 free colors
     per edge."""
-    for e in cycle_edges:
-        tel.check(col.available_mask(e).bit_count() >= 4, "girth4.cycle-availability")
+    tel.check_all([col.available_mask(e).bit_count() >= 4 for e in cycle_edges], "girth4.cycle-availability")
     greedy_color(col, sorted(cycle_edges), telemetry=tel, max_color=PALETTE)
 
 
@@ -307,6 +339,7 @@ def _girth4_with_diagonals(
     cycle: CycleDescriptor,
     corners: list[tuple[int, int]],
     far: dict[int, int],
+    m: int,
     tel: Telemetry,
     i: int,
     j: int,
@@ -331,13 +364,13 @@ def _girth4_with_diagonals(
 
     def finish(col):
         _girth4_cycle(col, cycle_edges, tel)
-        _check_caps(col.graph, diagonals, (21,) * 4, "girth4.diagonal-neighborhood", diagonals, tel)
+        _check_caps(col.graph, diagonals, (21,) * 4, "girth4.diagonal-neighborhood", diagonals, m, tel)
         greedy_color(col, diagonals, telemetry=tel, max_color=PALETTE)
 
     return list(cycle_edges) + diagonals, (), finish
 
 
-def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
+def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, m: int, tel: Telemetry) -> Plan:
     """Simple 4-regular, shortest cycle of length 4.
 
     The eight non-cycle edges at the cycle's corners steer the case split:
@@ -355,17 +388,15 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     packs = ((0, 2), (1, 3))
     adjacent = [(i, j) for i, j in packs for p in corners[i] for q in corners[j] if far[p] == far[q]]
     # sharing with a neighboring corner would be a triangle
-    for i, j in ((0, 1), (1, 2), (2, 3), (0, 3)):
-        for p in corners[i]:
-            for q in corners[j]:
-                tel.check(far[p] != far[q], "girth4.no-skew-pairs")
+    apart = [far[p] != far[q] for i, j in ((0, 1), (1, 2), (2, 3), (0, 3)) for p in corners[i] for q in corners[j]]
+    tel.check_all(apart, "girth4.no-skew-pairs")
 
     if len(adjacent) >= 2:
         incident = tuple(sorted(far))
 
         def finish(col):
             caps = (20,) * len(incident)
-            _check_caps(col.graph, incident, caps, "girth4.incident-neighborhood", cycle_edges + incident, tel)
+            _check_caps(col.graph, incident, caps, "girth4.incident-neighborhood", cycle_edges + incident, m, tel)
             greedy_color(col, incident, telemetry=tel, max_color=21)
             _girth4_cycle(col, cycle_edges, tel)
 
@@ -375,7 +406,7 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     for (i, j), color in zip([pk for pk in packs if pk not in adjacent], (22,) if adjacent else (21, 22)):
         pair = next(((p, q) for p in corners[i] for q in corners[j] if not g.conflicts(p, q)), None)
         if pair is None:
-            return _girth4_with_diagonals(g, cycle, corners, far, tel, i, j)
+            return _girth4_with_diagonals(g, cycle, corners, far, m, tel, i, j)
         plants += [(pair[0], color), (pair[1], color)]
     return list(cycle_edges), plants, lambda col: _girth4_cycle(col, cycle_edges, tel)
 
@@ -384,7 +415,7 @@ def solve_girth4(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
 # girth 5
 
 
-def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
+def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, m: int, tel: Telemetry) -> Plan:
     """Simple 4-regular, shortest cycle of length 5.
 
     Two conflict-free pairs get planted colors (21 on b[0] and the
@@ -403,15 +434,16 @@ def solve_girth5(g: MultiGraph, cycle: CycleDescriptor, tel: Telemetry) -> Plan:
     tel.check(len(ends) == 8, "girth5.planted-endpoints-distinct")
     held = sorted(set(c).union(far).difference(planted))
     plants = tuple(zip(planted, (21, 21, 22, 22)))
-    return held, plants, lambda col: _complete_girth5(col, c, a, b, tel)
+    return held, plants, lambda col: _complete_girth5(col, c, a, b, m, tel)
 
 
 def _complete_girth5(
-    col: PartialColoring, c: Sequence[int], a: Sequence[int], b: Sequence[int], tel: Telemetry
+    col: PartialColoring, c: Sequence[int], a: Sequence[int], b: Sequence[int], m: int, tel: Telemetry
 ) -> None:
     """Finish the 11 uncolored edges around the 5-cycle, given its edges
     c1..c5 (cycle.edges) and the first and second edges a1..a5 and b1..b5
-    of its corners (label_cycle_context) as c, a and b.
+    of its corners (label_cycle_context) as c, a and b, in a component of
+    m edges.
 
     Availability is rich (>= 8 on cycle edges, >= 5 on incident edges,
     checked here). If the sets admit distinct representatives we are done;
@@ -427,11 +459,13 @@ def _complete_girth5(
     uncolored = [e for e in sorted(cset.union(incident)) if not col.is_colored(e)]
     tel.check(len(uncolored) == 11, "girth5.uncolored-count")
     fam = {e: col.available_mask(e) for e in uncolored}
-    for e in uncolored:
-        if e in cset:
-            tel.check(fam[e].bit_count() >= 8, "girth5.cycle-availability")
-        else:
-            tel.check(fam[e].bit_count() >= 5, "girth5.incident-availability")
+    labels = ["girth5.cycle-availability" if e in cset else "girth5.incident-availability" for e in uncolored]
+    rich = [fam[e].bit_count() >= (8 if e in cset else 5) for e in uncolored]
+    n = rich.index(False) if False in rich else len(rich)
+    for label in dict.fromkeys(labels[:n]):  # in the order one check per edge enters them
+        tel.passed(label, labels[:n].count(label))
+    if n < len(rich):
+        tel.check(False, labels[n])
 
     sdr = find_sdr(fam)
     if sdr is not None:
@@ -448,7 +482,7 @@ def _complete_girth5(
         # edges, so a straight greedy pass works, and coloring a maximum
         # discrepancy subfamily first makes the rest extendable
         first = sorted(subset)
-        _check_caps(col.graph, first, (21,) * len(first), "girth5.subset-neighborhood", uncolored, tel)
+        _check_caps(col.graph, first, (21,) * len(first), "girth5.subset-neighborhood", uncolored, m, tel)
         greedy_color(col, first, telemetry=tel, max_color=PALETTE)
         rest = [e for e in uncolored if not col.is_colored(e)]
         fam2 = {e: col.available_mask(e) for e in rest}
@@ -478,7 +512,7 @@ def _complete_girth5(
         col.assign(q, x)
         rest = [e for e in incident if not col.is_colored(e)]
         pending = [e for e in uncolored if not col.is_colored(e)]
-        _check_caps(col.graph, rest, (21,) * len(rest), "girth5.incident-neighborhood", pending, tel)
+        _check_caps(col.graph, rest, (21,) * len(rest), "girth5.incident-neighborhood", pending, m, tel)
         greedy_color(col, rest, telemetry=tel, max_color=PALETTE)
         tail = [c2, c4, c1, c5] if (p, q) == pairs[1] else [c2, c4, c5, c1]
         greedy_color(col, tail, telemetry=tel, max_color=PALETTE)
@@ -511,12 +545,13 @@ def _complete_girth5(
 # girth 6 and beyond
 
 
-def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
+def solve_girth6(g: MultiGraph, v: int, m: int, tel: Telemetry) -> Plan:
     """Simple 4-regular with girth at least 6: color everything except
     v's edges, then recolor one edge per neighbor (heading to a
     distance-2 vertex, i.e. neither v nor a neighbor of v) with the single
     color 22 -- the girth makes those four pairwise conflict-free -- and
-    finish v's edges greedily against the freed-up palette."""
+    finish v's edges greedily against the freed-up palette. No cap is
+    checked, so the edge count m goes unread."""
     vedges = sorted(set(g.incident_edges(v)))
 
     def finish(col):
@@ -526,13 +561,15 @@ def solve_girth6(g: MultiGraph, v: int, tel: Telemetry) -> Plan:
         near = {v, *neighbors}
         off, inc_flat, nbr_flat = g.csr()
         recolored = []
-        for u in neighbors:
+        for i, u in enumerate(neighbors):
             cands = [inc_flat[t] for t in range(off[u], off[u + 1]) if nbr_flat[t] not in near]
-            tel.check(bool(cands), "girth6.distance-two-edge")
+            if not cands:
+                tel.passed("girth6.distance-two-edge", i)
+                tel.check(False, "girth6.distance-two-edge")
             recolored.append(min(cands))
-        for idx, e in enumerate(recolored):
-            for f in recolored[:idx]:
-                tel.check(not g.conflicts(e, f), "girth6.recolor-independent")
+        tel.passed("girth6.distance-two-edge", len(neighbors))
+        independent = [not g.conflicts(e, f) for i, e in enumerate(recolored) for f in recolored[:i]]
+        tel.check_all(independent, "girth6.recolor-independent")
         for e in recolored:
             col.unassign(e)
         for e in recolored:
@@ -554,9 +591,10 @@ def fallback_exact(col: PartialColoring, uncolored) -> PartialColoring:
     edge with the fewest free colors (ties to the smaller id) takes each
     of its free colors in turn, lowest first, read off available_mask. This
     is the safety net behind the runtime assertions; it raises
-    Unsatisfiable (with the serialized graph) rather than give up quietly.
-    The search uncolors every edge it backs out of, so a failed search
-    leaves col as it was.
+    Unsatisfiable (with the serialized graph) rather than give up quietly,
+    at once, without a search, when the edges pairwise conflict and their
+    free colors together are fewer than they are. The search uncolors
+    every edge it backs out of, so a failed search leaves col as it was.
     """
     todo = sorted(set(uncolored))
     if len(todo) > FALLBACK_LIMIT:
@@ -564,6 +602,12 @@ def fallback_exact(col: PartialColoring, uncolored) -> PartialColoring:
     for e in todo:
         if col.is_colored(e):
             raise ValueError(f"edge {e} passed as uncolored but has a color")
+    reason = f"backtracking completion failed on {len(todo)} edges"
+    # edges that pairwise conflict need distinct colors, so with fewer
+    # free colors among them all than edges no search can succeed
+    free = reduce(or_, map(col.available_mask, todo), 0)
+    if free.bit_count() < len(todo) and all(col.graph.conflicts(e, f) for e, f in combinations(todo, 2)):
+        raise Unsatisfiable(reason, col.graph)
 
     def attempt(pending: list[int]) -> bool:
         if not pending:
@@ -582,7 +626,7 @@ def fallback_exact(col: PartialColoring, uncolored) -> PartialColoring:
 
     if attempt(todo):
         return col
-    raise Unsatisfiable(f"backtracking completion failed on {len(todo)} edges", col.graph)
+    raise Unsatisfiable(reason, col.graph)
 
 
 _RESCUABLE = (PaletteExhausted, LemmaAssertionError, ConflictError)
@@ -597,16 +641,18 @@ def _reason(exc: Exception) -> str:
 
 class _Plans:
     """What the components ask of one solve, kept flat: per component id
-    c (components have edges), strategy[c], cls[c] (1 + its bound class;
-    0 once its plan failed) and failure[c] for a failed c (see _reason);
+    c (components have edges), strategy[c], edges[c] (its edge count),
+    cls[c] (1 + its bound class; 0 once its plan failed) and failure[c]
+    for a failed c (see _reason);
     the BFS sources in component order; the held-back edges of the plans
     without a finish (the tails, in component order), the other held-back
     and all planted edges, and the finishes as (c, finish)."""
 
-    __slots__ = ("strategy", "cls", "failure", "sources", "tail", "held", "finishes")
+    __slots__ = ("strategy", "edges", "cls", "failure", "sources", "tail", "held", "finishes")
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, edges: list[int]):
         self.strategy: list[str] = [""] * k
+        self.edges = edges
         self.cls = bytearray(k)
         self.failure: dict[int, str] = {}
         self.sources: list[int] = []
@@ -622,7 +668,9 @@ def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColorin
     The anchor is the component's smallest vertex of degree 1..3, else its
     smallest loop, else its first parallel pair, else its shortest cycle
     of length <= 5, else (girth >= 6) its smallest vertex, all from one
-    scan, whose BFS starts the cap of 5 keeps within radius 2. A vertex
+    scan, whose BFS starts the cap of 5 keeps within radius 2; the same
+    walk over the vertices sums each component's degrees, twice its edge
+    count (a loop counts 2), which every strategy gets. A vertex
     anchor, a loop's vertex and a parallel pair's smaller end are BFS
     sources, and so are all vertices of a 3-, 4- or 5-cycle. The plan's
     bound class is the one its plants select (BOUND_CLASSES), and its
@@ -632,15 +680,20 @@ def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColorin
     off = g.csr()[0]
     low = [-1] * k  # smallest vertex of degree 1..3
     first = [-1] * k  # smallest vertex
-    for v in compress(range(g.vertex_count), map(sub, islice(off, 1, None), off)):
+    twice = [0] * k  # degree sum
+    degree = list(map(sub, islice(off, 1, None), off))
+    for v in compress(range(g.vertex_count), degree):
         c = comp[v]
+        d = degree[v]
+        twice[c] += d
         if first[c] == -1:
             first[c] = v
-        if low[c] == -1 and off[v + 1] - off[v] <= 3:
+        if low[c] == -1 and d <= 3:
             low[c] = v
     cycles = metrics.shortest_cycles(g, comp, [lo == -1 for lo in low], longest=5)
 
-    plans = _Plans(k)
+    plans = _Plans(k, [t >> 1 for t in twice])
+    edges = plans.edges
     strategy = plans.strategy
     sources = plans.sources
     for c in range(k):
@@ -658,7 +711,7 @@ def _plan_components(g: MultiGraph, comp: list[int], k: int, col: PartialColorin
             sources.extend(anchor.vertices if i > 1 else (min(anchor.vertices),))
         strategy[c] = name
         try:
-            held, plants, finish = run(g, anchor, tel)
+            held, plants, finish = run(g, anchor, edges[c], tel)
             for e, color in plants:
                 col.assign(e, color)
             if finish is None:
@@ -750,26 +803,22 @@ def _solve_report(
     g: MultiGraph, comp: list[int], k: int, plans: _Plans, col: PartialColoring, tel: Telemetry
 ) -> SolveReport:
     """The SolveReport: per component, strategy (fallback_exact
-    if rescued), edge count and colors used, and the colors used overall.
-    One pass over the vertices with edges reads them from the CSR and
+    if rescued), edge count (counted when planning) and colors used, and
+    the colors used overall. One pass over the vertices with edges reads
     col's color masks: a component's colors are the OR of its vertices'
-    masks, and its edge count is half its degree sum (a loop counts 2).
-    col is total, so the vertices with edges are those with a nonzero
-    mask, which the pass selects without reading a degree."""
-    off = g.csr()[0]
+    masks. col is total, so the vertices with edges are those with a
+    nonzero mask, which the pass selects without reading a degree."""
     at = col._masks()
-    degrees = [0] * k
     masks = [0] * k
     for v in compress(range(g.vertex_count), at):
-        c = comp[v]
-        degrees[c] += off[v + 1] - off[v]
-        masks[c] |= at[v]
+        masks[comp[v]] |= at[v]
     failure = plans.failure
+    edges = plans.edges
     return SolveReport(
         components=[
             ComponentReport(
                 strategy=name if c not in failure else "fallback_exact",
-                edge_count=degrees[c] // 2,
+                edge_count=edges[c],
                 colors_used=masks[c].bit_count(),
                 failure=failure.get(c),
             )

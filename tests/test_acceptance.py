@@ -269,7 +269,7 @@ def test_criterion_6_duality_and_instrumentation(corpus):
         if len(components(g)) == 1:
             tel = Telemetry()
             c = find_shortest_cycle(g)
-            col = run_plan(g, c, solve_girth5(g, c, tel), tel)
+            col = run_plan(g, c, solve_girth5(g, c, g.edge_count, tel), tel)
             assert col.is_total() and verify(col) == []
             assert tel.labels["girth5.uncolored-count"] == 1
             assert tel.labels["girth5.cycle-availability"] == 4

@@ -204,7 +204,7 @@ def test_generator_parameter_errors(capsys, monkeypatch, argv, message):
 def test_unsatisfiable_errors(capsys, monkeypatch):
     """A K5 whose plan fails and whose rescue then has 9 colors: the
     backtracking fails, and the error carries the K5's graph."""
-    def fail_girth3(g, cycle, tel):
+    def fail_girth3(g, cycle, m, tel):
         tel.check(False, "girth3.cycle-length")
 
     monkeypatch.setattr(solver, "solve_girth3", fail_girth3)

@@ -133,7 +133,7 @@ def test_color_except_cycle_k5():
 
 def run_strategy(strategy, g, arg, anchor):
     tel = Telemetry()
-    return run_plan(g, anchor, strategy(g, arg, tel), tel)
+    return run_plan(g, anchor, strategy(g, arg, g.edge_count, tel), tel)
 
 
 def test_low_degree_path_is_optimal():
@@ -150,7 +150,7 @@ def test_low_degree_petersen(petersen):
 def test_low_degree_star():
     g = star(4)
     with pytest.raises(LemmaAssertionError):
-        solve_low_degree(g, 0, Telemetry())  # center has degree 4
+        solve_low_degree(g, 0, g.edge_count, Telemetry())  # center has degree 4
     col = run_strategy(solve_low_degree, g, 1, 1)
     assert_total_valid(g, col, max_colors=21)
     assert colors_used(col) == 4
@@ -167,7 +167,7 @@ def test_loop_strategy():
 def test_loop_strategy_rejects_plain_edge():
     g = triangle_with_loops()
     with pytest.raises(LemmaAssertionError):
-        solve_loop(g, CycleDescriptor((0,), (0,)), Telemetry())  # edge 0 joins 0 and 1
+        solve_loop(g, CycleDescriptor((0,), (0,)), g.edge_count, Telemetry())  # edge 0 joins 0 and 1
 
 
 def test_two_loops_need_two_colors():
@@ -218,7 +218,7 @@ def test_girth4_strategy_reserves_diagonals():
     edges = tuple(edge_between(g, a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
     c = CycleDescriptor(verts, edges)
     tel = Telemetry()
-    plan = solve_girth4(g, c, tel)
+    plan = solve_girth4(g, c, g.edge_count, tel)
     held = plan[0]
     assert len(set(held) - set(c.edges)) == 4
     col = run_plan(g, c, plan, tel)
@@ -343,10 +343,10 @@ def test_solve_dispatches_girth4_to_the_diagonals(monkeypatch, n, seed, perm, ad
     real = solver._girth4_with_diagonals
     calls = []
 
-    def spy(g, cycle, corners, far, tel, i, j):
+    def spy(g, cycle, corners, far, m, tel, i, j):
         pairs = sum(far[p] == far[q] for s, t in ((0, 2), (1, 3)) for p in corners[s] for q in corners[t])
         calls.append((pairs, (i, j)))
-        return real(g, cycle, corners, far, tel, i, j)
+        return real(g, cycle, corners, far, m, tel, i, j)
 
     monkeypatch.setattr(solver, "_girth4_with_diagonals", spy)
     g, _ = random_4regular(n, seed=seed, min_girth=4)
@@ -404,9 +404,9 @@ def test_girth4_far_ends_and_diagonals_equal_brute_force(robertson):
                 if None in diagonals or len(set(diagonals)) < 4:
                     label = "girth4.diagonal-exists" if None in diagonals else "girth4.diagonals-distinct"
                     with pytest.raises(LemmaAssertionError, match=label):
-                        solver._girth4_with_diagonals(g, cyc, corners, far, Telemetry(), i, j)
+                        solver._girth4_with_diagonals(g, cyc, corners, far, g.edge_count, Telemetry(), i, j)
                 else:
-                    held = solver._girth4_with_diagonals(g, cyc, corners, far, Telemetry(), i, j)[0]
+                    held = solver._girth4_with_diagonals(g, cyc, corners, far, g.edge_count, Telemetry(), i, j)[0]
                     assert held == list(cyc.edges) + sorted(diagonals)
                     reserved += 1
     assert reserved and lengths[4] and lengths[5]
@@ -458,7 +458,7 @@ def test_color_tail_equals_one_greedy_call_per_edge(seed):
         return failure, col._colors, tel.checks, tel.labels
 
     def checked_then_greedy(col, tel):
-        solver._check_caps(g, tail, caps, "lemma", tail, tel)
+        solver._check_caps(g, tail, caps, "lemma", tail, g.edge_count, tel)
         greedy_color(col, tail, telemetry=tel, max_color=ceiling)
 
     got = outcome(checked_then_greedy)
@@ -499,46 +499,75 @@ def test_caps_one_below_the_exact_count_fail_where_the_census_fails(seed):
     """With every cap at its exact count, _check_caps passes, as the
     near-set census (ref_check_caps) does; with one cap one below it, both
     raise at that tail index with the same label counts, and so they do
-    with random caps. The degree bound can prove no cap below the exact
-    count, so the census decides there. Random multigraphs with loops and
-    parallel edges, a shuffled tail and pending edges beyond it."""
+    with random caps. The edge count and the degree bound can prove no cap
+    below the exact count, so the census decides there. Random multigraphs
+    with loops and parallel edges: first a shuffled tail and pending edges
+    beyond it from the whole graph, whose edge count stands for the
+    component's; then, per component, a tail and pending edges of its own
+    with its true edge count, where the edge count alone proves a cap at
+    its exact value whenever the conflict set holds every colored edge of
+    the component, and every cap is lowered by one in turn."""
     rng = random.Random(seed)
     g = random_multigraph(seed, max_n=12, max_m=24)
     if not g.edge_count:
         return
-    tail = rng.sample(range(g.edge_count), rng.randint(1, g.edge_count))
-    pending = tail + rng.sample(range(g.edge_count), rng.randint(0, g.edge_count))
-    rng.shuffle(pending)
-    exact = []
-    later = set(pending)
-    for e in tail:
-        later.discard(e)
-        exact.append(len(brute_conflict_set(g, e) - later))
 
-    def outcome(check, caps):
+    def exact_counts(tail, pending):
+        exact = []
+        later = set(pending)
+        for e in tail:
+            later.discard(e)
+            exact.append(len(brute_conflict_set(g, e) - later))
+        return exact
+
+    def outcome(check, tail, caps, pending, m):
         tel = Telemetry()
         try:
-            check(g, tail, caps, "lemma", pending, tel)
+            if m is None:
+                check(g, tail, caps, "lemma", pending, tel)
+            else:
+                check(g, tail, caps, "lemma", pending, m, tel)
             failure = None
         except LemmaAssertionError as exc:
             failure = str(exc)
         return failure, tel.labels
 
-    assert outcome(solver._check_caps, exact) == outcome(ref_check_caps, exact) == (None, {"lemma": len(tail)})
+    def agree(tail, caps, pending, m):
+        got = outcome(solver._check_caps, tail, caps, pending, m)
+        assert got == outcome(ref_check_caps, tail, caps, pending, None)
+        return got
+
+    tail = rng.sample(range(g.edge_count), rng.randint(1, g.edge_count))
+    pending = tail + rng.sample(range(g.edge_count), rng.randint(0, g.edge_count))
+    rng.shuffle(pending)
+    exact = exact_counts(tail, pending)
+    assert agree(tail, exact, pending, g.edge_count) == (None, {"lemma": len(tail)})
     i = rng.randrange(len(tail))
     if exact[i]:
         lowered = exact[:i] + [exact[i] - 1] + exact[i + 1 :]
-        got = outcome(solver._check_caps, lowered)
-        assert got == outcome(ref_check_caps, lowered) == ("lemma", {"lemma": i + 1})
-    caps = [rng.randint(0, 24) for _ in tail]
-    assert outcome(solver._check_caps, caps) == outcome(ref_check_caps, caps)
+        assert agree(tail, lowered, pending, g.edge_count) == ("lemma", {"lemma": i + 1})
+    agree(tail, [rng.randint(0, 24) for _ in tail], pending, g.edge_count)
+
+    for _, ids in split_components(g):
+        m = len(ids)
+        tail = rng.sample(ids, rng.randint(1, m))
+        pending = tail + rng.sample(ids, rng.randint(0, m))
+        exact = exact_counts(tail, pending)
+        assert agree(tail, exact, pending, m) == (None, {"lemma": len(tail)})
+        for i, count in enumerate(exact):
+            if count:
+                lowered = exact[:i] + [count - 1] + exact[i + 1 :]
+                assert agree(tail, lowered, pending, m) == ("lemma", {"lemma": i + 1})
 
 
 def test_solve_reaches_the_census_on_the_girth4_diagonals(monkeypatch):
-    """The degree bound of a reserved girth-4 diagonal exceeds its cap of
-    21, so solve proves it by the exact census, which passes: every
-    diagonal's count is checked, the bound never falls below the exact
-    count, and no component is rescued."""
+    """The reserved girth-4 diagonals of a 24-edge component go through
+    all three proofs of their cap of 21: the edge count proves the first
+    two (24 - 1 - 3 = 20 and 21 colored edges at most), and on the last
+    two it and the degree bound exceed 21, so solve proves those by the
+    exact census, which passes. Every diagonal's count is checked, the
+    degree bound never falls below the exact count, and no component is
+    rescued."""
     real = solver._degree_bound
     bounds = []
 
@@ -553,7 +582,7 @@ def test_solve_reaches_the_census_on_the_girth4_diagonals(monkeypatch):
     assert rep.strategies() == ["girth4"] and rep.fallback_invocations == 0
     assert col.is_total() and verify(col) == []
     assert rep.labels["girth4.diagonal-neighborhood"] == 4
-    assert len(bounds) == 4 and all(b >= exact for b, exact in bounds)
+    assert len(bounds) == 2 and all(b >= exact for b, exact in bounds)
     assert any(b > 21 >= exact for b, exact in bounds)
 
 
@@ -594,7 +623,7 @@ def test_cycle_context_rejects_wrong_length():
 def test_girth5_instrumentation_counts(robertson):
     tel = Telemetry()
     c = find_shortest_cycle(robertson)
-    run_plan(robertson, c, solve_girth5(robertson, c, tel), tel)
+    run_plan(robertson, c, solve_girth5(robertson, c, robertson.edge_count, tel), tel)
     assert tel.labels["girth5.uncolored-count"] == 1
     assert tel.labels["girth5.cycle-availability"] == 4
     assert tel.labels["girth5.incident-availability"] == 7
@@ -608,7 +637,7 @@ def test_girth5_disc_incident_branch_on_a_hand_built_prestate():
     incident edges keep only 16-20 and cannot all get distinct colors."""
     g = random_4regular(3000, seed=0, min_girth=5)[0]
     cycle = find_shortest_cycle(g)
-    held, plants, _ = solve_girth5(g, cycle, Telemetry())
+    held, plants, _ = solve_girth5(g, cycle, g.edge_count, Telemetry())
     corners, far = label_cycle_context(g, cycle, Telemetry())
     col = PartialColoring(g, 22)
     for e, c in plants:
@@ -630,7 +659,7 @@ def test_girth5_disc_incident_branch_on_a_hand_built_prestate():
     assert all(available_colors(col, e) == set(range(16, 21)) for e in uncolored)
     tel = Telemetry()
     a, b = zip(*corners)
-    solver._complete_girth5(col, cycle.edges, a, b, tel)
+    solver._complete_girth5(col, cycle.edges, a, b, g.edge_count, tel)
     assert tel.labels["girth5.discrepancy-positive"] == 1
     assert tel.labels["girth5.subset-neighborhood"] == 7
     assert tel.labels["girth5.extension"] == 1
@@ -661,7 +690,7 @@ def test_girth5_cycle_subset_branches_read_the_masks(monkeypatch, robertson, bra
     g = robertson if branch == "pair" else random_4regular(3000, seed=2, min_girth=5)[0]
     c = find_shortest_cycle(g)
     tel = Telemetry()
-    held, plants, _ = solve_girth5(g, c, tel)
+    held, plants, _ = solve_girth5(g, c, g.edge_count, tel)
     col = greedy_phase(g, c, held + [e for e, _ in plants], plants, (21, 22), tel)
     a, b = zip(*label_cycle_context(g, c, Telemetry())[0])
     uncolored = [e for e in held if not col.is_colored(e)]
@@ -671,7 +700,7 @@ def test_girth5_cycle_subset_branches_read_the_masks(monkeypatch, robertson, bra
     if branch == "crossing":  # the pairs share no color; c1 and a4 keep theirs
         real = solver.common_color
         monkeypatch.setattr(solver, "common_color", lambda fam, p, q: real(fam, p, q) if p == c.edges[0] else None)
-    solver._complete_girth5(col, c.edges, a, b, tel)
+    solver._complete_girth5(col, c.edges, a, b, g.edge_count, tel)
     assert col.is_total() and verify(col) == []
     assert tel.labels["girth5.subset-size"] == 1
     assert {k: tel.labels.get(k) for k in want} == want
@@ -684,9 +713,159 @@ def test_girth5_cycle_subset_branches_read_the_masks(monkeypatch, robertson, bra
 
 def test_girth6_instrumentation_counts(cage46):
     tel = Telemetry()
-    run_plan(cage46, 0, solve_girth6(cage46, 0, tel), tel)
+    run_plan(cage46, 0, solve_girth6(cage46, 0, cage46.edge_count, tel), tel)
     assert tel.labels["girth6.distance-two-edge"] == 4
     assert tel.labels["girth6.recolor-independent"] == 6
+
+
+def _square(extra):
+    """A 4-cycle 0-1-2-3 (edges 0..3, corner i at vertex i) with the
+    edges `extra` after it."""
+    g = MultiGraph.from_edges(11, [(0, 1), (1, 2), (2, 3), (3, 0), *extra])
+    return g, CycleDescriptor((0, 1, 2, 3), (0, 1, 2, 3))
+
+
+def _pentagon(extra):
+    """A 5-cycle 0..4 (edges 0..4), vertex i joined to 5 + 2i and 6 + 2i,
+    and the edges `extra`."""
+    spokes = [(i, 5 + 2 * i + j) for j in (0, 1) for i in range(5)]
+    g = MultiGraph.from_edges(15, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), *spokes, *extra])
+    return g, CycleDescriptor((0, 1, 2, 3, 4), (0, 1, 2, 3, 4))
+
+
+def _context_fails(extra, shape=_square):
+    g, c = shape(extra)
+    return lambda tel: label_cycle_context(g, c, tel)
+
+
+def _girth4_fails(extra):
+    g, c = _square(extra)
+    return lambda tel: solve_girth4(g, c, g.edge_count, tel)
+
+
+def _girth6_fails(edges):
+    g = MultiGraph.from_edges(8, edges)
+    return lambda tel: solve_girth6(g, 0, g.edge_count, tel)[2](PartialColoring(g, 22))
+
+
+CONTEXT = [("cycle-context.length", 1)]
+
+# the raised label and the checks per label, in the order they were first
+# entered, as one Telemetry.check call per check recorded them
+BULK_FAILURES = {
+    "corner-of-degree-3": (
+        _context_fails([(0, 4), (0, 5), (1, 6), (1, 7), (2, 8), (3, 9), (3, 10)]),
+        "cycle-context.regular-corner",
+        CONTEXT + [("cycle-context.regular-corner", 3), ("cycle-context.two-incident", 2)],
+    ),
+    "corner-with-a-loop": (
+        _context_fails([(0, 4), (0, 5), (1, 1), (2, 7), (2, 8), (3, 9), (3, 10)]),
+        "cycle-context.two-incident",
+        CONTEXT + [("cycle-context.regular-corner", 2), ("cycle-context.two-incident", 2)],
+    ),
+    "5-cycle-inseparable-corners": (
+        _context_fails([(9, 13), (9, 14)], _pentagon),
+        "cycle-context.separation",
+        CONTEXT
+        + [
+            ("cycle-context.regular-corner", 5),
+            ("cycle-context.two-incident", 5),
+            ("cycle-context.incident-distinct", 1),
+            ("cycle-context.separation", 2),
+        ],
+    ),
+    "skew-pair-next-to-a-4-cycle": (
+        _girth4_fails([(0, 4), (0, 5), (1, 6), (1, 7), (2, 7), (2, 8), (3, 9), (3, 10)]),
+        "girth4.no-skew-pairs",
+        CONTEXT
+        + [
+            ("cycle-context.regular-corner", 4),
+            ("cycle-context.two-incident", 4),
+            ("cycle-context.incident-distinct", 1),
+            ("girth4.no-skew-pairs", 7),
+        ],
+    ),
+    "girth6-neighbor-without-a-distance-2-edge": (
+        _girth6_fails([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 1), (3, 4), (4, 7)]),
+        "girth6.distance-two-edge",
+        [("girth6.anchor-degree", 1), ("girth6.neighbors-distinct", 1), ("girth6.distance-two-edge", 3)],
+    ),
+    "girth6-recolored-edges-meeting": (
+        _girth6_fails([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7), (4, 5)]),
+        "girth6.recolor-independent",
+        [
+            ("girth6.anchor-degree", 1),
+            ("girth6.neighbors-distinct", 1),
+            ("girth6.distance-two-edge", 4),
+            ("girth6.recolor-independent", 4),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BULK_FAILURES))
+def test_bulk_recorded_checks_fail_as_single_checks_did(case):
+    """Structural checks recorded in bulk raise, on a hand-built pre-state
+    that fails one, the label that one Telemetry.check call per check
+    raised, with the same count per label in the same order: the checks
+    before the failing one and the failing one itself. The counts are
+    those that per-check recording gave on these pre-states."""
+    run, label, counts = BULK_FAILURES[case]
+    tel = Telemetry()
+    with pytest.raises(LemmaAssertionError) as exc:
+        run(tel)
+    assert str(exc.value) == label
+    assert list(tel.labels.items()) == counts
+
+
+def _poor_mask(monkeypatch, victim):
+    """Leave edge `victim` three free colors, 1-3, at most."""
+    real = PartialColoring.available_mask
+    def mask(col, e):
+        return real(col, e) & (0b1110 if e == victim else -1)
+
+    monkeypatch.setattr(PartialColoring, "available_mask", mask)
+
+
+@pytest.mark.parametrize(
+    "index, label, counts",
+    [
+        (0, "girth5.incident-availability", [("girth5.incident-availability", 1)]),
+        (5, "girth5.cycle-availability", [("girth5.incident-availability", 4), ("girth5.cycle-availability", 2)]),
+        (10, "girth5.incident-availability", [("girth5.incident-availability", 7), ("girth5.cycle-availability", 4)]),
+    ],
+)
+def test_girth5_availability_fails_as_single_checks_did(monkeypatch, robertson, index, label, counts):
+    """The girth-5 finish checks its 11 edges' free colors in edge order,
+    at least 8 on a cycle edge and 5 on an incident one, recorded in bulk
+    under two labels. With the free colors of the index-th edge cut to
+    three on the Robertson graph's pre-state, it raises that edge's label
+    after the checks before it, with the counts per-check recording gave."""
+    c = find_shortest_cycle(robertson)
+    m = robertson.edge_count
+    held, plants, _ = solve_girth5(robertson, c, m, Telemetry())
+    col = greedy_phase(robertson, c, held + [e for e, _ in plants], plants, (21, 22), Telemetry())
+    uncolored = sorted(e for e in held if not col.is_colored(e))
+    assert uncolored == [1, 2, 6, 7, 10, 13, 17, 20, 25, 30, 35] and c.edges == (13, 6, 4, 20, 30)
+    a, b = zip(*label_cycle_context(robertson, c, Telemetry())[0])
+    _poor_mask(monkeypatch, uncolored[index])
+    tel = Telemetry()
+    with pytest.raises(LemmaAssertionError, match=label):
+        solver._complete_girth5(col, c.edges, a, b, m, tel)
+    assert list(tel.labels.items()) == [("girth5.uncolored-count", 1)] + counts
+
+
+def test_girth4_cycle_availability_fails_as_single_checks_did(monkeypatch):
+    """With the second 4-cycle edge of K4,4 left three free colors, the
+    girth-4 cycle check raises after two checks."""
+    g = complete_bipartite(4, 4)
+    c = find_shortest_cycle(g)
+    col = greedy_phase(g, c, c.edges, (), (20, 21), Telemetry())
+    _poor_mask(monkeypatch, c.edges[1])
+    tel = Telemetry()
+    with pytest.raises(LemmaAssertionError, match="girth4.cycle-availability"):
+        solver._girth4_cycle(col, c.edges, tel)
+    assert tel.labels == {"girth4.cycle-availability": 2}
 
 
 # --- fallback --------------------------------------------------------------
@@ -761,6 +940,68 @@ def test_fallback_exact_failure_leaves_the_coloring_as_it_was():
     assert str(exc.value).split("\n")[0] == "backtracking completion failed on 3 edges"
     assert col._colors == before
     assert col._at == copy(col)._masks()
+
+
+def _count_steps(monkeypatch) -> list[int]:
+    """Count the color writes of a search (PartialColoring._set_unchecked,
+    one to try a color on an edge and one to back out of it) in steps[0]."""
+    steps = [0]
+    real = PartialColoring._set_unchecked
+
+    def counting(self, e, c):
+        steps[0] += 1
+        real(self, e, c)
+
+    monkeypatch.setattr(PartialColoring, "_set_unchecked", counting)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "palette, colored, todo",
+    [(9, [9], list(range(9))), (9, list(range(7)), [7, 8, 9])],
+    ids=["nine-edges-eight-colors", "three-edges-two-colors"],
+)
+def test_fallback_exact_rejects_a_clique_short_of_colors_without_a_search(monkeypatch, palette, colored, todo):
+    """The edges of a K5 pairwise conflict. With some colored and the rest
+    holding fewer free colors among them than they are, fallback_exact
+    raises at once and writes no color; the search it spares took 219,200
+    and 8 color writes."""
+    col = PartialColoring(complete(5), palette)
+    greedy_color(col, colored)
+    before = list(col._colors)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(Unsatisfiable) as exc:
+        fallback_exact(col, todo)
+    assert exc.value.reason == f"backtracking completion failed on {len(todo)} edges"
+    assert steps[0] == 0 and col._colors == before
+
+
+def test_fallback_exact_searches_as_before_where_the_count_decides_nothing(monkeypatch):
+    """Where the pending edges do not all conflict, or have colors enough,
+    the search runs as it did, with the same color writes: a K5 and a
+    separate edge with 9 colors fails after 8 writes and backs out of every
+    edge it tried; a stripped K5 completes in 3, and a K5 in 10 colors in
+    10, with the colors it gave."""
+    g = disjoint_union(complete(5), path(2))
+    col = PartialColoring(g, 9)
+    greedy_color(col, range(7))
+    before = list(col._colors)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(Unsatisfiable, match="failed on 4 edges"):
+        fallback_exact(col, [7, 8, 9, 10])
+    assert steps[0] == 8 and col._colors == before
+    assert col._at == copy(col)._masks()
+    full, _ = solve(complete(5))
+    col = copy(full)
+    for e in (0, 3, 7):
+        col.unassign(e)
+    steps[0] = 0
+    fallback_exact(col, [0, 3, 7])
+    assert steps[0] == 3 and col._colors == [3, 9, 2, 6, 10, 4, 5, 8, 7, 1]
+    col = PartialColoring(complete(5), 10)
+    steps[0] = 0
+    fallback_exact(col, range(10))
+    assert steps[0] == 10 and col._colors == list(range(1, 11))
 
 
 # --- top-level solve -------------------------------------------------------
@@ -844,8 +1085,7 @@ def test_solve_deterministic(robertson):
 
 
 def test_rescue_path_counts_fallback(monkeypatch):
-    def boom(g, cycle, telemetry=None):
-        tel = telemetry if telemetry is not None else Telemetry()
+    def boom(g, cycle, m, tel):
         tel.check(False, "girth3.cycle-length")
         raise AssertionError("unreachable")
 
@@ -859,7 +1099,7 @@ def test_rescue_path_counts_fallback(monkeypatch):
     assert rep.labels == {"girth3.cycle-length": 1} and rep.assertions_checked == 1
 
 
-def _fail_girth3(g, cycle, tel):
+def _fail_girth3(g, cycle, m, tel):
     tel.check(False, "girth3.cycle-length")
 
 
@@ -925,7 +1165,7 @@ def test_report_counts_match_the_edges(monkeypatch, seed, forced):
     multigraphs with loops, parallel edges and isolated vertices, also
     when every component of one strategy is rescued."""
     if forced is not None:
-        def boom(g, anchor, tel):
+        def boom(g, anchor, m, tel):
             tel.check(False, f"{forced}.forced")
 
         monkeypatch.setattr(solver, f"solve_{forced}", boom)
@@ -967,7 +1207,7 @@ def test_rescues_read_the_component_ids_a_bounded_number_of_times(monkeypatch, c
     components first keeps the reads of the component ids within a fixed
     multiple of n + m, however many components fail."""
 
-    def boom(g, cycle, tel):
+    def boom(g, cycle, m, tel):
         tel.check(False, "girth3.cycle-length")
 
     comps = []
@@ -1090,8 +1330,8 @@ def test_shared_pass_failures_cost_linear_time(monkeypatch):
 def test_planting_conflict_is_rescued_and_named(monkeypatch, robertson, petersen):
     real = solver.solve_girth5
 
-    def clash(g, cycle, tel):
-        held, plants, finish = real(g, cycle, tel)
+    def clash(g, cycle, m, tel):
+        held, plants, finish = real(g, cycle, m, tel)
         e = plants[0][0]
         f = min(g.conflict_set(e))
         return held, ((e, 21), (f, 21)), finish
@@ -1110,8 +1350,8 @@ def test_finish_failure_is_rescued(monkeypatch, cage46):
     clean_col, _ = solve(g)
     real = solver.solve_girth6
 
-    def late(g, v, tel):
-        held, plants, finish = real(g, v, tel)
+    def late(g, v, m, tel):
+        held, plants, finish = real(g, v, m, tel)
 
         def failing(col):
             finish(col)  # the component ends up colored, and still fails
@@ -1134,12 +1374,12 @@ def _failing_cap(monkeypatch, fail_at):
     real = solver._check_caps
     calls = []
 
-    def capped(g, tail, caps, label, pending, tel):
+    def capped(g, tail, caps, label, pending, m, tel):
         if label == "girth3.final-neighborhood":
             calls.append(tail)
             if len(calls) == fail_at:
                 caps = (0,) * len(caps)
-        real(g, tail, caps, label, pending, tel)
+        real(g, tail, caps, label, pending, m, tel)
 
     monkeypatch.setattr(solver, "_check_caps", capped)
 
@@ -1295,17 +1535,17 @@ def test_rescue_shares_follow_the_one_distance_order(monkeypatch, en_graph, robe
     real_girth3 = solver.solve_girth3
     planned = []
 
-    def first_fails(g, cycle, tel):  # the first K5 planned fails, the other does not
+    def first_fails(g, cycle, m, tel):  # the first K5 planned fails, the other does not
         planned.append(cycle)
         if len(planned) == 1:
-            _fail_girth3(g, cycle, tel)
-        return real_girth3(g, cycle, tel)
+            _fail_girth3(g, cycle, m, tel)
+        return real_girth3(g, cycle, m, tel)
 
     monkeypatch.setattr(solver, "solve_girth3", first_fails)
     real_girth6 = solver.solve_girth6
 
-    def late(g, v, tel):
-        held, plants, finish = real_girth6(g, v, tel)
+    def late(g, v, m, tel):
+        held, plants, finish = real_girth6(g, v, m, tel)
 
         def failing(col):
             finish(col)
